@@ -7,7 +7,7 @@ export PYTHONPATH
 export PYTHONHASHSEED := 0
 
 .PHONY: test test-fast lint bench-simspeed bench-ckpt bench-recovery \
-	bench-shard bench-workload bench-dsm
+	bench-workload bench-dsm
 
 # Tier-1 suite (everything); lints first.
 test: lint
@@ -54,14 +54,6 @@ bench-ckpt:
 bench-recovery:
 	python -m benchmarks.bench_recovery $(if $(FORCE),--force)
 
-# Sharded-execution cost (conductor overhead vs. single-shard, every
-# run verified bit-identical); records under "sharded" in
-# BENCH_simspeed.json, refuses a >25% overhead regression (FORCE=1
-# overrides).  On a single-CPU host this measures protocol overhead
-# only -- see docs/simulation.md "Sharded execution".
-bench-shard:
-	python -m benchmarks.bench_shard $(if $(FORCE),--force)
-
 # DSM fetch/upgrade latency and protocol traffic for the fetch-on-fault
 # app family (stencil/bfs/kv), every run verified against its closed
 # form first.  Records BENCH_dsm.json; refuses a >25% latency/traffic
@@ -71,8 +63,7 @@ bench-dsm:
 
 # Datacenter-workload SLO numbers (p50/p99/p999 round-trip latency,
 # goodput vs offered load) on a 32x32 mesh, one run per placement
-# policy, each verified bit-identical between single-shard and 4-shard
-# execution.  Records BENCH_workload.json; refuses a >25% goodput
+# policy.  Records BENCH_workload.json; refuses a >25% goodput
 # regression (FORCE=1 overrides).  See docs/workloads.md.
 bench-workload:
 	python -m benchmarks.bench_workload $(if $(FORCE),--force)

@@ -10,12 +10,6 @@ into ``BENCH_workload.json``:
     python -m benchmarks.bench_workload --quick    # 8x8 smoke (CI; no write)
     make bench-workload                            # same as the first form
 
-Every run is executed twice: single-shard, and 4-way sharded under the
-conductor, with the *entire* observable record -- final time, event
-count, every metric, every node's memory hash, and the ordered
-instrumentation event log -- demanded bit-identical.  The SLO numbers
-this file records are therefore backend-independent by construction.
-
 The regression gate refuses to record a goodput drop of more than 25%
 against the committed numbers (override with ``--force``): tail latency
 is the *observable*, goodput collapse is the symptom a scheduling or
@@ -28,13 +22,11 @@ import os
 import sys
 import time
 
-from repro.sharded import run_sharded, run_single
-from repro.workload import WorkloadParams, slo_from_fingerprint
+from repro.workload import DatacenterWorkload, WorkloadParams
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_workload.json")
 REGRESSION_TOLERANCE = 0.25
-SHARDS = 4
 
 # keys > node_count (4 tiles per node) so blocked and strided are
 # genuinely different placements; with keys == node_count both maps
@@ -45,34 +37,14 @@ QUICK = dict(width=8, height=8, requests=96, seed=1,
 
 
 def run_one(addr_map, base_kwargs):
-    """One placement policy: single vs 4-shard, verified bit-identical."""
+    """One placement policy, run once: its SLO record plus wall time."""
     params = WorkloadParams(addr_map=addr_map, **base_kwargs)
-    kwargs = params.describe()
-
     t0 = time.perf_counter()
-    single = run_single("workload", collect_events=True, **kwargs)
-    single_wall = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sharded = run_sharded("workload", SHARDS, collect_events=True, **kwargs)
-    sharded_wall = time.perf_counter() - t0
-
-    if sharded["fingerprint"] != single["fingerprint"]:
-        raise AssertionError(
-            "workload[%s] x%d fingerprint diverged from single-shard"
-            % (addr_map, SHARDS)
-        )
-    if sharded["events"] != single["events"]:
-        raise AssertionError(
-            "workload[%s] x%d event order diverged from single-shard"
-            % (addr_map, SHARDS)
-        )
-
-    slo = slo_from_fingerprint(single["fingerprint"], params)
-    slo["single_wall_s"] = single_wall
-    slo["sharded_wall_s"] = sharded_wall
-    slo["shards_verified"] = SHARDS
-    slo["events"] = single["fingerprint"]["event_count"]
+    workload = DatacenterWorkload(params).run()
+    wall = time.perf_counter() - t0
+    slo = workload.results()
+    slo["wall_s"] = wall
+    slo["events"] = workload.system.sim.event_count
     return slo
 
 
@@ -111,11 +83,10 @@ def main(argv=None):
     results = run_all(quick=args.quick)
     for name, r in results.items():
         print("%-8s %4d resp  p50=%-6s p99=%-6s p999=%-6s ns  "
-              "goodput %.0f/%d rps  (%.1fs single, %.1fs x%d, identical)"
+              "goodput %.0f/%d rps  (%.1fs)"
               % (name, r["responses"], r["p50_ns"], r["p99_ns"],
                  r["p999_ns"], r["goodput_rps"] or 0.0,
-                 r["offered_load_rps"], r["single_wall_s"],
-                 r["sharded_wall_s"], SHARDS))
+                 r["offered_load_rps"], r["wall_s"]))
 
     if args.quick:
         print("(quick mode: results not written)")

@@ -122,98 +122,6 @@ class SystemCheckpoint:
         return cls.restore(state)
 
     @classmethod
-    def shard_slice(cls, state, index, shards):
-        """The shard-``index`` slice of a captured state document.
-
-        Used for shard migration/rebalance: a conductor can capture at a
-        safepoint, slice per shard, ship each slice, and
-        :meth:`merge_shards` reassembles the identical document (possibly
-        for a different shard count).  Machine-wide parts (config, clock,
-        metrics registry, backplane) ride along in every slice under
-        ``"shared"``; per-node state, workers and pending-event
-        descriptors are filtered to the nodes the shard owns.
-        """
-        from repro.machine.sharding import partition
-
-        owner = partition(state["width"] * state["height"], shards)
-        worker_owner = [w["node_id"] for w in state["workers"]]
-        shared = {key: state[key] for key in
-                  ("config", "width", "height", "sim", "instrumentation")}
-        shared["backplane"] = state["system"]["backplane"]
-        return {
-            "shard": index,
-            "shards": shards,
-            "shared": shared,
-            "nodes": [
-                [node_id, node_state]
-                for node_id, node_state in enumerate(state["system"]["nodes"])
-                if owner[node_id] == index
-            ],
-            "workers": [
-                [i, worker_state]
-                for i, worker_state in enumerate(state["workers"])
-                if owner[worker_state["node_id"]] == index
-            ],
-            # Descriptors keep their position in the captured document:
-            # restore recreates pending events in that order (it encodes
-            # the original sequence order), so the merge must reproduce
-            # it exactly.
-            "descriptors": [
-                [position, descriptor]
-                for position, descriptor in enumerate(state["descriptors"])
-                if owner[worker_owner[descriptor["index"]]
-                         if descriptor["kind"] == "worker"
-                         else descriptor["node"]] == index
-            ],
-        }
-
-    @classmethod
-    def merge_shards(cls, slices):
-        """Reassemble :meth:`shard_slice` outputs into one state document.
-
-        Requires a complete, non-overlapping set of slices agreeing on the
-        shared machine-wide state.
-        """
-        if not slices:
-            raise CkptError("no shard slices to merge")
-        shared = slices[0]["shared"]
-        for piece in slices[1:]:
-            if piece["shared"] != shared:
-                raise CkptError(
-                    "shard slices disagree on the shared machine state "
-                    "(mixed captures?)"
-                )
-        node_count = shared["width"] * shared["height"]
-        nodes = {}
-        workers = {}
-        descriptors = []
-        for piece in slices:
-            for node_id, node_state in piece["nodes"]:
-                if node_id in nodes:
-                    raise CkptError("node %d appears in two slices" % node_id)
-                nodes[node_id] = node_state
-            for i, worker_state in piece["workers"]:
-                workers[i] = worker_state
-            descriptors.extend(
-                (position, descriptor)
-                for position, descriptor in piece["descriptors"]
-            )
-        missing = [n for n in range(node_count) if n not in nodes]
-        if missing:
-            raise CkptError("shard slices miss nodes %r" % (missing,))
-        state = {key: shared[key] for key in
-                 ("config", "width", "height", "sim", "instrumentation")}
-        state["system"] = {
-            "nodes": [nodes[n] for n in range(node_count)],
-            "backplane": shared["backplane"],
-        }
-        state["workers"] = [workers[i] for i in sorted(workers)]
-        state["descriptors"] = [
-            descriptor for _position, descriptor in sorted(descriptors)
-        ]
-        return state
-
-    @classmethod
     def fork(cls, system):
         """An independent in-memory copy of ``system`` (at a safepoint).
 

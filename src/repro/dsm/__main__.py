@@ -4,14 +4,13 @@ Examples::
 
     python -m repro.dsm --kind stencil --width 8 --height 8
     python -m repro.dsm --kind bfs --width 4 --height 4 --json
-    python -m repro.dsm --kind kv --requests 64 --shards 4
+    python -m repro.dsm --kind kv --requests 64
     python -m repro.dsm --kind homecrash --crash-home 1 --crash-at 400000
 
 Reports the ``dsm.*`` metrics namespace -- faults, fetches,
 invalidations, recalls, and the fetch/upgrade latency histograms -- and
 checks the app's expected result where one is closed-form (stencil page
-contents, BFS distances).  ``--shards`` reruns the same build through
-:mod:`repro.sharded`; fingerprints are bit-identical to ``--shards 1``.
+contents, BFS distances).
 """
 
 import argparse
@@ -44,10 +43,6 @@ def main(argv=None):
                         help="simulated time of the --crash-home crash")
     parser.add_argument("--dwell-ns", type=int, default=120_000,
                         help="how long the crashed node stays down")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="run through repro.sharded with this many shards")
-    parser.add_argument("--backend", choices=("inline", "process"),
-                        default="inline")
     parser.add_argument("--json", action="store_true",
                         help="emit the metrics snapshot as JSON")
     args = parser.parse_args(argv)
@@ -63,28 +58,12 @@ def main(argv=None):
             parser.error("--crash-at must be >= 0")
         if args.dwell_ns < 0:
             parser.error("--dwell-ns must be >= 0")
-        if args.shards > 1:
-            parser.error("--crash-home does not combine with --shards; "
-                         "use the dsm_homecrash scenario of "
-                         "python -m repro.sharded for a sharded crash run")
 
-    kwargs = dict(kind=args.kind, width=args.width, height=args.height,
-                  iterations=args.iterations, words=args.words,
-                  seed=args.seed, requests=args.requests)
-
-    if args.shards > 1:
-        from repro.sharded import run_sharded
-
-        result = run_sharded("dsm", args.shards, backend=args.backend,
-                             **kwargs)
-        shas = result["fingerprint"]["memory_sha256"]
-        print("dsm %s %dx%d over %d shards: %d node memories, sha %s... @ %d ns"
-              % (args.kind, args.width, args.height, args.shards, len(shas),
-                 " ".join(sha[:8] for sha in shas[:4]),
-                 result["fingerprint"]["now"]))
-        return 0
-
-    workload = DsmWorkload(recovery=crash, **kwargs).start()
+    workload = DsmWorkload(
+        kind=args.kind, width=args.width, height=args.height,
+        iterations=args.iterations, words=args.words, seed=args.seed,
+        requests=args.requests, recovery=crash,
+    ).start()
     if crash:
         from repro.faults.recovery import spawn_crash_restore_cycle
 

@@ -43,9 +43,8 @@ checkpoint rolls it back consistently and channel replay re-drives the
 service deterministically: crash recovery is rollback + replay, exactly
 the :mod:`repro.msg.reliable` story.
 
-Shard safety: a node's service only ever touches that node's hardware;
-every cross-node effect is a message or a DMA.  The ``dsm`` scenario in
-``repro.sharded`` pins 1-shard vs 4-shard bit-identity on top of this.
+Locality: a node's service only ever touches that node's hardware;
+every cross-node effect is a message or a DMA.
 """
 
 from collections import deque
@@ -186,8 +185,8 @@ class DsmRuntime:
         self._agents = [None] * n
         self._recovery = None
 
-        # Metrics: registered eagerly so every shard's registry is
-        # identical regardless of which nodes it simulates.
+        # Metrics: registered eagerly so the registry is identical
+        # whichever nodes end up faulting.
         hub = Instrumentation.of(system.sim)
         self.instr = hub
         self.faults = hub.counter("dsm.faults")
@@ -339,7 +338,7 @@ class DsmRuntime:
           ``lease_ns``) lapsed.
 
         Call before :meth:`start`; arming mid-run would change process
-        creation order and break shard determinism.
+        creation order and with it the run's event order.
         """
         if self._recovery is not None:
             raise DsmError("recovery already armed")
@@ -419,23 +418,6 @@ class DsmRuntime:
                     sim, entry[0](), "%s.app(%d)" % (self.name, node_id)
                 ).start()
         return self
-
-    def node_processes(self):
-        """(node_id, process) pairs for shard ownership assignment."""
-        procs = []
-        for node_id in range(len(self.system.nodes)):
-            if self._service[node_id] is not None:
-                procs.append((node_id, self._service[node_id]))
-            if self._agents[node_id] is not None:
-                procs.append((node_id, self._agents[node_id]))
-            for entry in self._apps[node_id]:
-                if entry[1] is not None:
-                    procs.append((node_id, entry[1]))
-        for key in sorted(self._channels):
-            channel = self._channels[key]
-            procs.append((channel.src_node_id, channel._tx_proc))
-            procs.append((channel.dest_node_id, channel._rx_proc))
-        return procs
 
     def channels(self):
         """The underlying reliable channels (crash orchestration needs

@@ -21,8 +21,7 @@ a run fingerprint cover it:
   AddrMap`, one tile per page.
 
 The layout is a pure function of ``(node_count, pages_per_node,
-dram_bytes)``, so every shard of a sharded run computes bit-identical
-placement (see ``repro.sharded``'s ``dsm`` scenario).
+dram_bytes)``, so the same machine always gets bit-identical placement.
 """
 
 from repro.machine.addrmap import make_addr_map

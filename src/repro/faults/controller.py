@@ -12,14 +12,6 @@ Node crashes need recovery orchestration (what to do with the corpse is
 the scenario's business), so :class:`FaultController` delegates them to
 ``crash_handler(node_id)`` -- by default
 :func:`repro.faults.recovery.crash_node` run as a fresh process.
-
-``crash_coupling`` declares, per crashable node, every node whose
-Python-level runtime state the crash/restore orchestration mutates (a
-DSM crash resets sender windows of every channel into the victim and
-rebuilds directories from every participant's claims).  Single runs
-ignore it; a sharded run uses it to decide whether a plan's
-``node_crash`` is expressible -- the victim *and* its whole coupled set
-must live in one shard (see ``repro.machine.sharding``).
 """
 
 from repro.sim.instrument import Instrumentation
@@ -32,13 +24,11 @@ class FaultError(Exception):
 class FaultController:
     """Owns the live fault state a plan creates on one system."""
 
-    def __init__(self, system, plan, crash_handler=None, crash_coupling=None):
+    def __init__(self, system, plan, crash_handler=None):
         self.system = system
         self.plan = plan
         self.crash_handler = crash_handler
-        self.crash_coupling = crash_coupling
         self.injectors = []  # live injector windows, for introspection
-        self.armed_events = []  # (plan event, ScheduledEvent) pairs from arm()
         self.instr = Instrumentation.of(system.sim)
         self._counters = {}
         self._links_by_name = None
@@ -89,8 +79,7 @@ class FaultController:
         for event in self.plan.events:
             apply_fn = getattr(self, "_apply_" + event.type_name)
             self._resolve(event)  # fail at arm time, not mid-run
-            scheduled = sim.schedule(max(0, event.at - now), apply_fn, event)
-            self.armed_events.append((event, scheduled))
+            sim.schedule(max(0, event.at - now), apply_fn, event)
         return self
 
     def _resolve(self, event):

@@ -29,13 +29,6 @@ pair always yields the same plan on any host.
 _MASK64 = (1 << 64) - 1
 
 
-class FaultPlanError(Exception):
-    """A plan event the target run configuration cannot express --
-    e.g. a ``node_crash`` whose recovery orchestration would touch
-    Python-level state owned by more than one shard (see
-    ``repro.machine.sharding``)."""
-
-
 def _splitmix64(state):
     """One splitmix64 step: returns ``(next_state, output)``."""
     state = (state + 0x9E3779B97F4A7C15) & _MASK64

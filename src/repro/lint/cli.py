@@ -12,7 +12,7 @@ under ``.lint_cache/`` keyed on a content hash of the input tree, so a
 warm run skips parsing entirely (``--no-cache`` disables this).
 
 ``--sanitize SCENARIO`` is the runtime companion: instead of linting
-source, it arms the happens-before checker over one ``repro.sharded``
+source, it arms the happens-before checker over one ``repro.scenarios``
 scenario run and fails on any ordering violation
 (:mod:`repro.lint.sanitize`).
 
@@ -102,7 +102,7 @@ def _parser():
     )
     parser.add_argument(
         "--sanitize", metavar="SCENARIO",
-        help="run SCENARIO (a repro.sharded scenario name) with the "
+        help="run SCENARIO (a repro.scenarios name) with the "
         "happens-before sanitizer armed instead of linting source",
     )
     return parser

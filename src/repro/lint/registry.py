@@ -16,7 +16,6 @@ from repro.lint import (
     rules_faults,
     rules_instrument,
     rules_protocol,
-    rules_shard,
     rules_topology,
     rules_vocab,
 )
@@ -30,7 +29,6 @@ def all_rules():
         + rules_instrument.RULES
         + rules_callback.RULES
         + rules_faults.RULES
-        + rules_shard.RULES
         + rules_topology.RULES
         + rules_dsm.RULES
         + rules_protocol.RULES

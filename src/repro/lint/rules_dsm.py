@@ -4,12 +4,11 @@ The fetch-on-fault layer (:mod:`repro.dsm`) owns every byte of the
 shared frame region: page data moves only through the directory
 protocol (fault -> grant -> deliberate-update push) so that the
 single-writer/multi-reader invariant, the section 4.4 invalidation
-walk, crash rollback and the sharded fingerprint all see the same
-bytes.  A direct DRAM write into a DSM frame from outside the package
-bypasses all of that -- the scribble is invisible to the directory, is
-not invalidated on the next write grant, and silently diverges a
-sharded run from the single-shard reference.  The runtime's DRAM write
-guard catches such writes dynamically; this rule is the static half.
+walk, crash rollback and the run fingerprint all see the same bytes.
+A direct DRAM write into a DSM frame from outside the package bypasses
+all of that -- the scribble is invisible to the directory and is not
+invalidated on the next write grant.  The runtime's DRAM write guard
+catches such writes dynamically; this rule is the static half.
 """
 
 import ast

@@ -18,7 +18,7 @@ The directory protocol in :mod:`repro.dsm.runtime` rests on three
 - the crash-recovery claim collection (``RECOVER_REQ`` broadcast) must
   visit peers in sorted node order, so the rebuild's conflict
   resolution sees claims in one deterministic arrival order on every
-  host and every shard layout.
+  host.
 
 The rules key on the protocol's own vocabulary: a module that defines a
 top-level ``WRITE_OK`` constant is a protocol engine; ``_send(...)``
@@ -341,10 +341,10 @@ class SortedRecoverBroadcastRule(ProjectRule):
     FIFO channels; the only ordering the protocol can rely on is the one
     the broadcast loop itself establishes.  If the restored home walks
     its peers in hash/dict/set order, the claim arrival order -- and
-    with it the rebuild's tie-breaking, walk scheduling, and the merged
-    shard fingerprint -- varies by host and by shard layout.  Every
-    ``for`` loop that sends ``RECOVER_REQ`` must therefore iterate a
-    ``sorted(...)`` expression directly.
+    with it the rebuild's tie-breaking, walk scheduling, and the run
+    fingerprint -- varies by host.  Every ``for`` loop that sends
+    ``RECOVER_REQ`` must therefore iterate a ``sorted(...)`` expression
+    directly.
     """
 
     code = "SL904"
@@ -379,7 +379,7 @@ class SortedRecoverBroadcastRule(ProjectRule):
                 "this loop broadcasts RECOVER_REQ but does not iterate a "
                 "sorted(...) iterable: the rebuild claim collection must "
                 "visit peers in sorted node order so conflict resolution "
-                "is deterministic across hosts and shard layouts",
+                "is deterministic across hosts",
             )
 
 

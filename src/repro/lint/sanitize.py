@@ -2,9 +2,9 @@
 
 The static rules certify the *source* orders its protocol actions; this
 module certifies one actual *run* did.  ``python -m repro.lint
---sanitize SCENARIO`` builds a single-shard :mod:`repro.sharded`
-scenario, subscribes a :class:`HappensBeforeSanitizer` to the
-instrumentation bus, runs the scenario to completion and exits non-zero
+--sanitize SCENARIO`` builds a :mod:`repro.scenarios` scenario,
+subscribes a :class:`HappensBeforeSanitizer` to the instrumentation
+bus, runs the scenario to completion and exits non-zero
 if any ordering edge the DSM protocol promises was violated:
 
 - a ``dsm.grant`` must carry the token of the latest ``dsm.fault`` on
@@ -245,20 +245,20 @@ class HappensBeforeSanitizer:
 
 
 def run_sanitized(scenario, out, **kwargs):
-    """Run ``scenario`` single-shard with the sanitizer armed.
+    """Run ``scenario`` with the sanitizer armed.
 
     Returns the process exit code: 0 on a clean run, 1 on any
     happens-before violation.  Unknown scenario names raise
     :class:`~repro.lint.engine.LintUsageError` (CLI exit 2).
     """
-    from repro.sharded import SHARD_SCENARIOS, _build
+    from repro.scenarios import SCENARIOS, build
 
-    if scenario not in SHARD_SCENARIOS:
+    if scenario not in SCENARIOS:
         raise LintUsageError(
             "unknown scenario %r for --sanitize; known: %s"
-            % (scenario, ", ".join(sorted(SHARD_SCENARIOS)))
+            % (scenario, ", ".join(sorted(SCENARIOS)))
         )
-    system, _controller, _processes = _build(scenario, **kwargs)
+    system = build(scenario, **kwargs)
     sanitizer = HappensBeforeSanitizer(system.instrumentation)
     system.run()
     sanitizer.detach()

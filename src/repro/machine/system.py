@@ -59,14 +59,6 @@ class ShrimpSystem:
     def node(self, node_id):
         return self.nodes[node_id]
 
-    def shard_owners(self, shards):
-        """Owning shard per node id under the canonical contiguous-chunk
-        partition (see ``repro.machine.sharding``; routers are co-located
-        with their nodes, so only inter-router links cross shards)."""
-        from repro.machine.sharding import partition
-
-        return partition(self.node_count, shards)
-
     def run(self, until=None, max_events=20_000_000):
         self.sim.run(until=until, max_events=max_events)
 

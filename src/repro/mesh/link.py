@@ -359,219 +359,3 @@ class Link:
                 frees.append(free_at)
         self._not_full.fire()
 
-
-# -- shard boundary proxies (see repro.sim.shard) -----------------------------
-#
-# When a mesh is partitioned across shard processes, every shard constructs
-# the COMPLETE system (so sequence-number consumption during construction is
-# identical everywhere) and a link whose writer and reader live in different
-# shards exists as two replicas: the writer shard's replica becomes a
-# BoundaryTxLink, the reader shard's a BoundaryRxLink (an in-place
-# ``__class__`` swap -- the replica keeps its buffers, signals and metric).
-#
-# The writer shard's replica is authoritative for the writer-visible state
-# (occupancy, future frees, backpressure); the reader shard's replica is
-# authoritative for the deposited-entry stream the reader consumes.  Each
-# side replays the other's mutations from serialized boundary ops:
-#
-# - a deposit on the Tx side emits a ``deposit`` op (flit stamps + packet
-#   states, shipped once per packet per link) that the reader shard applies
-#   by appending the same entries -- without bumping ``flits_moved`` again;
-# - a pop on the Rx side emits a ``credit`` op (count + not-yet-matured
-#   free times) that the writer shard applies by dropping the same entries
-#   from its mirror and extending ``_frees``.
-#
-# Exactness of the global (time, seq) order rests on one rule: a signal
-# fire whose waiters live in the *other* shard must consume the same
-# sequence numbers the single-shard run would have handed to those waiters'
-# wake-ups.  The conductor snapshots the remote waiter count of every
-# boundary signal before each grant (the remote shard cannot run
-# concurrently, so the snapshot stays exact for the whole grant); the
-# emitting side burns that many sequence numbers into the op, and the
-# applying side schedules the real wake-ups with exactly those numbers.
-
-
-def _burn_wake_seqs(link):
-    """Consume the seq numbers the remote waiters' wake-ups would have taken.
-
-    Self-clearing: once a fire has claimed the remote waiters they are off
-    the signal until the remote shard runs again (which cannot happen
-    mid-grant), exactly like ``Signal.fire`` emptying its waiter list.
-    """
-    count = link._remote_waiters
-    if not count:
-        return []
-    link._remote_waiters = 0
-    sim = link.sim
-    seqs = []
-    for _ in range(count):
-        sim._seq += 1
-        seqs.append(sim._seq)
-    # The woken remote event may order before the remainder of this
-    # grant's range (the grant bound only covered *pre-existing* remote
-    # events), so the grant must stop after the event that burned these
-    # seqs and let the conductor re-compare frontiers.
-    sim._stop_requested = True
-    return seqs
-
-
-class BoundaryTxLink(Link):
-    """Writer-shard replica of a link whose reader lives in another shard."""
-
-    def _boundary_init(self, outbox):
-        self._shard_outbox = outbox
-        self._remote_waiters = 0  # reader parked on _not_empty (snapshot)
-        self._packet_ids = {}  # id(packet) -> wire id, evicted at the tail
-        self._next_packet_id = 0
-
-    def _emit_deposit(self, pairs):
-        packets = []
-        encoded = []
-        evict = []
-        for ready_at, flit in pairs:
-            key = id(flit.packet)
-            pid = self._packet_ids.get(key)
-            if pid is None:
-                pid = self._next_packet_id
-                self._next_packet_id = pid + 1
-                self._packet_ids[key] = pid
-                packets.append([pid, flit.packet.to_state()])
-            encoded.append(
-                [ready_at, pid, flit.index, bool(flit.is_head), bool(flit.is_tail)]
-            )
-            if flit.is_tail:
-                evict.append(pid)
-                del self._packet_ids[key]
-        self._shard_outbox.append({
-            "op": "deposit",
-            "link": self.name,
-            "t": self.sim._now,
-            "pairs": encoded,
-            "packets": packets,
-            "evict": evict,
-            "wake_seqs": _burn_wake_seqs(self),
-        })
-
-    def _deposit(self, ready_at, flit):
-        self._entries.append((ready_at, flit))
-        self.flits_moved.bump()
-        self._emit_deposit(((ready_at, flit),))
-
-    def deposit_scheduled(self, land_flit_pairs):
-        free = self.free_slots()
-        entries = self._entries
-        count = 0
-        for pair in land_flit_pairs:
-            entries.append(pair)
-            count += 1
-        claimed_future = count - free
-        if claimed_future > 0:
-            frees = self._frees
-            if claimed_future > len(frees):
-                raise RuntimeError(
-                    "%s: deposited %d flits into %d claimable slots"
-                    % (self.name, count, free + len(frees))
-                )
-            for _ in range(claimed_future):
-                frees.popleft()
-        self.flits_moved.bump(count)
-        self._emit_deposit(land_flit_pairs)
-
-
-class BoundaryRxLink(Link):
-    """Reader-shard replica of a link whose writer lives in another shard."""
-
-    def _boundary_init(self, outbox):
-        self._shard_outbox = outbox
-        self._remote_waiters = 0  # writer parked on _not_full (snapshot)
-
-    def _emit_credit(self, count, future_frees):
-        self._shard_outbox.append({
-            "op": "credit",
-            "link": self.name,
-            "t": self.sim._now,
-            "count": count,
-            "free_times": list(future_frees),
-            "wake_seqs": _burn_wake_seqs(self),
-        })
-
-    def receive(self):
-        while True:
-            if self._entries:
-                ready_at, flit = self._entries[0]
-                now = self.sim._now
-                if ready_at <= now:
-                    self._entries.popleft()
-                    self._emit_credit(1, ())
-                    return flit
-                yield Timeout(ready_at - now)
-            else:
-                yield self._wait_not_empty
-
-    def try_receive(self):
-        if self._entries and self._entries[0][0] <= self.sim._now:
-            _, flit = self._entries.popleft()
-            self._emit_credit(1, ())
-            return True, flit
-        return False, None
-
-    def pop_entries(self, count, free_times):
-        entries = self._entries
-        now = self.sim._now
-        future = []
-        for j in range(count):
-            entries.popleft()
-            free_at = free_times[j]
-            if free_at > now:
-                future.append(free_at)
-        self._emit_credit(count, future)
-
-
-def _apply_wakes(link, signal, op):
-    """Schedule the remote fire's wake-ups with the exact burned seqs."""
-    seqs = op["wake_seqs"]
-    if not seqs:
-        return
-    waiters = signal._waiters
-    if len(waiters) != len(seqs):
-        raise RuntimeError(
-            "%s: boundary op burned %d wake seqs but %d waiters are parked"
-            % (link.name, len(seqs), len(waiters))
-        )
-    signal._waiters = []
-    signal.fire_count += 1
-    sim = link.sim
-    t = op["t"]
-    for process, seq in zip(waiters, seqs):
-        sim._seq = seq - 1
-        sim.schedule_at(t, process._resume, None)
-
-
-def apply_boundary_op(link, op, packet_cache):
-    """Replay one boundary op on the destination shard's link replica.
-
-    ``packet_cache`` maps this link's in-flight wire packet ids to
-    reconstructed Packet objects (one dict per Rx link, owned by the
-    caller); a packet's entry is dropped once its tail flit has shipped.
-    """
-    if op["op"] == "deposit":
-        from repro.mesh.packet import Flit, Packet
-
-        for pid, state in op["packets"]:
-            packet_cache[pid] = Packet.from_state(state)
-        entries = link._entries
-        for ready_at, pid, index, is_head, is_tail in op["pairs"]:
-            entries.append(
-                (ready_at, Flit(packet_cache[pid], index, is_head, is_tail))
-            )
-        for pid in op["evict"]:
-            del packet_cache[pid]
-        _apply_wakes(link, link._not_empty, op)
-    elif op["op"] == "credit":
-        entries = link._entries
-        for _ in range(op["count"]):
-            entries.popleft()
-        link._frees.extend(op["free_times"])
-        _apply_wakes(link, link._not_full, op)
-    else:
-        raise ValueError("unknown boundary op %r" % (op["op"],))

@@ -2,14 +2,12 @@
 
 Every layer of the stack used to hand-roll ``y * width + x`` node
 arithmetic; :class:`MeshTopology` is now the single owner of that
-geometry.  The backplane builds its routers and links from it, the shard
-layer derives its boundary maps from it, and anything that needs to turn
-a node id into mesh coordinates (or back) asks it.
+geometry.  The backplane builds its routers and links from it, and
+anything that needs to turn a node id into mesh coordinates (or back)
+asks it.
 
 A topology is pure data -- it knows nothing about simulators, params or
-built hardware -- so the shard conductor can reason about a 32x32 mesh's
-boundary links without constructing a single router, and construction
-stays O(nodes + links) at any scale.
+built hardware -- so construction stays O(nodes + links) at any scale.
 
 Node ids are assigned row-major: node ``(x, y)`` has id ``y * width + x``
 (that expression lives HERE and nowhere else; simlint SL701 enforces it).
@@ -125,8 +123,7 @@ class MeshTopology:
 
         Yields ``(coords, port, neighbour_coords, reverse_port)`` for the
         east and south neighbour of every coordinate that has one -- the
-        canonical construction walk the backplane wires links from and the
-        shard layer's boundary maps mirror.
+        canonical construction walk the backplane wires links from.
         """
         for x, y in self.iter_coords():
             for port, ncoords, reverse in (
@@ -145,9 +142,9 @@ class MeshTopology:
 
     # -- the link-name vocabulary ----------------------------------------------
     #
-    # Link names are identity under sharding and checkpointing (boundary
-    # ops and sparse link captures are keyed by them), so the format is
-    # part of the on-the-wire contract, owned here.
+    # Link names are identity under checkpointing (sparse link captures
+    # and fault plans are keyed by them), so the format is part of the
+    # on-disk contract, owned here.
 
     @staticmethod
     def link_name(src_coords, dest_coords):
@@ -163,28 +160,6 @@ class MeshTopology:
     def eject_name(node_id):
         """Name of the router -> NIC ejection link of ``node_id``."""
         return "eject(%d)" % node_id
-
-    # -- shard boundaries ------------------------------------------------------
-
-    def crossing_links(self, owner):
-        """``{link name: (writer shard, reader shard)}`` for every mesh
-        link whose two routers live in different shards.
-
-        ``owner`` maps node id -> owning shard (any indexable; see
-        ``repro.machine.sharding.partition``).  Routers are co-located
-        with their nodes, so injection/ejection links never cross -- only
-        inter-router links can.  Pure topology: usable by the shard
-        conductor without a built system.
-        """
-        links = {}
-        for coords, _port, ncoords, _reverse in self.forward_neighbor_pairs():
-            here = owner[self.node_at(coords)]
-            there = owner[self.node_at(ncoords)]
-            if here == there:
-                continue
-            links[self.link_name(coords, ncoords)] = (here, there)
-            links[self.link_name(ncoords, coords)] = (there, here)
-        return links
 
     # -- misc ------------------------------------------------------------------
 

@@ -1,0 +1,109 @@
+"""Named end-to-end scenarios, each built into a started system.
+
+One table of the machine's canonical runs, for the sanitizer
+(``python -m repro.lint --sanitize NAME``), the determinism tests and
+anyone who wants a ready-made machine::
+
+    from repro.scenarios import build
+
+    system = build("contention")
+    system.run()
+
+Every builder is a pure function of its keyword arguments, so the same
+name and kwargs always give a bit-identical run.
+"""
+
+from repro.ckpt.scenarios import (
+    build_bandwidth,
+    build_contention,
+    build_ping_pong,
+)
+from repro.faults.controller import FaultController
+from repro.faults.plan import FaultPlan, NodeCrash
+from repro.faults.scenario import build_storm_with_channel
+from repro.workload.dsm_apps import DsmWorkload
+from repro.workload.generator import DatacenterWorkload
+from repro.workload.traffic import WorkloadParams
+
+#: Default fault plan seed for the ``fault_storm`` scenario.
+STORM_SEED = 0xC0FFEE
+
+
+def storm_plan(seed, width=4, height=4):
+    """The seeded, crash-free fault schedule of the ``fault_storm``
+    scenario: link flaps, router stalls, and FIFO pressure, all inside
+    the storm window."""
+    return FaultPlan.seeded(
+        seed,
+        duration_ns=20_000,
+        link_names=("link(1,1)->(2,1)", "link(2,2)->(2,1)", "inject(3)"),
+        router_coords=((2, 1),),
+        nodes=(7,),
+        pressure_bytes=256,
+    )
+
+
+def _fault_storm(words_per_sender=12, fault_seed=STORM_SEED):
+    system = build_storm_with_channel(words_per_sender=words_per_sender)[0]
+    FaultController(system, storm_plan(fault_seed)).arm()
+    return system
+
+
+def _workload(**kwargs):
+    """The open-loop datacenter workload (:mod:`repro.workload`).
+
+    Accepts every :class:`~repro.workload.traffic.WorkloadParams` field
+    as a keyword (width, height, seed, requests, addr_map, ...).
+    """
+    return DatacenterWorkload(WorkloadParams(**kwargs)).start().system
+
+
+def _dsm(**kwargs):
+    """Fetch-on-fault shared memory (:mod:`repro.dsm`): the DSM app
+    family -- stencil by default -- over the directory protocol.
+
+    Accepts :class:`~repro.workload.dsm_apps.DsmWorkload` keywords
+    (kind, width, height, iterations, words, seed, requests, ...).
+    """
+    return DsmWorkload(**kwargs).start().system
+
+
+def _dsm_homecrash(width=4, height=4, iterations=2, seed=1,
+                   crash_at=400_000, dwell_ns=120_000):
+    """The DSM home-crash recovery scenario: the ``homecrash`` app over
+    an armed :meth:`~repro.dsm.runtime.DsmRuntime.arm_recovery` runtime,
+    with node 1 -- home of the contended data page *and* of the lock --
+    crashed mid-run and restored after ``dwell_ns``.
+    """
+    from repro.faults.recovery import spawn_crash_restore_cycle
+
+    workload = DsmWorkload(kind="homecrash", width=width, height=height,
+                           iterations=iterations, seed=seed).start()
+    runtime = workload.runtime
+
+    def crash(node_id):
+        spawn_crash_restore_cycle(
+            workload.system, node_id, crash_at, dwell_ns, runtime.mappings,
+            channels=runtime.channels() + [runtime])
+
+    FaultController(workload.system, FaultPlan([NodeCrash(crash_at, 1)]),
+                    crash_handler=crash).arm()
+    return workload.system
+
+
+#: name -> builder(**kwargs) returning a started ShrimpSystem.
+SCENARIOS = {
+    "ping_pong": build_ping_pong,
+    "bandwidth": build_bandwidth,
+    "contention": build_contention,
+    "fault_storm": _fault_storm,
+    "workload": _workload,
+    "dsm": _dsm,
+    "dsm_homecrash": _dsm_homecrash,
+}
+
+
+def build(name, **kwargs):
+    """Build scenario ``name`` with ``kwargs`` and return its started
+    system; ``KeyError`` for an unknown name."""
+    return SCENARIOS[name](**kwargs)

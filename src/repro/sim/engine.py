@@ -137,9 +137,6 @@ class Simulator:
         # simlint: ignore[SL201] same bookkeeping for the same-time bucket;
         # the bucket drains every instant, so this is always transient
         self._dead_bucket = 0  # cancelled entries still in the bucket
-        # simlint: ignore[SL201] grant-interrupt latch for the shard
-        # conductor (see run_bounded); always False between grants
-        self._stop_requested = False
 
     @property
     def now(self):
@@ -253,27 +250,6 @@ class Simulator:
             return heap[0][0]
         return None
 
-    def peek_position(self):
-        """``(time, seq)`` of the next live event, or ``None`` if idle.
-
-        The shard conductor compares these positions across shards to
-        decide which shard holds the globally next event; ``seq`` is the
-        deterministic tie-breaker for same-instant events.
-        """
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            heapq.heappop(heap)
-            self._dead -= 1
-        bucket = self._bucket
-        while bucket and bucket[0][2] is None:
-            bucket.popleft()
-            self._dead_bucket -= 1
-        if bucket and not (heap and heap[0] < bucket[0]):
-            return (bucket[0][0], bucket[0][1])
-        if heap:
-            return (heap[0][0], heap[0][1])
-        return None
-
     def step(self):
         """Execute the single next event.  Returns False if none remain."""
         entry = self._next_entry()
@@ -357,85 +333,6 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
-        return executed
-
-    def run_bounded(self, bound_time, bound_seq, max_events=None):
-        """Execute events strictly below the ``(bound_time, bound_seq)`` position.
-
-        The sharded conductor's grant primitive: unlike :meth:`run`, the
-        bound is a lexicographic *(time, seq)* position, exclusive, so a
-        grant can split a single instant between shards exactly at a
-        sequence number.  The clock is left at the last executed event
-        (never advanced to the bound).  Returns the number of events
-        executed.
-
-        An event may set ``_stop_requested`` (a boundary link waking a
-        parked process in a *remote* shard does) to end the grant early:
-        the woken remote event can order before the rest of this grant's
-        range, so the conductor must re-compare frontiers before any
-        further local progress.  The latch is consumed here.
-        """
-        if self._running:
-            raise SimulationError("run() is not reentrant")
-        self._running = True
-        executed = 0
-        heap = self._heap
-        bucket = self._bucket
-        heappop = heapq.heappop
-        budget = float("inf") if max_events is None else max_events
-        try:
-            while True:
-                from_bucket = False
-                if bucket:
-                    if heap and heap[0] < bucket[0]:
-                        entry = heappop(heap)
-                    else:
-                        entry = bucket.popleft()
-                        from_bucket = True
-                elif heap:
-                    entry = heappop(heap)
-                else:
-                    break
-                callback = entry[2]
-                if callback is None:
-                    if len(entry) == 6:
-                        self._dead_bucket -= 1
-                    else:
-                        self._dead -= 1
-                    continue
-                if self._stop_requested:
-                    self._stop_requested = False
-                    if from_bucket:
-                        bucket.appendleft(entry)
-                    else:
-                        heapq.heappush(heap, entry)
-                    break
-                if entry[0] > bound_time or (
-                    entry[0] == bound_time and entry[1] >= bound_seq
-                ):
-                    if from_bucket:
-                        bucket.appendleft(entry)
-                    else:
-                        heapq.heappush(heap, entry)
-                    break
-                if executed >= budget:
-                    if from_bucket:
-                        bucket.appendleft(entry)
-                    else:
-                        heapq.heappush(heap, entry)
-                    raise SimulationError(
-                        "exceeded max_events=%d at t=%d" % (max_events, self._now)
-                    )
-                self._now = entry[0]
-                self._event_count += 1
-                executed += 1
-                args = entry[3]
-                entry[2] = None
-                entry[3] = ()
-                callback(*args)
-        finally:
-            self._running = False
-            self._stop_requested = False
         return executed
 
     def run_until_idle(self, max_events=10_000_000):

@@ -128,7 +128,6 @@ class Process:
         "_joiners",
         "_waiting_on",
         "_pending_resume",
-        "_start_event",
         "started",
     )
 
@@ -141,7 +140,6 @@ class Process:
         self._joiners = []
         self._waiting_on = None  # Signal we are parked on, for interrupts
         self._pending_resume = None  # ScheduledEvent for Timeout, cancellable
-        self._start_event = None  # ScheduledEvent from start(), for deactivate()
         self.started = False
 
     def start(self, delay=0):
@@ -149,7 +147,7 @@ class Process:
         if self.started:
             raise RuntimeError("process %r already started" % self.name)
         self.started = True
-        self._start_event = self.sim.schedule(delay, self._resume, None)
+        self.sim.schedule(delay, self._resume, None)
         return self
 
     # -- scheduler interface -------------------------------------------------
@@ -252,33 +250,6 @@ class Process:
             self._pending_resume = None
         self._generator.close()
         self._finish(None)
-
-    def deactivate(self):
-        """Withdraw the process without ever running its body.
-
-        The sharded runner constructs the *complete* system in every shard
-        (so sequence-number consumption during construction is identical
-        everywhere) and then deactivates the processes a shard does not
-        own.  Unlike :meth:`kill` this neither wakes joiners nor counts as
-        the process finishing normally: the start event is cancelled
-        (cancellation consumes no sequence numbers, so all shards stay in
-        lock-step), the generator is closed, and the process is marked
-        finished so late fires and interrupts become no-ops.  Only legal
-        before the process has executed its first step.
-        """
-        if self.finished:
-            return
-        if self._waiting_on is not None:
-            self._waiting_on._remove_waiter(self)
-            self._waiting_on = None
-        if self._pending_resume is not None:
-            self._pending_resume.cancel()
-            self._pending_resume = None
-        if self._start_event is not None:
-            self._start_event.cancel()
-            self._start_event = None
-        self._generator.close()
-        self.finished = True
 
     def __repr__(self):
         state = "finished" if self.finished else ("running" if self.started else "new")

@@ -12,9 +12,9 @@ The package splits along the natural seams:
   the channel mesh and the frontend processes, and reports SLO metrics
   (p50/p99/p999 latency, goodput vs offered load).
 
-Run it from the command line (``python -m repro.workload``) or under the
-shard conductor (the ``workload`` scenario in :mod:`repro.sharded`);
-both produce identical fingerprints for the same parameters.
+Run it from the command line (``python -m repro.workload``) or as the
+``workload`` scenario in :mod:`repro.scenarios`; the same parameters
+always produce the same fingerprint.
 """
 
 from repro.workload.arena import ArenaError, NodeArena
@@ -24,8 +24,6 @@ from repro.workload.generator import (
     REQUESTS_METRIC,
     RESPONSES_METRIC,
     DatacenterWorkload,
-    slo_from_fingerprint,
-    slo_summary,
 )
 from repro.workload.traffic import (
     KEY_TILE_LOG2,
@@ -44,8 +42,6 @@ __all__ = [
     "REQUESTS_METRIC",
     "RESPONSES_METRIC",
     "DatacenterWorkload",
-    "slo_from_fingerprint",
-    "slo_summary",
     "KEY_TILE_LOG2",
     "Request",
     "WorkloadError",

@@ -3,19 +3,15 @@
 Examples::
 
     python -m repro.workload --width 8 --height 8 --requests 256
-    python -m repro.workload --addr-map strided --shards 4
+    python -m repro.workload --addr-map strided
     python -m repro.workload --load 5000000 --zipf 1.3 --json
-
-Single-shard and sharded runs of the same parameters produce identical
-fingerprints (and therefore identical SLO numbers); ``--shards`` only
-changes how the work is executed.
 """
 
 import argparse
 import json
 import sys
 
-from repro.workload.generator import slo_from_fingerprint
+from repro.workload.generator import DatacenterWorkload
 from repro.workload.traffic import WorkloadParams
 
 
@@ -39,9 +35,6 @@ def main(argv=None):
                         default="blocked")
     parser.add_argument("--payload-words", type=int, default=4)
     parser.add_argument("--window-slots", type=int, default=4)
-    parser.add_argument("--shards", type=int, default=1)
-    parser.add_argument("--backend", choices=("inline", "process"),
-                        default="inline")
     parser.add_argument("--json", action="store_true",
                         help="emit the full SLO record as JSON")
     args = parser.parse_args(argv)
@@ -53,20 +46,13 @@ def main(argv=None):
         payload_words=args.payload_words, window_slots=args.window_slots,
         addr_map=args.addr_map,
     )
-
-    # Both paths go through repro.sharded so a --shards 1 run reports
-    # from the very same fingerprint record a sharded run would.
-    from repro.sharded import run_sharded
-
-    result = run_sharded("workload", args.shards, backend=args.backend,
-                         **params.describe())
-    slo = slo_from_fingerprint(result["fingerprint"], params)
+    slo = DatacenterWorkload(params).run().results()
 
     if args.json:
         print(json.dumps(slo, indent=2, sort_keys=True))
         return 0
-    print("workload %dx%d seed=%d addr_map=%s shards=%d"
-          % (args.width, args.height, args.seed, args.addr_map, args.shards))
+    print("workload %dx%d seed=%d addr_map=%s"
+          % (args.width, args.height, args.seed, args.addr_map))
     print("  offered %d rps, %d requests (%d local), %d responses"
           % (slo["offered_load_rps"], args.requests, slo["local"],
              slo["responses"]))

@@ -32,9 +32,9 @@ in the node's DSM scratch words, writes are pure functions of (node,
 step), so a crash/restore re-runs the lost steps bit-identically --
 the contract the convergence property test (tests/test_dsm.py) pins.
 
-``DsmWorkload`` is a pure function of its parameters (every shard of a
-sharded run constructs it identically); the ``dsm`` scenario in
-:mod:`repro.sharded` wraps it.
+``DsmWorkload`` is a pure function of its parameters, so the same
+parameters always give a bit-identical run; the ``dsm`` and
+``dsm_homecrash`` scenarios in :mod:`repro.scenarios` wrap it.
 """
 
 from repro.dsm.runtime import DsmRuntime
@@ -148,10 +148,10 @@ class DsmWorkload:
     def active_nodes(self):
         """The homecrash kind's participants: the mesh's first row.
 
-        Keeping the whole DSM footprint (participants, both page homes,
-        every barrier-tree edge) inside one row is what lets the sharded
-        ``dsm_homecrash`` scenario declare an in-shard ``crash_coupling``
-        on a contiguous partition.
+        The whole DSM footprint (participants, both page homes, every
+        barrier-tree edge) stays inside one row.  The placement is kept
+        because the ``dsm_homecrash`` scenario's pinned fingerprint and
+        event stream depend on it; moving it would re-pin that scenario.
         """
         return sorted(self.topology.node_at((x, 0))
                       for x in range(self.width))
@@ -341,9 +341,6 @@ class DsmWorkload:
         self.system.start()
         self.runtime.start()
         return self
-
-    def node_processes(self):
-        return self.runtime.node_processes()
 
     def run(self, until=None):
         self.system.run(until=until)

@@ -19,7 +19,7 @@ WorkloadParams` into a complete, started system:
   client side observes ``now - send time`` into the global
   ``workload.latency_ns`` histogram.
 
-SLO metrics (single-shard and sharded runs produce the same values):
+SLO metrics:
 
 - ``workload.latency_ns`` -- request/response round-trip histogram; its
   summary carries p50/p99/p999;
@@ -29,9 +29,8 @@ SLO metrics (single-shard and sharded runs produce the same values):
   (served from local memory; no mesh traffic, not latency-tracked).
 
 Everything is constructed before the simulation starts and the whole
-construction is a pure function of the parameters, so a sharded run
-builds bit-identical replicas (see ``repro.sharded``'s ``workload``
-scenario and the PR-6 equivalence machinery).
+construction is a pure function of the parameters, so the same
+parameters always give a bit-identical run.
 """
 
 from repro.machine.config import datacenter
@@ -65,14 +64,14 @@ class DatacenterWorkload:
 
         hub = self.system.instrumentation
         # Literal names (the SL302 contract); the module constants above
-        # are the same strings, for consumers like slo_from_fingerprint.
+        # are the same strings, for consumers that read the hub by name.
         self.latency_hist = hub.histogram("workload.latency_ns")
         self.requests_sent = hub.counter("workload.requests")
         self.responses_done = hub.counter("workload.responses")
         self.local_hits = hub.counter("workload.local")
 
-        # Distinct remote pairs in first-appearance order: the canonical
-        # construction walk every shard repeats identically.
+        # Distinct remote pairs in first-appearance order: the canonical,
+        # deterministic construction walk.
         self.pairs = []
         self.pair_requests = {}
         per_node = {}
@@ -112,7 +111,6 @@ class DatacenterWorkload:
             self.resp_channels[pair] = resp
             self._responses_enqueued[pair] = 0
 
-        self._frontends = []  # (node_id, Process), for shard deactivation
         self._started = False
 
     # -- construction helpers --------------------------------------------------
@@ -211,27 +209,12 @@ class DatacenterWorkload:
             self.req_channels[pair].start()
             self.resp_channels[pair].start()
         for node_id in sorted(self._per_node):
-            process = Process(
+            Process(
                 self.system.sim,
                 self._frontend_body(node_id, self._per_node[node_id]),
                 "wl.frontend(%d)" % node_id,
             ).start()
-            self._frontends.append((node_id, process))
         return self
-
-    def node_processes(self):
-        """Every workload process with its owning node, for
-        :class:`~repro.machine.sharding.ShardWorld` deactivation."""
-        procs = []
-        for pair in self.pairs:
-            req = self.req_channels[pair]
-            resp = self.resp_channels[pair]
-            procs.append((req.src_node_id, req._tx_proc))
-            procs.append((req.dest_node_id, req._rx_proc))
-            procs.append((resp.src_node_id, resp._tx_proc))
-            procs.append((resp.dest_node_id, resp._rx_proc))
-        procs.extend(self._frontends)
-        return procs
 
     def run(self, max_events=50_000_000):
         """Run to completion (all channels drained, frontends finished)."""
@@ -242,51 +225,23 @@ class DatacenterWorkload:
     # -- results ---------------------------------------------------------------
 
     def results(self):
-        """JSON-safe SLO summary of a completed single-process run."""
+        """JSON-safe SLO record of a completed run, shared by the CLI,
+        benchmarks and tests."""
         hub = self.system.instrumentation
-        return slo_summary(
-            latency=hub.summary(LATENCY_METRIC),
-            requests=hub.value(REQUESTS_METRIC),
-            responses=hub.value(RESPONSES_METRIC),
-            local=hub.value(LOCAL_METRIC),
-            now_ns=self.system.sim.now,
-            params=self.params,
-        )
-
-
-def slo_summary(latency, requests, responses, local, now_ns, params):
-    """Assemble the SLO record shared by the CLI, benchmarks and tests."""
-    seconds = now_ns / 1e9 if now_ns else 0.0
-    return {
-        "params": params.describe(),
-        "duration_ns": now_ns,
-        "requests": requests,
-        "responses": responses,
-        "local": local,
-        "p50_ns": latency.get("p50"),
-        "p99_ns": latency.get("p99"),
-        "p999_ns": latency.get("p999"),
-        "mean_ns": latency.get("mean"),
-        "offered_load_rps": params.offered_load_rps,
-        "goodput_rps": (responses / seconds) if seconds else None,
-    }
-
-
-def slo_from_fingerprint(fingerprint, params):
-    """Extract the SLO record from a run fingerprint (works on merged
-    sharded fingerprints exactly as on single-shard ones)."""
-    import json
-
-    metrics = {}
-    for line in fingerprint["metrics"]:
-        record = json.loads(line)
-        metrics[record["name"]] = record
-    latency = metrics.get(LATENCY_METRIC, {})
-    return slo_summary(
-        latency=latency,
-        requests=metrics.get(REQUESTS_METRIC, {}).get("value", 0),
-        responses=metrics.get(RESPONSES_METRIC, {}).get("value", 0),
-        local=metrics.get(LOCAL_METRIC, {}).get("value", 0),
-        now_ns=fingerprint["now"],
-        params=params,
-    )
+        latency = hub.summary(LATENCY_METRIC)
+        responses = hub.value(RESPONSES_METRIC)
+        now_ns = self.system.sim.now
+        seconds = now_ns / 1e9 if now_ns else 0.0
+        return {
+            "params": self.params.describe(),
+            "duration_ns": now_ns,
+            "requests": hub.value(REQUESTS_METRIC),
+            "responses": responses,
+            "local": hub.value(LOCAL_METRIC),
+            "p50_ns": latency.get("p50"),
+            "p99_ns": latency.get("p99"),
+            "p999_ns": latency.get("p999"),
+            "mean_ns": latency.get("mean"),
+            "offered_load_rps": self.params.offered_load_rps,
+            "goodput_rps": (responses / seconds) if seconds else None,
+        }

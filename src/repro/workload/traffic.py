@@ -9,9 +9,8 @@ keys take most of the traffic, the classic datacenter access pattern.
 Everything is decided at *build* time, before the simulation starts: the
 entire arrival schedule -- times, clients, keys, and therefore the set of
 (client node, home node) channel pairs -- is a pure function of
-:class:`WorkloadParams`.  That is what lets every shard of a sharded run
-construct the complete, identical system (the PR-6 equivalence
-invariant) and what makes a run a pure function of its seed.
+:class:`WorkloadParams`.  That is what makes a run a pure function of
+its seed.
 
 Clients are *simulated*: ``clients`` can be in the millions.  Client
 ``c`` lives on node ``c % node_count``, and each node runs one frontend

@@ -1,4 +1,4 @@
-"""Fetch-on-fault DSM (:mod:`repro.dsm`): protocol, apps, shards, faults.
+"""Fetch-on-fault DSM (:mod:`repro.dsm`): protocol, apps, faults.
 
 The acceptance surface of the DSM subsystem:
 
@@ -8,9 +8,8 @@ The acceptance surface of the DSM subsystem:
   bus as ``dsm.inval_walk`` / ``dsm.inval`` strictly before the
   writer's ``dsm.grant``;
 - the app family (stencil / bfs / kv) against closed-form expectations,
-  with every node provably fetching pages across the mesh;
-- bit-identical single-shard vs 4-shard execution of the ``dsm``
-  scenario (fingerprint *and* event order), 4x4 fast and 8x8 slow;
+  with every node provably fetching pages across the mesh (the ``dsm``
+  scenario, 4x4 fast and 8x8 slow);
 - the folded-in sync primitives (combining-tree barrier, home lock);
 - the OS integration: the kernel's DSM fault hook and the checkpointed
   OS-visible page-state table;
@@ -21,10 +20,8 @@ The acceptance surface of the DSM subsystem:
 - home-crash recovery (``arm_recovery``): a crashed *home* rebuilds its
   directory from survivor claims and every app kind still converges, a
   crashed lock holder's tenure is revoked by the lease detector, and
-  the ``dsm_homecrash`` scenario is bit-identical at 4 shards.
+  the ``dsm_homecrash`` scenario rebuilds and replays end to end.
 """
-
-import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,7 +52,7 @@ from repro.faults.recovery import (
 )
 from repro.machine import ShrimpSystem
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE, page_number
-from repro.sharded import run_single, run_sharded
+from repro.scenarios import build
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Process, Timeout
 from repro.workload.dsm_apps import (
@@ -294,48 +291,33 @@ class TestDsmApps:
         assert stencil_value(0, 1, 0) != stencil_value(1, 1, 0)
 
 
-# -- sharded bit-identity -----------------------------------------------------
+# -- remote fetch coverage ----------------------------------------------------
 
 
-_DSM_4X4 = dict(width=4, height=4, iterations=1, words=4)
-_dsm_single_cache = {}
+def scenario_events(name, **kwargs):
+    """Run a :mod:`repro.scenarios` scenario with the event bus on."""
+    system = build(name, **kwargs)
+    hub = system.instrumentation
+    hub.enable_events()
+    system.run()
+    return hub.events()
 
 
-def _dsm_single(**kwargs):
-    key = tuple(sorted(kwargs.items()))
-    if key not in _dsm_single_cache:
-        _dsm_single_cache[key] = run_single(
-            "dsm", collect_events=True, **kwargs)
-    return _dsm_single_cache[key]
+def push_destinations(events):
+    return {e.fields["dst"] for e in events if e.kind == "dsm.push"}
 
 
-def _push_destinations(events):
-    pushes = [json.loads(e) for e in events]
-    return {e["fields"]["dst"] for e in pushes
-            if e["kind"] == "dsm.push"}
-
-
-class TestShardIdentity:
+class TestRemoteFetch:
     def test_4x4_every_node_fetches_remotely(self):
-        reference = _dsm_single(**_DSM_4X4)
-        assert _push_destinations(reference["events"]) == set(range(16))
-
-    def test_4x4_bit_identical_1_vs_4_shards(self):
-        reference = _dsm_single(**_DSM_4X4)
-        merged = run_sharded("dsm", 4, collect_events=True, **_DSM_4X4)
-        assert merged["fingerprint"] == reference["fingerprint"]
-        assert merged["events"] == reference["events"]
+        events = scenario_events("dsm", width=4, height=4, iterations=1,
+                                 words=4)
+        assert push_destinations(events) == set(range(16))
 
     @pytest.mark.slow
-    def test_8x8_bit_identical_1_vs_4_shards(self):
-        """The acceptance pin: 8x8 stencil, every node fetching
-        remotely, fingerprint and event order identical at 4 shards."""
-        kwargs = dict(width=8, height=8, iterations=1, words=4)
-        reference = _dsm_single(**kwargs)
-        assert _push_destinations(reference["events"]) == set(range(64))
-        merged = run_sharded("dsm", 4, collect_events=True, **kwargs)
-        assert merged["fingerprint"] == reference["fingerprint"]
-        assert merged["events"] == reference["events"]
+    def test_8x8_every_node_fetches_remotely(self):
+        events = scenario_events("dsm", width=8, height=8, iterations=1,
+                                 words=4)
+        assert push_destinations(events) == set(range(64))
 
 
 # -- sync primitives ----------------------------------------------------------
@@ -718,14 +700,9 @@ class TestHomeCrashRecovery:
             == [(victim, waiter)]
         assert hub.value("dsm.lock_revokes") == 1
 
-    def test_homecrash_scenario_bit_identical_1_vs_4_shards(self):
-        """The sharded acceptance pin: the 4x4 home-crash scenario --
-        crash, rebuild, replay and all -- is bit-identical at 4 shards
-        (contiguous partition; the whole coupled set is shard 0's row)."""
-        reference = run_single("dsm_homecrash", collect_events=True)
-        kinds = {json.loads(e)["kind"] for e in reference["events"]}
+    def test_homecrash_scenario_rebuilds_and_replays(self):
+        """The 4x4 home-crash scenario runs crash, directory rebuild and
+        request replay end to end."""
+        kinds = {e.kind for e in scenario_events("dsm_homecrash")}
         assert "dsm.rebuild_start" in kinds and "dsm.rebuild_done" in kinds
         assert "dsm.replay" in kinds
-        merged = run_sharded("dsm_homecrash", 4, collect_events=True)
-        assert merged["fingerprint"] == reference["fingerprint"]
-        assert merged["events"] == reference["events"]

@@ -26,7 +26,6 @@ ALL_CODES = [
     "SL301", "SL302", "SL303",
     "SL401", "SL402", "SL403",
     "SL501",
-    "SL601",
     "SL701",
     "SL801",
     "SL901", "SL902", "SL903", "SL904",

@@ -294,60 +294,6 @@ def test_run_until_past_horizon_preserves_pending_bucket_events():
     assert fired == ["a", "b"]
 
 
-def test_peek_position_reports_heap_and_bucket_entries():
-    sim = Simulator()
-    heap_ev = sim.schedule(5, lambda: None)
-    assert sim.peek_position() == (5, heap_ev.seq)
-    sim.run()
-    bucket_ev = sim.schedule(0, lambda: None)  # delay 0: same-time bucket
-    assert sim.peek_position() == (5, bucket_ev.seq)
-
-
-def test_peek_position_skips_cancelled():
-    sim = Simulator()
-    ev = sim.schedule(5, lambda: None)
-    sim.schedule(10, lambda: None)
-    ev.cancel()
-    assert sim.peek_position() == (10, 2)
-    sim.run()
-    assert sim.peek_position() is None
-
-
-def test_run_bounded_splits_an_instant_at_a_seq():
-    # Three events at t=5 (seqs 1..3): a bound of (5, seq2) must execute
-    # only the first, leaving the clock at 5 and the rest pending.
-    sim = Simulator()
-    fired = []
-    evs = [sim.schedule(5, fired.append, name) for name in "abc"]
-    executed = sim.run_bounded(5, evs[1].seq)
-    assert executed == 1
-    assert fired == ["a"]
-    assert sim.now == 5
-    assert sim.peek_position() == (5, evs[1].seq)
-    sim.run_bounded(6, 0)  # everything at t=5 is below (6, 0)
-    assert fired == ["a", "b", "c"]
-
-
-def test_run_bounded_preserves_bucket_order_on_push_back():
-    # A bucket entry pushed back at the bound must stay ahead of its
-    # same-instant successors (appendleft, not a heap round-trip).
-    sim = Simulator()
-    fired = []
-
-    def spawn():
-        for name in "xyz":
-            sim.schedule(0, fired.append, name)
-
-    ev = sim.schedule(5, spawn)
-    sim.run_bounded(5, ev.seq + 1)  # runs spawn only
-    assert fired == []
-    first_pending = sim.peek_position()
-    sim.run_bounded(5, first_pending[1] + 1)  # exactly one bucket event
-    assert fired == ["x"]
-    sim.run()
-    assert fired == ["x", "y", "z"]
-
-
 def test_many_cancellations_compact_without_losing_events():
     # Stress the lazy compaction path: far more dead than live entries.
     sim = Simulator()

@@ -1,18 +1,17 @@
-"""The datacenter workload: determinism, arenas, shard equivalence.
+"""The datacenter workload: determinism, arenas, request accounting.
 
-The headline property is the PR-7 acceptance criterion: the open-loop
-workload produces **bit-identical fingerprints** (final time, event
-count, every metric, every node's memory image) whether it runs in one
-simulator or sharded under the conductor -- for the blocked and the
-strided placement alike.  Everything the workload does (Poisson
-arrivals, Zipf keys, channel construction order) is a pure function of
-its parameters, and these tests are what keep it that way.
+The headline property: the open-loop workload produces **bit-identical
+fingerprints** (final time, event count, every metric, every node's
+memory image) for the same parameters.  Everything the workload does
+(Poisson arrivals, Zipf keys, channel construction order) is a pure
+function of its parameters, and these tests are what keep it that way.
 """
 
 import pytest
 
 from repro.memsys.address import PAGE_SIZE
-from repro.sharded import run_sharded, run_single
+from repro.ckpt.divergence import fingerprint
+from repro.scenarios import build
 from repro.workload import (
     ArenaError,
     DatacenterWorkload,
@@ -134,18 +133,18 @@ def test_arena_exhaustion_fails_loudly():
         arena.alloc_mapout(256)
 
 
-# -- run determinism and shard equivalence -----------------------------------
+# -- run determinism ----------------------------------------------------------
 
 
-def _fingerprints_equal(a, b):
-    return a["fingerprint"] == b["fingerprint"]
+def _run_fingerprint(**kwargs):
+    system = build("workload", **kwargs)
+    system.run()
+    return fingerprint(system)
 
 
 def test_same_seed_same_fingerprint():
     kwargs = dict(width=4, height=4, requests=24, seed=9)
-    assert _fingerprints_equal(
-        run_single("workload", **kwargs), run_single("workload", **kwargs)
-    )
+    assert _run_fingerprint(**kwargs) == _run_fingerprint(**kwargs)
 
 
 def test_every_remote_request_is_answered_exactly_once():
@@ -166,18 +165,3 @@ def test_every_remote_request_is_answered_exactly_once():
     for channel in workload.resp_channels.values():
         assert channel.complete
 
-
-@pytest.mark.parametrize("addr_map", ["blocked", "strided"])
-def test_sharded_run_is_bit_identical(addr_map):
-    kwargs = dict(width=4, height=4, requests=32, seed=5,
-                  addr_map=addr_map)
-    single = run_single("workload", **kwargs)
-    quad = run_sharded("workload", 4, **kwargs)
-    assert single["fingerprint"] == quad["fingerprint"]
-
-
-def test_sharded_run_matches_on_odd_shard_count():
-    kwargs = dict(width=4, height=4, requests=24, seed=6)
-    single = run_single("workload", **kwargs)
-    tri = run_sharded("workload", 3, **kwargs)
-    assert single["fingerprint"] == tri["fingerprint"]
