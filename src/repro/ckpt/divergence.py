@@ -20,8 +20,6 @@ the uninterrupted run's, anchored to the golden traces of
 ``tests/test_golden_trace.py``.
 """
 
-import hashlib
-
 from repro.ckpt import fmt
 from repro.ckpt.system import SystemCheckpoint
 
@@ -32,10 +30,7 @@ def fingerprint(system):
         "now": system.sim.now,
         "event_count": system.sim.event_count,
         "metrics": list(system.instrumentation.metrics_jsonl()),
-        "memory_sha256": [
-            hashlib.sha256(bytes(node.memory._data)).hexdigest()
-            for node in system.nodes
-        ],
+        "memory_sha256": [node.memory.sha256() for node in system.nodes],
     }
 
 

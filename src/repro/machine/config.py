@@ -50,16 +50,17 @@ def pram_testbed():
 
 def datacenter():
     """A scaled-out deployment: the next-generation interface on every
-    node, sized so 32x32-node machines build in seconds.
+    node, for 32x32-node machines.
 
-    Per-node DRAM drops from 4 MB to 1 MB (256 pages) and the cache is
-    halved; node construction cost is dominated by allocating DRAM and
-    per-page NIPT entries, so this keeps a 1024-node build O(seconds)
-    while leaving room for the channel arenas the datacenter traffic
-    generator (``repro.workload``) packs -- a Zipf-hot home node can
-    terminate a couple hundred channels, each costing half a page of
-    map-out budget.  Per-node timing is identical to
-    :func:`next_generation`.
+    Per-node DRAM is 1 MB (256 pages) and the cache is halved.  The size
+    is no longer about host cost -- DRAM, NIPT entries and cache ways
+    cost host memory only once the simulation touches them -- but 1 MB
+    is kept because ``DsmLayout`` and the arena placement of the
+    datacenter traffic generator (``repro.workload``) are derived from
+    ``dram_bytes``: a Zipf-hot home node can terminate a couple hundred
+    channels, each costing half a page of map-out budget.  Changing the
+    size therefore moves addresses and is a model change.  Per-node
+    timing is identical to :func:`next_generation`.
     """
     params = next_generation()
     params.dram_bytes = 1024 * 1024

@@ -31,13 +31,16 @@ CACHE_MISS = object()
 
 
 class _Line:
+    """One way of a set.  ``data`` is None until the first fill, which
+    always replaces it."""
+
     __slots__ = ("tag", "valid", "dirty", "data", "lru")
 
-    def __init__(self, words_per_line):
+    def __init__(self):
         self.tag = -1
         self.valid = False
         self.dirty = False
-        self.data = [0] * words_per_line
+        self.data = None
         self.lru = 0
 
 
@@ -59,10 +62,11 @@ class Cache:
         self.words_per_line = self.line_bytes // 4
         self.n_sets = params.cache_sets
         self.assoc = params.cache_assoc
-        self._sets = [
-            [_Line(self.words_per_line) for _ in range(self.assoc)]
-            for _ in range(self.n_sets)
-        ]
+        # Each set starts with no ways; _victim appends one per fill until
+        # the set holds ``assoc``.  A fill always takes the first invalid
+        # way, so the ways ever used are a prefix of the set and a missing
+        # way is indistinguishable from an invalid one.
+        self._sets = [[] for _ in range(self.n_sets)]
         self._lru_clock = 0
         self.instr = Instrumentation.of(sim)
         self.hits = self.instr.counter(name + ".hits")
@@ -101,9 +105,13 @@ class Cache:
 
     def _victim(self, set_index):
         lines = self._sets[set_index]
-        invalid = [line for line in lines if not line.valid]
-        if invalid:
-            return invalid[0]
+        for line in lines:
+            if not line.valid:
+                return line
+        if len(lines) < self.assoc:
+            line = _Line()
+            lines.append(line)
+            return line
         return min(lines, key=lambda line: line.lru)
 
     # -- fill / evict ----------------------------------------------------------
@@ -256,15 +264,12 @@ class Cache:
         return {"lru_clock": self._lru_clock, "lines": lines}
 
     def ckpt_restore(self, state):
-        for ways in self._sets:
-            for line in ways:
-                line.tag = -1
-                line.valid = False
-                line.dirty = False
-                line.data = [0] * self.words_per_line
-                line.lru = 0
+        self._sets = [[] for _ in range(self.n_sets)]
         for set_index, way, entry in state["lines"]:
-            line = self._sets[set_index][way]
+            ways = self._sets[set_index]
+            while len(ways) <= way:
+                ways.append(_Line())
+            line = ways[way]
             line.tag = entry["tag"]
             line.valid = True
             line.dirty = entry["dirty"]

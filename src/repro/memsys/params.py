@@ -88,4 +88,6 @@ class MachineParams:
     memsys: MemsysParams = field(default_factory=MemsysParams)
     nic: NicParams = field(default_factory=NicParams)
     mesh: MeshParams = field(default_factory=MeshParams)
-    dram_bytes: int = 4 * 1024 * 1024  # 4 MB/node: 1024 NIPT entries
+    # 4 MB/node = 1024 pages, one NIPT entry each; host memory is
+    # committed only for the pages and entries a run touches.
+    dram_bytes: int = 4 * 1024 * 1024

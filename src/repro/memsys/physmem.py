@@ -1,5 +1,8 @@
 """Word-addressable physical DRAM."""
 
+import hashlib
+import mmap
+
 from repro.memsys.address import (
     WORD_SIZE,
     WORD_MASK,
@@ -8,19 +11,34 @@ from repro.memsys.address import (
 )
 
 
+def _zeroed(size_bytes):
+    """A zero-filled, writable anonymous mapping of ``size_bytes``.
+
+    The OS commits each host page on its first write, and untouched pages
+    read as zeros, so a node costs host memory only for the DRAM the
+    simulation writes.  Transparent huge pages are declined: with THP
+    ``always`` one written word would commit 2 MiB.
+    """
+    region = mmap.mmap(-1, size_bytes)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):
+        region.madvise(mmap.MADV_NOHUGEPAGE)
+    return region
+
+
 class PhysicalMemory:
     """A node's DRAM as a flat little-endian byte array.
 
     All accesses are word (4-byte) granularity, matching the bus models.
     This object is purely functional; access *timing* is charged by the bus
-    that routes transactions here.
+    that routes transactions here.  The bytes live in an anonymous mapping
+    (see :func:`_zeroed`), so untouched DRAM costs no host memory.
     """
 
     def __init__(self, size_bytes):
         if size_bytes <= 0 or size_bytes % WORD_SIZE != 0:
             raise AddressError("memory size must be a positive word multiple")
         self.size_bytes = size_bytes
-        self._data = bytearray(size_bytes)
+        self._data = _zeroed(size_bytes)
         self.read_count = 0
         self.write_count = 0
         # Optional write hook (configuration, not state -- not captured by
@@ -82,6 +100,10 @@ class PhysicalMemory:
             raise AddressError("dump outside memory")
         return bytes(self._data[addr : addr + length])
 
+    def sha256(self):
+        """Hex SHA-256 over the whole DRAM, hashed in place (no copy)."""
+        return hashlib.sha256(self._data).hexdigest()
+
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
     _CKPT_CHUNK = 4096
@@ -111,8 +133,9 @@ class PhysicalMemory:
                 "memory size mismatch: checkpoint has %d bytes, node has %d"
                 % (state["size_bytes"], self.size_bytes)
             )
-        data = self._data
-        data[:] = bytes(self.size_bytes)
+        # A fresh mapping reads as zeros without committing a page; zeroing
+        # the old one in place would commit all of it.
+        data = self._data = _zeroed(self.size_bytes)
         for offset, hexdata in state["chunks"]:
             piece = bytes.fromhex(hexdata)
             data[offset : offset + len(piece)] = piece

@@ -38,6 +38,7 @@ old window base are the **replayed-traffic window**, the recovery metric
 from repro.machine.mapping import establish
 from repro.memsys.address import PAGE_SIZE
 from repro.nic.command import CommandOp, encode_command
+from repro.nic.interface import WaitDeposit
 from repro.nic.nipt import MappingMode
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Process, Signal, Timeout, Wait
@@ -182,7 +183,8 @@ class ReliableChannel:
         # between two nodes that policy self-sustains: an ack deposit wakes
         # the reverse channel's receiver, whose re-ack wakes this one, and
         # the simulation never goes idle.  ``filter_arrivals`` makes the
-        # receiver react only to deposits into its own frame ring.
+        # receiver react only to deposits into its own frame ring: it parks
+        # with a WaitDeposit, so other deposits do not even wake it.
         self.filter_arrivals = filter_arrivals
         self.ring_bytes = ring_bytes
 
@@ -461,21 +463,16 @@ class ReliableChannel:
         the arrival signal (it holds no event, so the simulation can go
         idle), ready to re-ack duplicates should the final ack get lost.
         """
-        arrival = Wait(self.dest.nic.arrival_signal)
+        signal = self.dest.nic.arrival_signal
+        if self.filter_arrivals:
+            arrival = WaitDeposit(signal, self.dest_base,
+                                  self.dest_base + self.ring_bytes)
+        else:
+            arrival = Wait(signal)
         while True:
             self._scan_slots()
             yield from self._write_ack()
-            while True:
-                packet = yield arrival
-                if not self.filter_arrivals or self._arrival_is_mine(packet):
-                    break
-
-    def _arrival_is_mine(self, packet):
-        """True when the deposited packet landed in this channel's ring."""
-        if packet is None:
-            return True
-        addr = packet.dest_addr
-        return self.dest_base <= addr < self.dest_base + self.ring_bytes
+            yield arrival
 
     def _scan_slots(self):
         """Deliver every consecutive valid frame waiting in the ring."""

@@ -27,7 +27,7 @@ from repro.nic.dma import DmaEngine
 from repro.nic.fifo import PacketFifo
 from repro.nic.nipt import Nipt, MappingMode
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Process, Signal, Timeout
+from repro.sim.process import Process, Signal, Timeout, Wait
 from repro.sim.resources import BoundedQueue
 
 
@@ -43,6 +43,66 @@ _STAGE_EVENT_KINDS = {
     "accepted": "nic.accepted",
     "delivered": "nic.delivered",
 }
+
+
+class WaitDeposit(Wait):
+    """Yieldable request: block on an :class:`ArrivalSignal` until a
+    packet is deposited into ``[start, end)`` (or the signal fires with
+    no packet)."""
+
+    __slots__ = ("start", "end")
+
+    def __init__(self, signal, start, end):
+        super().__init__(signal)
+        self.start = start
+        self.end = end
+
+
+class ArrivalSignal(Signal):
+    """The NIC's node-global deposit signal.
+
+    ``fire(packet)`` wakes every plain waiter and each
+    :class:`WaitDeposit` waiter whose range holds ``packet.dest_addr``;
+    the others stay parked in place, so one waiter list keeps the wake
+    order.  ``fire(None)`` wakes everyone.  A receiver that only cares
+    about its own ring so costs no event per foreign deposit.
+    """
+
+    __slots__ = ("_spans",)
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self._spans = {}  # parked WaitDeposit process -> (start, end)
+
+    def fire(self, value=None):
+        spans = self._spans
+        if value is None or not spans:
+            spans.clear()
+            super().fire(value)
+            return
+        self.fire_count += 1
+        addr = value.dest_addr
+        post = self.sim.post
+        parked = []
+        for process in self._waiters:
+            span = spans.get(process)
+            if span is None:
+                post(process._resume, value)
+            elif span[0] <= addr < span[1]:
+                del spans[process]
+                post(process._resume, value)
+            else:
+                parked.append(process)
+        self._waiters = parked
+
+    def _add_waiter(self, process, request=None):
+        self._waiters.append(process)
+        if type(request) is WaitDeposit:
+            self._spans[process] = (request.start, request.end)
+
+    def _remove_waiter(self, process):
+        super()._remove_waiter(process)
+        self._spans.pop(process, None)
 
 
 class _CommandDevice(BusDevice):
@@ -117,7 +177,7 @@ class NetworkInterface:
         self.command_device = _CommandDevice(self)
         self.kernel_inbox = BoundedQueue(sim, capacity=None,
                                          name=self.name + ".kernel_inbox")
-        self.arrival_signal = Signal(sim, self.name + ".arrival")
+        self.arrival_signal = ArrivalSignal(sim, self.name + ".arrival")
 
         self._merge = None
         # simlint: ignore[SL201] wiring: attach_cpu is part of node

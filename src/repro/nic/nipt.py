@@ -140,10 +140,16 @@ class NiptEntry:
 
 
 class Nipt:
-    """The table: one :class:`NiptEntry` per page of local physical memory."""
+    """The table: one :class:`NiptEntry` per page of local physical memory.
+
+    An entry is built on the first :meth:`entry` call for its page; until
+    then its slot holds None, which reads as a default entry (no halves,
+    not mapped in, no interrupt or resident bit).  A machine that touches
+    a few pages per node so pays for a few entries, not one per page.
+    """
 
     def __init__(self, dram_pages):
-        self.entries = [NiptEntry() for _ in range(dram_pages)]
+        self.entries = [None] * dram_pages
 
     def __len__(self):
         return len(self.entries)
@@ -151,7 +157,10 @@ class Nipt:
     def entry(self, page):
         if not 0 <= page < len(self.entries):
             raise NiptError("no NIPT entry for page %r" % (page,))
-        return self.entries[page]
+        entry = self.entries[page]
+        if entry is None:
+            entry = self.entries[page] = NiptEntry()
+        return entry
 
     def map_out(self, page, half):
         self.entry(page).add_half(half)
@@ -181,10 +190,12 @@ class Nipt:
         return self.entry(page).dsm_resident
 
     def mapped_out_pages(self):
-        return [i for i, e in enumerate(self.entries) if e.mapped_out]
+        return [i for i, e in enumerate(self.entries)
+                if e is not None and e.mapped_out]
 
     def mapped_in_pages(self):
-        return [i for i, e in enumerate(self.entries) if e.mapped_in]
+        return [i for i, e in enumerate(self.entries)
+                if e is not None and e.mapped_in]
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
@@ -195,7 +206,7 @@ class Nipt:
         non-DSM checkpoints are byte-identical to the pre-DSM format."""
         pages = []
         for page, entry in enumerate(self.entries):
-            if not (entry.halves or entry.mapped_in
+            if entry is None or not (entry.halves or entry.mapped_in
                     or entry.interrupt_on_arrival or entry.dsm_resident):
                 continue
             entry_state = {
@@ -218,11 +229,7 @@ class Nipt:
         return {"pages": pages}
 
     def ckpt_restore(self, state):
-        for entry in self.entries:
-            entry.halves = []
-            entry.mapped_in = False
-            entry.interrupt_on_arrival = False
-            entry.dsm_resident = False
+        self.entries = [None] * len(self.entries)
         for page, entry_state in state["pages"]:
             entry = self.entry(page)
             for half_state in entry_state["halves"]:

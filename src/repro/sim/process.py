@@ -77,7 +77,10 @@ class Signal:
         if waiters:
             self.sim.post(waiters.pop(0)._resume, value)
 
-    def _add_waiter(self, process):
+    def _add_waiter(self, process, request=None):
+        """Park ``process``; ``request`` is the :class:`Wait` it yielded
+        (None for the bare-signal shorthand), for subclasses that filter
+        whom a fire wakes."""
         self._waiters.append(process)
 
     def _remove_waiter(self, process):
@@ -188,7 +191,7 @@ class Process:
             self._pending_resume = self.sim.schedule(request.delay, self._resume, None)
         elif isinstance(request, Wait):
             self._waiting_on = request.signal
-            request.signal._add_waiter(self)
+            request.signal._add_waiter(self, request)
         elif isinstance(request, Signal):  # shorthand: yield sig
             self._waiting_on = request
             request._add_waiter(self)

@@ -1,5 +1,10 @@
 """Tests for machine assembly: configs, nodes, system, hardware mappings."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.machine import (
@@ -140,3 +145,31 @@ class TestCluster:
         cluster = Cluster(2, 1)
         cluster.start()
         cluster.start()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the Linux peak-RSS counter VmHWM")
+def test_untouched_node_state_costs_no_host_memory():
+    """Building and starting 256 nodes of the default 4 MB DRAM (1 GiB
+    if every page were resident) stays far below that peak: DRAM, NIPT
+    entries and cache ways cost host memory only once touched.
+
+    Measured in a subprocess so this process's own peak cannot mask the
+    result.  The child reads VmHWM, its own address space's peak, rather
+    than ``ru_maxrss``: Linux carries the forking process's RSS over the
+    exec into ``ru_maxrss``, so a child of a large pytest process would
+    report the parent's size."""
+    repo = Path(__file__).resolve().parent.parent
+    script = (
+        "from repro.machine import ShrimpSystem\n"
+        "ShrimpSystem(16, 16).start()\n"
+        "print(open('/proc/self/status').read())\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    result = subprocess.run([sys.executable, "-c", script], env=env,
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    (line,) = [line for line in result.stdout.splitlines()
+               if line.startswith("VmHWM:")]
+    peak_mib = int(line.split()[1]) / 1024  # reported in kB
+    assert peak_mib < 256, "peak RSS %.0f MiB" % peak_mib

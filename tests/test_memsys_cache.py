@@ -12,19 +12,20 @@ from repro.memsys import (
     CachePolicy,
     MemsysParams,
 )
+from repro.memsys.cache import _Line
 
 WB = CachePolicy.WRITE_BACK
 WT = CachePolicy.WRITE_THROUGH
 UC = CachePolicy.UNCACHED
 
 
-def make_system(dram_bytes=64 * 1024, **param_overrides):
+def make_system(dram_bytes=64 * 1024, cache_class=Cache, **param_overrides):
     sim = Simulator()
     params = MemsysParams(**param_overrides)
     bus = XpressBus(sim, params)
     mem = PhysicalMemory(dram_bytes)
     bus.attach(0, dram_bytes, DramDevice(mem, params.dram_access_ns))
-    cache = Cache(sim, bus, params, name="cache")
+    cache = cache_class(sim, bus, params, name="cache")
     return sim, bus, mem, cache, params
 
 
@@ -240,3 +241,121 @@ def test_cache_is_transparent(page_policies, ops):
     run(sim, proc())
     for got, expected in results:
         assert got == expected
+
+
+# -- lazily built ways against an eager all-ways reference ---------------------
+
+
+class _EagerCache(Cache):
+    """Reference: every set holds all ``assoc`` ways from the start, and
+    the victim is the first invalid way, else the least recently used."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build_all_ways()
+
+    def ckpt_restore(self, state):
+        super().ckpt_restore(state)
+        self._build_all_ways()
+
+    def _build_all_ways(self):
+        for ways in self._sets:
+            ways.extend(_Line() for _ in range(self.assoc - len(ways)))
+
+    def _victim(self, set_index):
+        lines = self._sets[set_index]
+        invalid = [line for line in lines if not line.valid]
+        if invalid:
+            return invalid[0]
+        return min(lines, key=lambda line: line.lru)
+
+
+def _record_victims(cache):
+    """Wrap ``cache._victim`` to log each chosen (set, way)."""
+    chosen = []
+    victim = cache._victim
+
+    def recording(set_index):
+        line = victim(set_index)
+        chosen.append((set_index, cache._sets[set_index].index(line)))
+        return line
+
+    cache._victim = recording
+    return chosen
+
+
+GEOMETRY = dict(dram_bytes=4 * 4096, cache_sets=2, cache_assoc=4)
+
+
+def _drive(cache_class, ops, state=None):
+    """Run ``ops`` through a fresh cache; everything observable."""
+    sim, bus, mem, cache, params = make_system(cache_class=cache_class,
+                                               **GEOMETRY)
+    if state is not None:
+        cache.ckpt_restore(state)
+    chosen = _record_victims(cache)
+    reads = []
+
+    def proc():
+        for op, line_number, value in ops:
+            addr = line_number * params.cache_line_bytes + 4 * (value % 8)
+            if op == "read":
+                reads.append((yield from cache.read(addr, WB)))
+            elif op == "write_wb":
+                yield from cache.write(addr, value, WB)
+            elif op == "write_wt":
+                yield from cache.write(addr, value, WT)
+            elif op == "dma":  # another bus master: the cache snoops it
+                yield from bus.write(addr, [value], "nic")
+            else:
+                yield from cache.flush_page(addr - addr % 4096, 4096)
+
+    run(sim, proc())
+    return {
+        "victims": chosen,
+        "reads": reads,
+        "counters": [c.value for c in (cache.hits, cache.misses,
+                                       cache.writebacks,
+                                       cache.snoop_invalidations)],
+        "dram": mem.dump_bytes(0, GEOMETRY["dram_bytes"]),
+        "capture": cache.ckpt_capture(),
+    }
+
+
+_cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "read", "write_wb", "write_wb", "write_wt",
+                         "dma", "flush"]),
+        # 25 lines over all four pages, alternating between the two sets.
+        st.sampled_from(range(0, 4 * 4096 // 32, 21)),
+        st.integers(min_value=0, max_value=0xFFFF),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_cache_ops)
+def test_lazy_ways_match_eager_reference(ops):
+    """Property: building ways on demand picks the same (set, way) victim
+    on every fill, and so the same hits, misses, writebacks and DRAM, as a
+    cache whose every way exists from the start -- across snoop
+    invalidations and page flushes that leave holes in a set."""
+    assert _drive(Cache, ops) == _drive(_EagerCache, ops)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ops=_cache_ops)
+def test_restore_builds_ways_up_to_captured_index(ops):
+    """A capture whose valid line sits in a way the restoring cache never
+    built: restore creates the ways below it, and later fills fill the
+    holes first, exactly like the eager reference."""
+    state = {"lru_clock": 7, "lines": [
+        [0, 2, {"tag": 3, "dirty": True, "lru": 7, "data": list(range(8))}],
+        [1, 3, {"tag": 1, "dirty": False, "lru": 5, "data": [9] * 8}],
+    ]}
+    sim, _bus, _mem, cache, _p = make_system(**GEOMETRY)
+    cache.ckpt_restore(state)
+    assert [len(ways) for ways in cache._sets] == [3, 4]
+    assert cache.ckpt_capture() == state
+    assert _drive(Cache, ops, state) == _drive(_EagerCache, ops, state)

@@ -17,7 +17,11 @@ from repro.nic import (
     encode_command,
     decode_command,
 )
+from repro.machine.mapping import establish
+from repro.machine.system import ShrimpSystem
 from repro.nic.command import dma_start_word
+from repro.nic.interface import ArrivalSignal, WaitDeposit
+from repro.sim.process import Wait
 
 
 def half(start=0, end=4096, node=1, dest=0x4000, mode=MappingMode.AUTO_SINGLE):
@@ -123,9 +127,108 @@ class TestNipt:
         with pytest.raises(NiptError):
             nipt.entry(-1)
 
+    def test_untouched_pages_report_default_bits(self):
+        nipt = Nipt(16)
+        nipt.map_out(3, half())
+        nipt.map_in(5)
+        assert nipt.mapped_out_pages() == [3]
+        assert nipt.mapped_in_pages() == [5]
+        before = nipt.ckpt_capture()
+        assert [page for page, _ in before["pages"]] == [3, 5]
+        for page in range(16):
+            if page in (3, 5):
+                continue
+            assert nipt.lookup_out(page, 0) is None
+            assert not nipt.is_mapped_in(page)
+            assert not nipt.is_dsm_resident(page)
+            entry = nipt.entry(page)
+            assert (entry.halves, entry.mapped_in, entry.interrupt_on_arrival,
+                    entry.dsm_resident) == ([], False, False, False)
+        # Reading built default entries; the capture must not list them.
+        assert nipt.ckpt_capture() == before
+
+    def test_mapped_machine_capture_is_pinned(self):
+        """The sparse capture format of a mapped two-node machine: a
+        split outgoing mapping, its mapped-in destination, and a
+        deliberate mapping back."""
+        system = ShrimpSystem(2, 1)
+        a, b = system.nodes
+        establish(a, 0x10800, b, 0x20000, 4096, MappingMode.AUTO_BLOCKED)
+        establish(b, 0x30000, a, 0x40400, 64, MappingMode.DELIBERATE)
+        system.start()
+
+        def out(start, end, node, dest, mode):
+            return {"halves": [{"src_start": start, "src_end": end,
+                                "dest_node": node, "dest_addr": dest,
+                                "mode": mode}],
+                    "mapped_in": False, "interrupt_on_arrival": False}
+
+        mapped_in = {"halves": [], "mapped_in": True,
+                     "interrupt_on_arrival": False}
+        assert a.nic.nipt.ckpt_capture() == {"pages": [
+            [0x10, out(2048, 4096, 1, 0x20000, "auto-blocked")],
+            [0x11, out(0, 2048, 1, 0x20800, "auto-blocked")],
+            [0x40, mapped_in],
+        ]}
+        assert b.nic.nipt.ckpt_capture() == {"pages": [
+            [0x20, mapped_in],
+            [0x30, out(0, 64, 0, 0x40400, "deliberate")],
+        ]}
+
 
 def make_packet(nwords=1):
     return Packet((0, 0), (1, 0), 0x1000, [0] * nwords)
+
+
+class TestArrivalSignal:
+    """A filtered waiter wakes only for deposits into its range."""
+
+    def _park(self, sim, signal, woken, name, span=None):
+        request = Wait(signal) if span is None else WaitDeposit(signal, *span)
+
+        def body():
+            while True:
+                packet = yield request
+                woken.append((name, packet and packet.dest_addr))
+
+        return Process(sim, body(), name).start()
+
+    def test_wakes_own_range_and_plain_waiters_in_park_order(self):
+        sim = Simulator()
+        signal = ArrivalSignal(sim, "arrival")
+        woken = []
+        self._park(sim, signal, woken, "ring_a", (0x1000, 0x1100))
+        self._park(sim, signal, woken, "plain")
+        self._park(sim, signal, woken, "ring_b", (0x2000, 0x2100))
+        sim.run_until_idle()
+        for addr in (0x2000, 0x1000, 0x3000):
+            signal.fire(Packet((0, 0), (1, 0), addr, [0]))
+            sim.run_until_idle()
+        signal.fire(None)
+        sim.run_until_idle()
+        assert woken == [
+            ("plain", 0x2000), ("ring_b", 0x2000),
+            ("ring_a", 0x1000), ("plain", 0x1000),
+            ("plain", 0x3000),
+            # Unwoken waiters kept their place ahead of the re-parked ones.
+            ("ring_b", None), ("ring_a", None), ("plain", None),
+        ]
+        assert signal.fire_count == 4
+
+    def test_killed_filtered_waiter_leaves_no_span(self):
+        sim = Simulator()
+        signal = ArrivalSignal(sim, "arrival")
+        woken = []
+        proc = self._park(sim, signal, woken, "ring", (0x1000, 0x1100))
+        sim.run_until_idle()
+        proc.kill()
+        assert signal.waiter_count == 0 and not signal._spans
+        self._park(sim, signal, woken, "respawned", (0x1000, 0x1100))
+        sim.run_until_idle()
+        signal.fire(Packet((0, 0), (1, 0), 0x1000, [0]))
+        sim.run_until_idle()
+        assert woken == [("respawned", 0x1000)]
+        assert len(signal._spans) == 1  # the respawned waiter re-parked
 
 
 class TestPacketFifo:
