@@ -6,7 +6,7 @@ export PYTHONPATH
 # code side; this pins the interpreter side for tests and benchmarks).
 export PYTHONHASHSEED := 0
 
-.PHONY: test test-fast lint bench-simspeed bench-ckpt bench-recovery \
+.PHONY: test test-fast lint pin bench-simspeed bench-ckpt bench-recovery \
 	bench-workload bench-dsm
 
 # Tier-1 suite (everything); lints first.
@@ -16,6 +16,13 @@ test: lint
 # Fast lane: skip the long property/soak tests (marked `slow`).
 test-fast:
 	python -m pytest -x -q -m "not slow"
+
+# Re-pin the seven scenario fingerprints (default kwargs, event count
+# left out) that tests/test_scenarios.py holds every run to.  Only for a
+# change that moves a physical observable on purpose; say why in the
+# commit.
+pin:
+	python -m repro.scenarios pin tests/fingerprints.json
 
 # Style/defect gate: ruff when available (config in pyproject.toml),
 # then simlint (this repo's own AST invariant checker -- determinism,

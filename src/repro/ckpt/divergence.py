@@ -38,9 +38,11 @@ def diff_fingerprints(a, b, label_a="a", label_b="b"):
     """Human-readable differences between two fingerprints (empty = equal)."""
     problems = []
     for key in ("now", "event_count"):
-        if a[key] != b[key]:
+        # A pinned fingerprint may leave the event count out.
+        if a.get(key) != b.get(key):
             problems.append(
-                "%s: %s=%r, %s=%r" % (key, label_a, a[key], label_b, b[key])
+                "%s: %s=%r, %s=%r"
+                % (key, label_a, a.get(key), label_b, b.get(key))
             )
     metrics_a, metrics_b = a["metrics"], b["metrics"]
     if metrics_a != metrics_b:

@@ -128,8 +128,7 @@ class Backplane:
     def ckpt_restore(self, state):
         by_name = {link.name: link for link in self.iter_links()}
         for link in by_name.values():
-            link._entries.clear()
-            link._frees.clear()
+            link.reset()
         for name, link_state in state["links"]:
             link = by_name.get(name)
             if link is None:
@@ -171,38 +170,35 @@ class Backplane:
         Flits of one packet arrive contiguously (wormhole switching holds
         the ejection port for the whole worm).  Returns the packet.
 
-        Flits already deposited on the ejection link are consumed as a
-        batch: each slot is declared free at the flit's arrival stamp
-        (when the per-flit reference reader would have popped it) and one
-        sleep covers the run, instead of one wake-up per flit.
+        Flits already deposited on the ejection link are consumed run by
+        run (:meth:`Link.drain`): each slot is declared free at the flit's
+        arrival stamp (when the per-flit reference reader would have
+        popped it) and one sleep covers the whole batch, instead of one
+        wake-up per flit.
         """
         link = self._ejection[node_id]
-        flit = yield from link.receive()
-        if not flit.is_head:
+        yield from link.arrival()
+        flits, index, _ = link.take(self.sim._now)
+        head = flits[index]
+        if not head.is_head:
             raise RuntimeError("ejection out of sync at node %d" % node_id)
-        packet = flit.packet
-        while not flit.is_tail:
-            pending = link.peek_entries()
-            if not pending:
+        packet = head.packet
+        tail = head.is_tail
+        while not tail:
+            if not link.runs:
                 flit = yield from link.receive()
                 if flit.packet is not packet:
                     raise RuntimeError("interleaved worms at node %d" % node_id)
+                tail = flit.is_tail
                 continue
-            now = self.sim.now
-            free_times = []
-            last = None
-            for ready_at, entry_flit in pending:
-                if entry_flit.packet is not packet:
-                    raise RuntimeError("interleaved worms at node %d" % node_id)
-                free_times.append(ready_at if ready_at > now else now)
-                last = entry_flit
-                if entry_flit.is_tail:
-                    break
-            link.pop_entries(len(free_times), free_times)
-            wait = free_times[-1] - now
+            try:
+                last, tail = link.drain(flits)
+            except ValueError:
+                raise RuntimeError(
+                    "interleaved worms at node %d" % node_id) from None
+            wait = last - self.sim._now
             if wait > 0:
                 yield Timeout(wait)
-            flit = last
         self.packets_delivered.bump()
         hub = self.instr
         if hub.active:

@@ -10,9 +10,16 @@ anyone who wants a ready-made machine::
     system.run()
 
 Every builder is a pure function of its keyword arguments, so the same
-name and kwargs always give a bit-identical run.
+name and kwargs always give a bit-identical run.  ``make pin`` (that is,
+``python -m repro.scenarios pin tests/fingerprints.json``) records each
+scenario's fingerprint at default kwargs; ``tests/test_scenarios.py``
+holds every run to that pin.
 """
 
+import json
+import sys
+
+from repro.ckpt.divergence import fingerprint
 from repro.ckpt.scenarios import (
     build_bandwidth,
     build_contention,
@@ -107,3 +114,32 @@ def build(name, **kwargs):
     """Build scenario ``name`` with ``kwargs`` and return its started
     system; ``KeyError`` for an unknown name."""
     return SCENARIOS[name](**kwargs)
+
+
+def pinned_fingerprint(name):
+    """Scenario ``name``'s fingerprint at default kwargs, run to idle,
+    minus ``event_count``.
+
+    The event count is engine bookkeeping (folding wake-ups changes it
+    while every physical observable stays put), so the pin in
+    ``tests/fingerprints.json`` leaves it out.
+    """
+    system = build(name)
+    system.run(max_events=2_000_000)
+    pinned = fingerprint(system)
+    del pinned["event_count"]
+    return pinned
+
+
+def pin(path):
+    """Record every scenario's :func:`pinned_fingerprint` into ``path``."""
+    pins = {name: pinned_fingerprint(name) for name in sorted(SCENARIOS)}
+    with open(path, "w") as handle:
+        json.dump(pins, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3 or sys.argv[1] != "pin":
+        sys.exit("usage: python -m repro.scenarios pin PATH")
+    pin(sys.argv[2])

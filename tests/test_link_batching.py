@@ -1,8 +1,8 @@
-"""Property tests: the batched link is equivalent to the per-flit model.
+"""Property tests: the run-length link is equivalent to the per-flit model.
 
 `repro.mesh.link.Link` transfers bursts of flits with one timed event per
-chunk, stamping each flit with the simulated time its individual transfer
-would have completed.  These tests pit it against an inline reference link
+chunk, keeping them as runs stamped with the simulated times their
+individual transfers would have completed.  These tests pit it against an inline reference link
 that does exactly what the pre-batching implementation did -- one
 ``Timeout`` plus a blocking bounded-queue put per flit -- under randomised
 consumer backpressure, and require identical delivery order *and identical
@@ -108,9 +108,9 @@ def test_consume_ahead_reader_does_not_loosen_backpressure(
     The reference reader pops one flit at a time, then is busy for that
     flit's service time before popping the next.  The batching reader
     (the pattern the ejection path and router forwarding use) consumes
-    whole runs of deposited flits at once, computing the time the
-    reference reader would have popped each one -- ``max(arrival stamp,
-    reader free)`` -- and declaring the slot free then.  Delivery order,
+    every buffered run at once with ``Link.take``, which reads each flit
+    when the reference reader would have popped it -- ``max(arrival
+    stamp, reader free)`` -- and declares the slot free then.  Delivery order,
     delivery times, and writer progress must match the per-flit
     reference exactly: a slot consumed ahead of time stays counted
     against capacity until the reference reader would have freed it.
@@ -130,8 +130,7 @@ def test_consume_ahead_reader_does_not_loosen_backpressure(
     def consume():
         taken = 0
         while taken < n_flits:
-            pending = link.peek_entries()
-            if not pending:
+            if not link.runs:
                 flit = yield from link.receive()  # pops at the arrival stamp
                 arrivals.append((sim.now, flit))
                 assert link.free_slots() >= 0
@@ -140,21 +139,16 @@ def test_consume_ahead_reader_does_not_loosen_backpressure(
                 if service:
                     yield Timeout(service)
                 continue
-            # Replay the reference reader's pop schedule for the whole
-            # run: each flit popped once both it and the reader are
-            # ready, the reader busy for its service time afterwards.
+            # Replay the reference reader's pop schedule for every
+            # buffered run: each flit popped once both it and the reader
+            # are ready, the reader busy for its service time afterwards.
             reader_free = sim.now
-            free_times = []
-            batch = []
-            for ready_at, flit in pending:
-                pop_at = ready_at if ready_at > reader_free else reader_free
-                free_times.append(pop_at)
-                batch.append(flit)
-                reader_free = pop_at + services[taken + len(batch) - 1]
-            link.pop_entries(len(batch), free_times)
+            while link.runs:
+                flits, index, pop_at = link.take(reader_free)
+                arrivals.append((pop_at, flits[index]))
+                reader_free = pop_at + services[taken]
+                taken += 1
             assert link.free_slots() >= 0
-            arrivals.extend(zip(free_times, batch))
-            taken += len(batch)
             if reader_free > sim.now:
                 yield Timeout(reader_free - sim.now)
 

@@ -88,6 +88,23 @@ def test_directory_walk_skips_the_fixture_corpus():
     assert not any("lint_fixtures" in f.path for f in findings)
 
 
+def test_sl501_names_only_live_datapath_callables():
+    """Every name SL501 guards is a callable on a datapath class, so the
+    rule cannot go stale when a datapath method is renamed or removed."""
+    from repro.lint.rules_faults import _DATAPATH_CALLABLES
+    from repro.mesh.backplane import Backplane
+    from repro.mesh.link import Link
+    from repro.mesh.router import Router
+    from repro.nic.fifo import PacketFifo
+
+    datapath = (PacketFifo, Link, Router, Backplane)
+    stale = sorted(
+        name for name in _DATAPATH_CALLABLES
+        if not any(callable(getattr(cls, name, None)) for cls in datapath)
+    )
+    assert stale == []
+
+
 # -- scoping -----------------------------------------------------------------
 
 

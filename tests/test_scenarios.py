@@ -3,13 +3,21 @@
 Every scenario must build, drain its event queue under a runaway guard,
 and be a pure function of its kwargs: two runs at the defaults give the
 same fingerprint (clock, event count, every metric, every node's
-memory image).
+memory image).  Each run must also match the fingerprint pinned in
+``tests/fingerprints.json`` (event count aside), so a change that moves
+any physical observable fails here until it is re-pinned on purpose
+with ``make pin``.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.ckpt.divergence import fingerprint
-from repro.scenarios import SCENARIOS, build
+from repro.ckpt.divergence import diff_fingerprints, fingerprint
+from repro.scenarios import SCENARIOS, build, pinned_fingerprint
+
+PINS = Path(__file__).with_name("fingerprints.json")
 
 
 def _run(name):
@@ -22,3 +30,14 @@ def _run(name):
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_scenario_runs_to_completion_deterministically(name):
     assert _run(name) == _run(name)
+
+
+def test_pins_cover_every_scenario():
+    assert sorted(json.loads(PINS.read_text())) == sorted(SCENARIOS)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_scenario_matches_pinned_fingerprint(name):
+    pinned = json.loads(PINS.read_text())[name]
+    assert diff_fingerprints(pinned, pinned_fingerprint(name),
+                             "pinned", "now") == []
