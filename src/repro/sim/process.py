@@ -63,19 +63,26 @@ class Signal:
         for process in waiters:
             post(process._resume, value)
 
-    def fire_one(self, value=None):
-        """Wake only the oldest waiter (FIFO hand-off).
+    def fire_one(self, value=None, delay=0):
+        """Wake only the oldest waiter (FIFO hand-off), ``delay`` ns from now.
 
         Used by fair resources (the ticket mutex) where exactly one
         blocked process can make progress per fire: waking the others
         would cost one event each just to re-park.  Waiters park in
         arrival order and never re-park spuriously, so the oldest waiter
-        is the one entitled to run.
+        is the one entitled to run.  A delayed hand-off is a cancellable
+        timed resume, like a ``Timeout``.
         """
         self.fire_count += 1
         waiters = self._waiters
         if waiters:
-            self.sim.post(waiters.pop(0)._resume, value)
+            process = waiters.pop(0)
+            if delay:
+                process._waiting_on = None
+                process._pending_resume = self.sim.schedule(
+                    delay, process._resume, value)
+            else:
+                self.sim.post(process._resume, value)
 
     def _add_waiter(self, process, request=None):
         """Park ``process``; ``request`` is the :class:`Wait` it yielded

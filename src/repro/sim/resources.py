@@ -7,7 +7,7 @@ hardware FIFOs with blocking put/get).
 
 from collections import deque
 
-from repro.sim.process import Signal, Wait
+from repro.sim.process import Signal, Timeout, Wait
 
 
 class Mutex:
@@ -34,6 +34,7 @@ class Mutex:
         self.name = name
         self._next_ticket = 0
         self._serving = 0
+        self._free_at = 0  # a timed release takes effect at this instant
         self.owner = None
         self._released = Signal(sim, name + ".released")
         self.acquire_count = 0
@@ -41,16 +42,21 @@ class Mutex:
 
     @property
     def locked(self):
-        return self._serving < self._next_ticket
+        return (self._serving < self._next_ticket
+                or self._free_at > self.sim._now)
 
     def acquire(self, owner=None):
         """Generator: block until the lock is held by the caller (FIFO)."""
         ticket = self._next_ticket
         self._next_ticket += 1
-        if self._serving != ticket:
+        if self._serving != ticket or self._free_at > self.sim._now:
             self.contention_count += 1
         while self._serving != ticket:
             yield Wait(self._released)
+        # The next ticket may be served before a timed release lands.
+        early = self._free_at - self.sim._now
+        if early > 0:
+            yield Timeout(early)
         self.owner = owner
         self.acquire_count += 1
 
@@ -73,6 +79,27 @@ class Mutex:
         # next ticket holder: hand off to it alone instead of waking the
         # whole queue to re-park.
         self._released.fire_one()
+
+    def release_at(self, when):
+        """Release at simulated time ``when`` without waking the holder.
+
+        The lock stays held until ``when``; the oldest waiter is handed
+        the lock *at* ``when`` by one timed resume, and a later acquirer
+        waits until then, so grants keep FIFO ticket order.  A holder
+        that would otherwise sleep only to release (a router output port
+        held until a worm's tail lands) saves that wake-up.
+        """
+        delay = when - self.sim._now
+        if delay <= 0:
+            self.release()
+            return
+        if not self.locked:
+            raise RuntimeError("release of unlocked mutex %r" % self.name)
+        self._serving += 1
+        self.owner = None
+        self._free_at = when
+        if self._released._waiters:
+            self._released.fire_one(None, delay)
 
 
 class QueueClosed(Exception):

@@ -16,10 +16,15 @@ What counts as observable:
   word delivery counters, per-link flit counters, delivered memory
   contents -- pinned for every scenario;
 - the engine's executed-event count -- pinned only for the CPU/engine
-  scenario.  Mesh batching deliberately folds several flit transfers
-  into one engine event, so the *event count* of mesh-heavy runs shrinks
-  while every physical observable above stays identical; the event count
-  is engine-internal bookkeeping, not part of the timing model.
+  scenario.  The mesh deliberately folds work into fewer engine events:
+  links move flits as runs in closed form, and a router input wakes
+  once per idle head (at its stamp) and hands its output port over at
+  the tail's landing time without waking.  So the *event count* of
+  mesh-heavy runs shrinks while every physical observable above stays
+  identical; the event count is engine-internal bookkeeping, not part
+  of the timing model.  ``docs/simulation.md`` ("How the mesh stays
+  flit-exact") lists the other tests that hold the mesh to the
+  per-flit model.
 """
 
 from repro.cpu import Asm, Context, Mem, R0, R1, R2, R3, R4
