@@ -14,7 +14,7 @@ re-running label resolution.
 """
 
 from repro.cpu import isa
-from repro.cpu.assembler import Program
+from repro.cpu.assembler import Program, find_spin_loops
 from repro.cpu.core import Context
 from repro.ckpt.protocol import CkptFormatError
 
@@ -186,7 +186,7 @@ def encode_program(program):
 def decode_program(state):
     code = [decode_instruction(entry) for entry in state["code"]]
     labels = {label: index for label, index in state["labels"]}
-    return Program(state["name"], code, labels)
+    return Program(state["name"], code, labels, find_spin_loops(code))
 
 
 # -- architectural contexts ---------------------------------------------------

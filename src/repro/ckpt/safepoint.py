@@ -10,7 +10,10 @@ Concretely:
   blocked-write merge window;
 - every started, unfinished worker owns exactly one such event (a worker
   parked on a signal -- mid memory transaction, blocked on a FIFO -- owns
-  none and is *not* at a boundary);
+  none and is *not* at a boundary), or is parked in a folded spin loop
+  (``Cpu.spin_state``), which owns none but sits at an instruction
+  boundary by construction: its descriptor's due time is the spin's next
+  step, and the CPU's capture carries the spin's timeline;
 - every suspended worker generator sits at ``run_slice``'s leading
   per-instruction ``yield`` (its innermost frame is ``run_slice`` itself;
   every other suspension is a ``yield from`` delegation whose innermost
@@ -59,6 +62,53 @@ def _callback_name(callback):
     return getattr(callback, "__qualname__", None) or repr(callback)
 
 
+def _fold_descriptors(system, node_id=None):
+    """Descriptors of the workers parked in a folded spin.  They own no
+    queue entry, so they follow the sorted entries (re-parking schedules
+    nothing)."""
+    descriptors = []
+    for index, worker in enumerate(system.ckpt_workers):
+        if node_id is not None and worker.node_id != node_id:
+            continue
+        process = worker.process
+        if process is None or process.finished:
+            continue
+        cpu = system.nodes[worker.node_id].cpu
+        if cpu.spin_state(process) == "parked":
+            descriptors.append(
+                {"kind": "worker", "index": index, "due": cpu.fold_due()})
+    return descriptors
+
+
+def _boundary_reason(system, worker, owned):
+    """Why ``worker`` is not parked at an instruction boundary, or None."""
+    process = worker.process
+    spin = system.nodes[worker.node_id].cpu.spin_state(process)
+    if spin == "parked":
+        return None
+    if spin == "finishing":
+        return ("worker %s is finishing a folded spin's read, not at an "
+                "instruction boundary" % worker.name)
+    if owned != 1:
+        return (
+            "worker %s owns %d pending resume events (a boundary-parked "
+            "worker owns exactly 1)" % (worker.name, owned)
+        )
+    state = inspect.getgeneratorstate(process._generator)
+    if state == inspect.GEN_CREATED:
+        return None  # unprimed: the pending event is its start
+    if state != inspect.GEN_SUSPENDED:
+        return "worker %s generator is %s" % (worker.name, state)
+    inner = _innermost(process._generator)
+    if getattr(inner, "gi_code", None) is not Cpu.run_slice.__code__:
+        return (
+            "worker %s is suspended inside %s, not at a run_slice "
+            "instruction boundary"
+            % (worker.name, getattr(inner, "__qualname__", inner))
+        )
+    return None
+
+
 def classify_entries(system):
     """Classify every live queue entry, or explain why one resists.
 
@@ -67,7 +117,7 @@ def classify_entries(system):
     i, "due": t}`` or ``{"kind": "merge", "node": n, "due": t}`` -- and the
     list is sorted by the entries' original sequence numbers, so replaying
     ``schedule`` calls in list order reproduces the original (time, seq)
-    relative order exactly.
+    relative order exactly.  Workers parked in a folded spin come last.
     """
     workers = system.ckpt_workers
     resume_owner = {}
@@ -108,7 +158,8 @@ def classify_entries(system):
             "merge flush" % (entry[0], _callback_name(callback))
         )
     ordered.sort()
-    return [descriptor for _, descriptor in ordered], None
+    descriptors = [descriptor for _, descriptor in ordered]
+    return descriptors + _fold_descriptors(system), None
 
 
 def check_safepoint(system):
@@ -129,24 +180,9 @@ def check_safepoint(system):
             return "worker %s has never been started" % worker.name
         if process.finished:
             continue
-        count = owned.get(index, 0)
-        if count != 1:
-            return (
-                "worker %s owns %d pending resume events (a boundary-parked "
-                "worker owns exactly 1)" % (worker.name, count)
-            )
-        state = inspect.getgeneratorstate(process._generator)
-        if state == inspect.GEN_CREATED:
-            continue  # unprimed: the pending event is its start
-        if state != inspect.GEN_SUSPENDED:
-            return "worker %s generator is %s" % (worker.name, state)
-        inner = _innermost(process._generator)
-        if getattr(inner, "gi_code", None) is not Cpu.run_slice.__code__:
-            return (
-                "worker %s is suspended inside %s, not at a run_slice "
-                "instruction boundary"
-                % (worker.name, getattr(inner, "__qualname__", inner))
-            )
+        reason = _boundary_reason(system, worker, owned.get(index, 0))
+        if reason is not None:
+            return reason
 
     for node in system.nodes:
         if node.kernel is not None:
@@ -232,7 +268,8 @@ def classify_node_entries(system, node_id):
                 (entry[1], {"kind": "merge", "node": node_id, "due": entry[0]})
             )
     ordered.sort()
-    return [descriptor for _, descriptor in ordered], None
+    descriptors = [descriptor for _, descriptor in ordered]
+    return descriptors + _fold_descriptors(system, node_id), None
 
 
 def check_node_quiescent(system, node_id):
@@ -273,24 +310,9 @@ def check_node_quiescent(system, node_id):
             continue
         if process.finished:
             continue
-        count = owned.get(index, 0)
-        if count != 1:
-            return (
-                "worker %s owns %d pending resume events (a boundary-parked "
-                "worker owns exactly 1)" % (worker.name, count)
-            )
-        state = inspect.getgeneratorstate(process._generator)
-        if state == inspect.GEN_CREATED:
-            continue
-        if state != inspect.GEN_SUSPENDED:
-            return "worker %s generator is %s" % (worker.name, state)
-        inner = _innermost(process._generator)
-        if getattr(inner, "gi_code", None) is not Cpu.run_slice.__code__:
-            return (
-                "worker %s is suspended inside %s, not at a run_slice "
-                "instruction boundary"
-                % (worker.name, getattr(inner, "__qualname__", inner))
-            )
+        reason = _boundary_reason(system, worker, owned.get(index, 0))
+        if reason is not None:
+            return reason
 
     nic = node.nic
     if nic.dma_engine.busy:

@@ -61,6 +61,8 @@ class SystemCheckpoint:
         reason = check_safepoint(system)
         if reason is not None:
             raise SafepointError(reason)
+        for node in system.nodes:
+            node.cpu.fold_settle()  # before the hub captures the counters
         descriptors, reason = classify_entries(system)
         if reason is not None:  # unreachable after the check, kept defensive
             raise SafepointError(reason)

@@ -183,6 +183,8 @@ class CpuWorker:
         ``yield timeout`` for the instruction at the restored ``pc``.  The
         yielded Timeout request is discarded -- the recreated event below
         stands in for the one the original ``Process._resume`` scheduled.
+        A worker captured inside a folded spin loop instead re-parks on
+        its CPU's line watch, with the spin's next step moved to ``due``.
         """
         if self.process is not None:
             raise RuntimeError("worker %r is already scheduled" % self.name)
@@ -191,8 +193,13 @@ class CpuWorker:
         generator = node.cpu.run_to_halt(self.program, self.context)
         process = Process(sim, generator, self.name)
         process.started = True
-        if self._primed:
-            generator.send(None)
-        process._pending_resume = sim.schedule_at(due, process._resume, None)
         self.process = process
+        if self._primed:
+            request = generator.send(None)
+            if request is node.cpu.fold_request:
+                # Captured inside a folded spin: priming re-parked it.
+                node.cpu.fold_rebase(due)
+                process._park(request)
+                return process
+        process._pending_resume = sim.schedule_at(due, process._resume, None)
         return process

@@ -11,7 +11,10 @@ Example::
     program = asm.build()
 
 Labels are resolved to instruction indices at :meth:`Asm.build` time; the
-result is an immutable :class:`Program`.
+result is an immutable :class:`Program`.  ``build`` also marks every
+read-only spin loop (:func:`find_spin_loops`), which the CPU interpreter
+may fold into closed form (see :mod:`repro.cpu.core`); the loop above is
+one.
 """
 
 from repro.cpu import isa
@@ -21,13 +24,78 @@ class AssemblyError(Exception):
     """Raised for unresolved labels or malformed programs."""
 
 
-class Program:
-    """An assembled, label-resolved instruction sequence."""
+class SpinLoop:
+    """A backward conditional branch over a read-only loop body.
 
-    def __init__(self, name, code, labels):
+    The body ``code[head:branch]`` holds register-only instructions plus
+    exactly one that reads a memory word (``operand``, at ``head +
+    read``); the branch at ``branch`` jumps back to ``head``.  Once an
+    iteration leaves registers and flags unchanged, every later iteration
+    repeats it until that word changes -- the property the interpreter's
+    spin folding relies on.
+    """
+
+    __slots__ = ("head", "branch", "read", "operand")
+
+    def __init__(self, head, branch, read, operand):
+        self.head = head
+        self.branch = branch
+        self.read = read
+        self.operand = operand
+
+    @property
+    def length(self):
+        """Instructions per iteration, the branch included."""
+        return self.branch - self.head + 1
+
+    def __repr__(self):
+        return "SpinLoop(%d..%d, read %r)" % (
+            self.head, self.branch, self.operand)
+
+
+def find_spin_loops(code):
+    """``{head index: SpinLoop}`` for every foldable loop in ``code``.
+
+    ``code`` must have its branch targets resolved.  A loop qualifies when
+    its closing branch is conditional and backward, every body
+    instruction costs at least one cycle, and the body's
+    :meth:`~repro.cpu.isa.Instruction.spin_role` answers are all
+    register-only except exactly one memory read.
+    """
+    loops = {}
+    for index, instr in enumerate(code):
+        if type(instr) is isa.Jmp or not isinstance(instr, isa.Jmp):
+            continue
+        head = instr.target_index
+        if head is None or head > index or not instr.cycles:
+            continue
+        read = operand = None
+        for offset, body in enumerate(code[head:index]):
+            role = body.spin_role()
+            if role is None or not body.cycles:
+                break
+            if role is not isa.REG_ONLY:
+                if operand is not None:
+                    break  # a second read
+                read, operand = offset, role
+        else:
+            if operand is not None:
+                loops.setdefault(head, SpinLoop(head, index, read, operand))
+    return loops
+
+
+class Program:
+    """An assembled, label-resolved instruction sequence.
+
+    ``spins`` maps a loop head's index to its :class:`SpinLoop`; a Program
+    built without it runs every iteration one instruction at a time.
+    """
+
+    def __init__(self, name, code, labels, spins=None):
         self.name = name
         self.code = tuple(code)
         self.labels = dict(labels)
+        self.spins = dict(spins) if spins else {}
 
     def __len__(self):
         return len(self.code)
@@ -39,15 +107,23 @@ class Program:
             raise AssemblyError("no label %r in program %r" % (label, self.name))
 
     def listing(self):
-        """Human-readable disassembly with labels, for debugging."""
+        """Human-readable disassembly with labels, for debugging.
+
+        The closing branch of each foldable spin loop carries a
+        ``; folds: read-only spin on [...]`` comment.
+        """
         by_index = {}
         for label, index in self.labels.items():
             by_index.setdefault(index, []).append(label)
+        folds = {spin.branch: spin for spin in self.spins.values()}
         lines = []
         for i, instr in enumerate(self.code):
             for label in by_index.get(i, []):
                 lines.append("%s:" % label)
-            lines.append("    %3d  %r" % (i, instr))
+            line = "    %3d  %r" % (i, instr)
+            if i in folds:
+                line += "  ; folds: read-only spin on %r" % (folds[i].operand,)
+            lines.append(line)
         return "\n".join(lines)
 
 
@@ -195,4 +271,5 @@ class Asm:
                     )
                 instr.target_index = self._labels[instr.target]
         self._built = True
-        return Program(self.name, self._code, self._labels)
+        return Program(self.name, self._code, self._labels,
+                       find_spin_loops(self._code))

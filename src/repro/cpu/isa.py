@@ -64,7 +64,7 @@ class Imm:
     __slots__ = ("value",)
 
     def __init__(self, value):
-        self.value = value & WORD_MASK if value >= 0 else value & WORD_MASK
+        self.value = value & WORD_MASK
 
     def __repr__(self):
         return "$%d" % self.value
@@ -146,6 +146,10 @@ def _addr_of(operand):
 
 _NO_YIELDS = ()  # sentinel iterable: ``yield from _NO_YIELDS`` is free
 
+# ``Instruction.spin_role`` of an instruction that touches only registers
+# and flags (the other answers are a Mem operand or None).
+REG_ONLY = "reg"
+
 
 class Instruction:
     """Base class.  ``cycles`` is the non-memory execution cost."""
@@ -157,6 +161,17 @@ class Instruction:
     def execute(self, cpu):
         raise NotImplementedError
         yield  # pragma: no cover
+
+    def spin_role(self):
+        """What this instruction may do inside a foldable spin loop body.
+
+        :data:`REG_ONLY` when it reads and writes only registers and
+        flags; the :class:`Mem` operand when it also reads that one
+        memory word and writes nothing but registers and flags; None when
+        it stores, branches, traps or counts regions, so no loop holding
+        it folds (see :func:`repro.cpu.assembler.find_spin_loops`).
+        """
+        return None
 
     def _fmt_ops(self):
         return ""
@@ -194,6 +209,11 @@ class _TwoOp(Instruction):
 
     def _fmt_ops(self):
         return "%r, %r" % (self.dst, self.src)
+
+    def spin_role(self):
+        if isinstance(self.dst, Mem):
+            return None  # a store
+        return self.src if isinstance(self.src, Mem) else REG_ONLY
 
     def _execute_reg(self, cpu):  # pragma: no cover -- overridden where used
         raise NotImplementedError
@@ -241,6 +261,9 @@ class Lea(Instruction):
 
     def _fmt_ops(self):
         return "%r, %r" % (self.dst, self.src)
+
+    def spin_role(self):
+        return REG_ONLY
 
     def execute(self, cpu):
         cpu.context.reg_values[self._dst_index] = self._src_addr(cpu)
@@ -368,6 +391,9 @@ class _IncDec(Instruction):
     def _fmt_ops(self):
         return repr(self.dst)
 
+    def spin_role(self):
+        return REG_ONLY if self._dst_set is not None else None
+
     def _execute_reg(self, cpu):
         result = (self._dst_get(cpu) + self.delta) & WORD_MASK
         cpu.set_flags(result)
@@ -403,18 +429,28 @@ class Dec(_IncDec):
     delta = -1
 
 
+def _flags_only_role(instr):
+    """``spin_role`` of cmp/test: they write only flags, so a memory
+    operand on either side is a read."""
+    for operand in (instr.dst, instr.src):
+        if isinstance(operand, Mem):
+            return operand
+    return REG_ONLY
+
+
 class Cmp(_TwoOp):
     """Compare: sets flags from dst - src, writes nothing."""
 
     mnemonic = "cmp"
 
     def __init__(self, dst, src):
-        # cmp allows an immediate first operand? No -- match x86: dst is
-        # reg or mem.  Reuse _TwoOp validation; flags-only, so the fast
-        # path needs readable operands, not a writable destination.
+        # Flags-only, so the fast path needs readable operands, not a
+        # writable destination.
         super().__init__(dst, src)
         if self._dst_get is not None and self._src_get is not None:
             self.execute = self._execute_reg
+
+    spin_role = _flags_only_role
 
     def _execute_reg(self, cpu):
         a = self._dst_get(cpu)
@@ -456,6 +492,8 @@ class Test(_TwoOp):
         super().__init__(dst, src)
         if self._dst_get is not None and self._src_get is not None:
             self.execute = self._execute_reg
+
+    spin_role = _flags_only_role
 
     def _execute_reg(self, cpu):
         cpu.set_flags((self._dst_get(cpu) & self._src_get(cpu)) & WORD_MASK)
@@ -705,6 +743,9 @@ class Nop(Instruction):
     """``nop``: retire one instruction doing nothing."""
 
     mnemonic = "nop"
+
+    def spin_role(self):
+        return REG_ONLY
 
     def execute(self, cpu):
         return _NO_YIELDS

@@ -58,8 +58,9 @@ def _worker_killable(worker):
 
     A worker is killable while it holds no simulation resource: never
     started, already finished/killed, or parked at ``Cpu.run_slice``'s
-    per-instruction timeout (the same boundary the safepoint machinery
-    accepts) -- not mid bus transaction or inside a mutex.
+    per-instruction timeout or inside a folded spin loop (the same
+    boundaries the safepoint machinery accepts) -- not mid bus
+    transaction or inside a mutex.
     """
     process = worker.process
     if process is None or process.finished:
@@ -69,6 +70,9 @@ def _worker_killable(worker):
         return True
     if state != inspect.GEN_SUSPENDED:
         return False
+    spin = worker.system.nodes[worker.node_id].cpu.spin_state(process)
+    if spin is not None:
+        return spin == "parked"  # a folded spin holds nothing
     if process._pending_resume is None:
         return False  # waiting on a signal (mutex, queue): holds a ticket
     inner = _innermost(process._generator)

@@ -9,6 +9,13 @@ The cache also snoops the memory bus: "the caches snoop DMA transactions
 and automatically invalidate corresponding cache lines, keeping consistent
 with *all* main memory updates."  That property is what lets SHRIMP deposit
 incoming network data straight into DRAM with no CPU involvement.
+
+A CPU whose spin loop is folded (:mod:`repro.cpu.core`) stops issuing its
+read hits and *watches* the line it spins on instead.  Every other access
+first settles the folded reads up to now, so hit counts and LRU ticks
+interleave exactly as they would have; anything about to change the
+watched line (a snoop invalidation, a write, an eviction, ``flush_page``,
+``ckpt_restore``) wakes the CPU before it does.
 """
 
 from repro.sim.instrument import Instrumentation
@@ -68,6 +75,14 @@ class Cache:
         # way is indistinguishable from an invalid one.
         self._sets = [[] for _ in range(self.n_sets)]
         self._lru_clock = 0
+        # simlint: ignore[SL201] the folded spin's registration; a parked
+        # fold is captured by its Cpu and re-registers on restore
+        self._watch = None  # Cpu folding a spin on _watch_line, or None
+        # simlint: ignore[SL201] set and cleared with _watch
+        self._watch_line = None
+        # simlint: ignore[SL201] change generation, compared only within
+        # one unfolded spin iteration
+        self._gen = 0  # bumped on every line data/validity change
         self.instr = Instrumentation.of(sim)
         self.hits = self.instr.counter(name + ".hits")
         self.misses = self.instr.counter(name + ".misses")
@@ -103,6 +118,29 @@ class Cache:
         self._lru_clock += 1
         line.lru = self._lru_clock
 
+    def watch(self, cpu, line):
+        """Register ``cpu``'s folded spin on ``line`` (None: unregister)."""
+        self._watch = cpu if line is not None else None
+        self._watch_line = line
+
+    def _changing(self, line, fills=None):
+        """Call before ``line``'s data or validity changes (None: all lines).
+
+        ``fills`` is the address a fill is about to load into ``line``.
+        Wakes a fold watching the line, or the address (a second copy in
+        an earlier way would take over its hits); settles it otherwise,
+        since the caller may go on to touch the LRU clock.
+        """
+        self._gen += 1
+        watch = self._watch
+        if watch is not None:
+            if (line is None or line is self._watch_line or (
+                    fills is not None
+                    and self._lookup(fills) is self._watch_line)):
+                watch.fold_wake()
+            else:
+                watch.fold_settle()
+
     def _victim(self, set_index):
         lines = self._sets[set_index]
         for line in lines:
@@ -118,6 +156,8 @@ class Cache:
 
     def _fill(self, addr):
         """Generator: bring the line containing ``addr`` in; returns the line."""
+        if self._watch is not None:
+            self._watch.fold_settle()  # the victim choice reads LRU ticks
         set_index, tag = self._index(addr)
         victim = self._victim(set_index)
         if victim.valid and victim.dirty:
@@ -132,6 +172,7 @@ class Cache:
                          words=self.words_per_line)
         line_base = self._line_base(addr)
         data = yield from self.bus.read(line_base, self.words_per_line, self.name)
+        self._changing(victim, line_base)
         victim.tag = tag
         victim.valid = True
         victim.dirty = False
@@ -165,6 +206,8 @@ class Cache:
         if policy == CachePolicy.UNCACHED:
             data = yield from self.bus.read(addr, 1, self.name)
             return data[0]
+        if self._watch is not None:
+            self._watch.fold_settle()
         line = self._lookup(addr)
         if line is not None:
             self.hits.bump()
@@ -186,6 +229,7 @@ class Cache:
             # this bus write is exactly what the NIC snoops for automatic
             # update (paper section 4).
             if line is not None:
+                self._changing(line)
                 self.hits.bump()
                 line.data[self._word_in_line(addr)] = value
                 self._touch(line)
@@ -198,9 +242,12 @@ class Cache:
             self.misses.bump()
             line = yield from self._fill(addr)
         else:
+            if self._watch is not None:
+                self._watch.fold_settle()
             self.hits.bump()
             self._touch(line)
             yield self.hit_timeout
+            self._changing(line)
         line.data[self._word_in_line(addr)] = value
         line.dirty = True
 
@@ -219,6 +266,7 @@ class Cache:
             if line.dirty:
                 yield from self.bus.write(line_base, list(line.data), self.name)
                 self.writebacks.bump()
+            self._changing(line)
             line.valid = False
             line.dirty = False
 
@@ -233,6 +281,7 @@ class Cache:
         for line_base in range(start, end, self.line_bytes):
             line = self._lookup(line_base)
             if line is not None:
+                self._changing(line)
                 line.valid = False
                 line.dirty = False
                 self.snoop_invalidations.bump()
@@ -247,6 +296,8 @@ class Cache:
         """Valid lines only, addressed by (set, way).  ``lru`` values are
         absolute ticks of ``_lru_clock``, so the clock itself is captured
         too -- restoring both reproduces every future victim choice."""
+        if self._watch is not None:
+            self._watch.fold_settle()
         lines = []
         for set_index, ways in enumerate(self._sets):
             for way, line in enumerate(ways):
@@ -264,6 +315,7 @@ class Cache:
         return {"lru_clock": self._lru_clock, "lines": lines}
 
     def ckpt_restore(self, state):
+        self._changing(None)
         self._sets = [[] for _ in range(self.n_sets)]
         for set_index, way, entry in state["lines"]:
             ways = self._sets[set_index]

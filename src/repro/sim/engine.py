@@ -137,6 +137,23 @@ class Simulator:
         # simlint: ignore[SL201] same bookkeeping for the same-time bucket;
         # the bucket drains every instant, so this is always transient
         self._dead_bucket = 0  # cancelled entries still in the bucket
+        # simlint: ignore[SL201] live callables of components that account
+        # lazily (a folded CPU spin); they settle when a run() returns, and
+        # re-register on restore
+        self._pause_hooks = {}
+
+    def add_pause_hook(self, key, hook):
+        """Call ``hook()`` whenever :meth:`run` returns, until removed.
+
+        For components that account for their work lazily between events
+        (a folded CPU spin loop charges its iterations when something
+        wakes it): the hook brings their counters up to ``now`` so a
+        caller inspecting state after ``run()`` sees exact values.
+        """
+        self._pause_hooks[key] = hook
+
+    def remove_pause_hook(self, key):
+        self._pause_hooks.pop(key, None)
 
     @property
     def now(self):
@@ -333,6 +350,8 @@ class Simulator:
                 self._now = until
         finally:
             self._running = False
+            for hook in list(self._pause_hooks.values()):
+                hook()
         return executed
 
     def run_until_idle(self, max_events=10_000_000):

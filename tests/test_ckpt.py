@@ -132,6 +132,58 @@ def test_fork_is_independent_of_the_original():
     assert paused.sim.now == PING_PONG_GOLDEN_NS
 
 
+# -- folded spin loops ---------------------------------------------------------
+
+
+def _paused_mid_fold(until):
+    """ping_pong paused at the first safepoint from ``until`` on at which
+    a worker sits in a folded spin loop."""
+    system = build_ping_pong()
+    system.run(until=until)
+    while True:
+        seek_safepoint(system)
+        parked = [
+            worker for worker in system.ckpt_workers
+            if system.nodes[worker.node_id].cpu.spin_state(worker.process)
+            == "parked"
+        ]
+        if parked:
+            return system, parked
+        system.sim.step()
+
+
+@pytest.mark.parametrize("until", [5_000, 20_000, 33_333])
+def test_capture_mid_fold_restores_inside_the_loop(until):
+    """A capture taken while a spin is folded settles its counts, records
+    a pc inside the loop, re-parks on restore, and both the restored run
+    and the captured original end exactly as the uninterrupted run --
+    event count included."""
+    reference = build_ping_pong()
+    reference.run()
+    expected = fingerprint(reference)
+
+    paused, parked = _paused_mid_fold(until)
+    state = SystemCheckpoint.capture(paused)
+    for worker in parked:
+        index = paused.ckpt_workers.index(worker)
+        (spin,) = worker.program.spins.values()
+        pc = state["workers"][index]["context"]["pc"]
+        assert spin.head <= pc <= spin.branch
+
+    restored = SystemCheckpoint.restore(state)
+    for worker in parked:
+        index = paused.ckpt_workers.index(worker)
+        again = restored.ckpt_workers[index]
+        cpu = restored.nodes[again.node_id].cpu
+        assert cpu.spin_state(again.process) == "parked"
+    assert SystemCheckpoint.capture(restored) == state
+    restored.run()
+    assert diff_fingerprints(expected, fingerprint(restored)) == []
+
+    paused.run()  # the capture did not perturb the original
+    assert diff_fingerprints(expected, fingerprint(paused)) == []
+
+
 # -- safepoints ---------------------------------------------------------------
 
 

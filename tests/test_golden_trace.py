@@ -16,15 +16,18 @@ What counts as observable:
   word delivery counters, per-link flit counters, delivered memory
   contents -- pinned for every scenario;
 - the engine's executed-event count -- pinned only for the CPU/engine
-  scenario.  The mesh deliberately folds work into fewer engine events:
-  links move flits as runs in closed form, and a router input wakes
-  once per idle head (at its stamp) and hands its output port over at
-  the tail's landing time without waking.  So the *event count* of
-  mesh-heavy runs shrinks while every physical observable above stays
-  identical; the event count is engine-internal bookkeeping, not part
-  of the timing model.  ``docs/simulation.md`` ("How the mesh stays
-  flit-exact") lists the other tests that hold the mesh to the
-  per-flit model.
+  scenario, which has no spin loop.  Two layers deliberately fold work
+  into fewer engine events.  The mesh moves flits as runs in closed
+  form, and a router input wakes once per idle head (at its stamp) and
+  hands its output port over at the tail's landing time without
+  waking.  The CPU folds a read-only spin loop (the ping-pong flag
+  waits) once an iteration repeats, and charges its iterations in
+  closed form when the line it reads changes.  So the *event count* of
+  mesh-heavy and spinning runs shrinks while every physical observable
+  above stays identical; the event count is engine-internal
+  bookkeeping, not part of the timing model.  ``docs/simulation.md``
+  ("How the mesh stays flit-exact", "How spin loops fold") lists the
+  other tests that hold both to the unfolded model.
 """
 
 from repro.cpu import Asm, Context, Mem, R0, R1, R2, R3, R4

@@ -156,6 +156,47 @@ class TestCrash:
         assert not worker.finished
 
 
+class TestCrashMidFold:
+    """A worker parked in a folded spin loop is at an instruction
+    boundary: capturable per node, killable, and re-parked on restore."""
+
+    def _parked_ponger(self):
+        from repro.ckpt.scenarios import build_ping_pong
+
+        system = build_ping_pong()
+        system.run(until=20_000)
+        worker = system.ckpt_workers[1]
+        cpu = system.nodes[1].cpu
+        while cpu.spin_state(worker.process) != "parked" or \
+                check_node_quiescent(system, 1) is not None:
+            system.sim.step()
+        return system, worker
+
+    def test_crash_mid_fold_leaves_no_line_watch(self):
+        system, worker = self._parked_ponger()
+        node = system.nodes[1]
+        retired = node.cpu.counts.total
+        spawn_crash(system, 1)
+        system.run(until=system.sim.now + 1)
+        assert worker.process is None
+        assert node.cpu._fold is None
+        assert node.cache._watch is None
+        assert node.cpu not in system.sim._pause_hooks
+        assert node.cpu.counts.total >= retired  # the spin ran until the crash
+
+    def test_node_restore_reparks_the_spin(self):
+        system, worker = self._parked_ponger()
+        state = NodeCheckpoint.capture(system, 1)
+        pc = worker.context.pc
+        spawn_crash(system, 1)
+        system.run(until=system.sim.now + 500)
+        NodeCheckpoint.restore(system, state)
+        assert system.nodes[1].cpu.spin_state(worker.process) == "parked"
+        assert worker.context.pc == pc
+        system.run()
+        assert all(w.finished for w in system.ckpt_workers)
+
+
 class TestCrashRecoveryScenario:
     """The acceptance scenario: 16-node storm, node (1,1) crashed mid-storm,
     restored from its per-node checkpoint, final buffers byte-identical."""
