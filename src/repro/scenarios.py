@@ -12,8 +12,9 @@ anyone who wants a ready-made machine::
 Every builder is a pure function of its keyword arguments, so the same
 name and kwargs always give a bit-identical run.  ``make pin`` (that is,
 ``python -m repro.scenarios pin tests/fingerprints.json``) records each
-scenario's fingerprint at default kwargs; ``tests/test_scenarios.py``
-holds every run to that pin.
+scenario's fingerprint at default kwargs, plus the seeded
+:data:`VARIANTS` under keys like ``dsm@seed=2``;
+``tests/test_scenarios.py`` holds every run to that pin.
 """
 
 import json
@@ -110,21 +111,58 @@ SCENARIOS = {
 }
 
 
+#: Pinned runs beyond the defaults: a second seed for every scenario
+#: whose retry, lease, replay, retransmit or crash paths depend on one.
+VARIANTS = (
+    ("dsm", {"seed": 2}),
+    ("dsm_homecrash", {"seed": 2}),
+    ("fault_storm", {"fault_seed": 2}),
+    ("workload", {"seed": 2}),
+)
+
+
+def variant_key(name, kwargs):
+    """The pin key of scenario ``name`` at ``kwargs``: the bare name for
+    the defaults, else ``name@k=v,...`` with the keywords sorted."""
+    if not kwargs:
+        return name
+    return "%s@%s" % (name, ",".join(
+        "%s=%s" % item for item in sorted(kwargs.items())))
+
+
+def parse_key(key):
+    """Inverse of :func:`variant_key`: ``(name, kwargs)``."""
+    name, _, spec = key.partition("@")
+    kwargs = {}
+    for item in filter(None, spec.split(",")):
+        field, _, value = item.partition("=")
+        kwargs[field] = int(value)
+    return name, kwargs
+
+
+def pin_keys():
+    """Every pinned key: each scenario at its defaults, then the
+    :data:`VARIANTS`."""
+    return sorted(SCENARIOS) + [variant_key(name, kwargs)
+                                for name, kwargs in VARIANTS]
+
+
 def build(name, **kwargs):
     """Build scenario ``name`` with ``kwargs`` and return its started
     system; ``KeyError`` for an unknown name."""
     return SCENARIOS[name](**kwargs)
 
 
-def pinned_fingerprint(name):
-    """Scenario ``name``'s fingerprint at default kwargs, run to idle,
-    minus ``event_count``.
+def pinned_fingerprint(key):
+    """The fingerprint of pin ``key`` (see :func:`variant_key`), run to
+    idle, minus ``event_count``.
 
     The event count is engine bookkeeping (folding wake-ups changes it
     while every physical observable stays put), so the pin in
     ``tests/fingerprints.json`` leaves it out.
     """
-    system = build(name)
+    name, kwargs = parse_key(key)
+    system = build(name, **kwargs)
     system.run(max_events=2_000_000)
     pinned = fingerprint(system)
     del pinned["event_count"]
@@ -132,8 +170,9 @@ def pinned_fingerprint(name):
 
 
 def pin(path):
-    """Record every scenario's :func:`pinned_fingerprint` into ``path``."""
-    pins = {name: pinned_fingerprint(name) for name in sorted(SCENARIOS)}
+    """Record the :func:`pinned_fingerprint` of every :func:`pin_keys`
+    entry into ``path``."""
+    pins = {key: pinned_fingerprint(key) for key in pin_keys()}
     with open(path, "w") as handle:
         json.dump(pins, handle, indent=1, sort_keys=True)
         handle.write("\n")
