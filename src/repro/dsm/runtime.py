@@ -68,6 +68,7 @@ from repro.msg.reliable import ChannelLayout, ReliableChannel
 from repro.nic.command import CommandOp, encode_command
 from repro.nic.nipt import MappingMode, OutgoingHalf
 from repro.sim.instrument import Instrumentation
+from repro.sim.poll import poll
 from repro.sim.process import Process, Signal, Timeout, Wait
 from repro.sim.resources import Mutex
 from repro.workload.arena import NodeArena
@@ -202,11 +203,12 @@ class DsmRuntime:
                                for i in range(n)]
         self._grant_stamp = {}                     # home: page -> last stamp
         # Home-crash recovery state: active rebuild record per home, the
-        # per-node replay nudge REBUILD_DONE bumps, the per-node lease
-        # agents.
+        # per-node replay nudge REBUILD_DONE fires (its fire_count is the
+        # replay generation), the per-node lease agents.
         self._rebuild = [None] * n
         self._rebuild_epoch = 0
-        self._replay_gen = [0] * n
+        self._replays = [Signal(system.sim, "%s.replay(%d)" % (name, i))
+                         for i in range(n)]
         self._agents = [None] * n
 
         # Metrics: registered eagerly so the registry is identical
@@ -415,10 +417,6 @@ class DsmRuntime:
             )
         channel.send([kind, page, arg])
 
-    def _next_token(self, node_id):
-        self._token_seq[node_id] += 1
-        return self._token_seq[node_id]
-
     def _next_stamp(self, page):
         """The home-issued per-page grant stamp.  Volatile (a home crash
         drops it), monotone within a directory's lifetime, re-floored at
@@ -470,7 +468,7 @@ class DsmRuntime:
         elif kind == REBUILD_DONE:
             # The home finished its rebuild: nudge parked faulters to
             # replay (their ghosted pre-crash requests were dropped).
-            self._replay_gen[node_id] += 1
+            self._replays[node_id].fire()
         elif kind in _SYNC_KINDS:
             obj = self._sync.get(page)
             if obj is None:
@@ -626,8 +624,9 @@ class DsmRuntime:
         (one outstanding fault per node -- the faulting CPU is stalled).
 
         Until the lease (``lease_ns`` plus this node's jitter) expires
-        the wait is a plain retry loop.  On expiry the faulter *parks*:
-        it keeps re-sending the same request instance (same token --
+        the wait is a retry loop (a folded :func:`~repro.sim.poll.poll`
+        of the page state).  On expiry the faulter *parks*: it keeps
+        re-sending the same request instance (same token --
         redelivered grants stay acceptable) with exponential backoff on
         the sim clock, and replays immediately when the home's
         ``REBUILD_DONE`` bumps this node's replay generation."""
@@ -643,7 +642,8 @@ class DsmRuntime:
             )
         self.faults.bump()
         home = self.layout.home_of(page)
-        token = self._next_token(node_id)
+        self._token_seq[node_id] += 1
+        token = self._token_seq[node_id]
         if self.instr.active:
             # home/frame/token let external observers (the happens-before
             # sanitizer, repro.lint.sanitize) correlate this fault with
@@ -664,27 +664,40 @@ class DsmRuntime:
         lease = self.lease_ns + self._jitter[node_id]
         deadline = started + lease
         interval = self.retry_ns
-        gen = self._replay_gen[node_id]
+        replays = self._replays[node_id]
+        gen = replays.fire_count
         parked = False
         last_send = started
+
+        def ready():
+            return pstates.get(page) >= want or replays.fire_count != gen
+
+        def resend(replay):
+            self._send(node_id, home, kind, page, token)
+            if replay:
+                self.replays.bump()
+                if self.instr.active:
+                    self.instr.emit("dsm", "dsm.replay", node=node_id,
+                                    page=page, write=write)
+            return sim.now
+
         try:
             while pstates.get(page) < want:
-                yield Timeout(self.poll_ns)
+                due = last_send + interval
+                yield from poll(sim, self.poll_ns, ready,
+                                due if parked else min(due, deadline),
+                                memory=node.memory, reads=2,
+                                words=(self.layout.pstate_addr(page),),
+                                signals=(replays,))
                 if pstates.get(page) >= want:
                     break
-                if self._replay_gen[node_id] != gen:
-                    gen = self._replay_gen[node_id]
-                    self._send(node_id, home, kind, page, token)
-                    last_send = sim.now
-                    self.replays.bump()
-                    if self.instr.active:
-                        self.instr.emit("dsm", "dsm.replay", node=node_id,
-                                        page=page, write=write)
+                if replays.fire_count != gen:
+                    gen = replays.fire_count
+                    last_send = resend(True)
                     parked = False
                     interval = self.retry_ns
                     deadline = sim.now + lease
-                    continue
-                if not parked and sim.now >= deadline:
+                elif not parked and sim.now >= deadline:
                     parked = True
                     self.lease_expirations.bump()
                     if self.instr.active:
@@ -693,16 +706,9 @@ class DsmRuntime:
                                         write=write)
                     interval = 2 * self.retry_ns
                     last_send = sim.now
-                    continue
-                if sim.now - last_send >= interval:
-                    self._send(node_id, home, kind, page, token)
-                    last_send = sim.now
+                elif sim.now - last_send >= interval:
+                    last_send = resend(parked)
                     if parked:
-                        self.replays.bump()
-                        if self.instr.active:
-                            self.instr.emit("dsm", "dsm.replay",
-                                            node=node_id, page=page,
-                                            write=write)
                         interval = min(2 * interval, self.backoff_cap_ns)
         finally:
             self._pending[node_id].pop(page, None)
@@ -1072,8 +1078,11 @@ class DsmRuntime:
                     yield from node.nic.dma_engine.wait_idle()
                     for start in range(0, PAGE_SIZE // WORD_SIZE,
                                        chunk_words):
-                        while fifo.occupancy_bytes > drain_limit:
-                            yield Timeout(self.poll_ns)
+                        if fifo.occupancy_bytes > drain_limit:
+                            yield from poll(
+                                self.system.sim, self.poll_ns,
+                                lambda: fifo.occupancy_bytes <= drain_limit,
+                                signals=(fifo._changed,))
                         command = node.command_addr(
                             frame_addr + start * WORD_SIZE)
                         addr, policy = node.mmu.translate(command, "write")

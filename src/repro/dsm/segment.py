@@ -62,19 +62,6 @@ class DsmSegment:
         yield Timeout(self.runtime.access_ns)
         self.node.memory.write_word(addr, value)
 
-    def load_words(self, gaddr, nwords):
-        """Generator: read a run of shared words; returns a list."""
-        values = []
-        for index in range(nwords):
-            value = yield from self.load_word(gaddr + index * WORD_SIZE)
-            values.append(value)
-        return values
-
-    def store_words(self, gaddr, values):
-        """Generator: write a run of shared words."""
-        for index, value in enumerate(values):
-            yield from self.store_word(gaddr + index * WORD_SIZE, value)
-
     # -- test/verification access (zero simulated time) -----------------------
 
     def peek(self, gaddr):

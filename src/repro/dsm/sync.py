@@ -46,7 +46,28 @@ from repro.dsm.runtime import (
 )
 from repro.dsm.state import DsmError
 from repro.memsys.address import WORD_SIZE
-from repro.sim.process import Timeout
+from repro.sim.poll import poll
+
+
+def _request(runtime, node_id, dst, kind, page, arg, addr, done):
+    """Generator: send ``kind`` to ``dst``, then poll DRAM word ``addr``
+    every ``poll_ns`` until ``done(word)``, re-sending every ``retry_ns``
+    (an idle tick reads the word twice: the retry test, the loop test)."""
+    sim = runtime.system.sim
+    memory = runtime.system.nodes[node_id].memory
+
+    def ready():
+        return done(memory.read_word(addr))
+
+    runtime._send(node_id, dst, kind, page, arg)
+    last_send = sim.now
+    while not ready():
+        yield from poll(sim, runtime.poll_ns, ready,
+                        last_send + runtime.retry_ns, memory=memory,
+                        reads=2, words=(addr,))
+        if not ready() and sim.now - last_send >= runtime.retry_ns:
+            runtime._send(node_id, dst, kind, page, arg)
+            last_send = sim.now
 
 
 class DsmBarrier:
@@ -233,18 +254,9 @@ class DsmBarrier:
         """
         if node_id not in self._index:
             raise DsmError("node %d is not a barrier participant" % node_id)
-        runtime = self.runtime
-        memory = self._memory(node_id)
-        runtime._send(node_id, node_id, BARRIER_ARRIVE, self.page, epoch)
-        last_send = runtime.system.sim.now
-        while memory.read_word(self._seen_addr()) < epoch:
-            yield Timeout(runtime.poll_ns)
-            if (memory.read_word(self._seen_addr()) < epoch
-                    and runtime.system.sim.now - last_send
-                    >= runtime.retry_ns):
-                runtime._send(node_id, node_id, BARRIER_ARRIVE, self.page,
-                              epoch)
-                last_send = runtime.system.sim.now
+        yield from _request(self.runtime, node_id, node_id, BARRIER_ARRIVE,
+                            self.page, epoch, self._seen_addr(),
+                            lambda seen: seen >= epoch)
 
 
 class DsmLock:
@@ -377,18 +389,11 @@ class DsmLock:
 
     def acquire(self, node_id):
         """Generator: block until this node holds the lock."""
-        runtime = self.runtime
-        memory = runtime.system.nodes[node_id].memory
+        memory = self.runtime.system.nodes[node_id].memory
         memory.write_word(self._flag_addr(), 0)
-        runtime._send(node_id, self.home, LOCK_ACQ, self.page, 0)
-        last_send = runtime.system.sim.now
-        while memory.read_word(self._flag_addr()) == 0:
-            yield Timeout(runtime.poll_ns)
-            if (memory.read_word(self._flag_addr()) == 0
-                    and runtime.system.sim.now - last_send
-                    >= runtime.retry_ns):
-                runtime._send(node_id, self.home, LOCK_ACQ, self.page, 0)
-                last_send = runtime.system.sim.now
+        yield from _request(self.runtime, node_id, self.home, LOCK_ACQ,
+                            self.page, 0, self._flag_addr(),
+                            lambda granted: granted != 0)
 
     def release(self, node_id):
         """Release the lock (not a generator: the message is queued and

@@ -8,12 +8,17 @@ to the scheduler:
                             the fired value is sent back into the generator.
 - another ``Process``    -- resume when that process finishes (join); the
                             joined process's return value is sent back.
+- a ``Poll``             -- yielded only by :func:`repro.sim.poll.poll`,
+                            the folded fixed-period wait.
 
 Anything more elaborate (bus arbitration, FIFO puts) is composed from these
 with ``yield from``.  Processes can be interrupted: :meth:`Process.interrupt`
 throws an :class:`Interrupt` exception into the generator at its current
 yield point, which models device-raised CPU interrupts.
 """
+
+
+from repro.sim.poll import Poll
 
 
 class Timeout:
@@ -40,21 +45,37 @@ class Signal:
     use :class:`repro.sim.resources.BoundedQueue` for buffered hand-off).
     """
 
-    __slots__ = ("sim", "name", "_waiters", "fire_count")
+    __slots__ = ("sim", "name", "_waiters", "fire_count", "_watchers")
 
     def __init__(self, sim, name="signal"):
         self.sim = sim
         self.name = name
         self._waiters = []
         self.fire_count = 0
+        self._watchers = None  # callbacks run synchronously by fire()
 
     @property
     def waiter_count(self):
         return len(self._waiters)
 
+    def watch(self, callback):
+        """Call ``callback()`` inside every later :meth:`fire`, before the
+        waiters are posted (a folded poll's wake source)."""
+        if self._watchers is None:
+            self._watchers = []
+        self._watchers.append(callback)
+
+    def unwatch(self, callback):
+        self._watchers.remove(callback)
+        if not self._watchers:
+            self._watchers = None
+
     def fire(self, value=None):
         """Wake all current waiters, delivering ``value`` to each."""
         self.fire_count += 1
+        if self._watchers is not None:
+            for callback in self._watchers:
+                callback()
         waiters = self._waiters
         if not waiters:
             return
@@ -202,6 +223,8 @@ class Process:
         elif isinstance(request, Signal):  # shorthand: yield sig
             self._waiting_on = request
             request._add_waiter(self)
+        elif type(request) is Poll:
+            request.park(self)
         elif isinstance(request, Process):  # join
             if request.finished:
                 self.sim.post(self._resume, request.result)
@@ -246,8 +269,8 @@ class Process:
         woken with a ``None`` result.  Callers are responsible for killing
         only at points where the process holds no resources (the node
         crash/restore orchestration in ``repro.faults`` kills CPU workers
-        at instruction boundaries and channel endpoints parked on their
-        poll timers); a process mid-mutex would strand the lock.  Killing
+        at instruction boundaries and channel endpoints parked in their
+        polls); a process mid-mutex would strand the lock.  Killing
         a finished process is a no-op.
         """
         if self.finished:
