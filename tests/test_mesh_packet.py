@@ -109,3 +109,59 @@ def test_kernel_kind_flag():
     pkt = Packet((0, 0), (1, 0), 0, [1], kind=Packet.KERNEL)
     assert pkt.kind == Packet.KERNEL
     assert pkt.crc_ok()
+
+
+# -- the CRC against a bit-by-bit reference ----------------------------------
+
+
+def _reference_crc(data):
+    """CRC-16/CCITT-FALSE one bit at a time: poly 0x1021, init 0xFFFF."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) if crc & 0x8000 else crc << 1
+            crc &= 0xFFFF
+    return crc
+
+
+def _reference_covered(packet):
+    """The CRC-covered bytes, built field by field and word by word."""
+    data = bytes([packet.dest_coords[0] & 0xFF, packet.dest_coords[1] & 0xFF,
+                  packet.src_coords[0] & 0xFF, packet.src_coords[1] & 0xFF])
+    data += packet.dest_addr.to_bytes(8, "little")
+    data += len(packet.payload).to_bytes(2, "little")
+    data += packet.kind.to_bytes(2, "little")
+    for word in packet.payload:
+        data += (word % (1 << 32)).to_bytes(4, "little")
+    return data
+
+
+def test_reference_crc_check_value():
+    assert _reference_crc(b"123456789") == 0x29B1 == crc16(b"123456789")
+
+
+@given(
+    payload=st.lists(st.integers(min_value=-(1 << 40), max_value=1 << 40),
+                     min_size=1, max_size=64),
+    coords=st.tuples(*[st.integers(min_value=0, max_value=255)] * 4),
+    addr=st.integers(min_value=0, max_value=(1 << 32) - 1),
+    kind=st.sampled_from([Packet.DATA, Packet.KERNEL]),
+)
+def test_packet_crc_matches_bit_by_bit_reference(payload, coords, addr, kind):
+    """Negative and wider-than-32-bit words are covered modulo 2**32."""
+    packet = Packet(coords[:2], coords[2:], addr, payload, kind=kind)
+    assert packet.crc == _reference_crc(_reference_covered(packet))
+    packet.verify(coords[2:])
+
+
+def test_state_round_trip_keeps_a_stale_crc():
+    packet = make_packet(payload=[7, -1, 1 << 33])
+    packet.corrupt()
+    restored = Packet.from_state(packet.to_state())
+    assert restored.crc == packet.crc
+    assert restored.crc != crc16(restored._covered_bytes())
+    with pytest.raises(PacketError, match="CRC"):
+        restored.verify((1, 1))
+    intact = Packet.from_state(make_packet().to_state())
+    intact.verify((1, 1))
