@@ -37,15 +37,18 @@ import inspect
 
 from repro.ckpt.protocol import SafepointError
 from repro.cpu.core import Cpu
+from repro.sim.engine import is_tick_marker
 
 
 def live_entries(sim):
-    """Every not-cancelled, not-spent entry in the event queue.
+    """Every not-cancelled, not-spent entry in the event queue, a parked
+    poll's tick marker included (its callback slot is ``None``).
 
     Heap before bucket; callers needing global order sort by sequence
     number (``entry[1]``), which is unique across both containers.
     """
-    entries = [entry for entry in sim._heap if entry[2] is not None]
+    entries = [entry for entry in sim._heap
+               if entry[2] is not None or is_tick_marker(entry)]
     entries += [entry for entry in sim._bucket if entry[2] is not None]
     return entries
 
@@ -155,7 +158,7 @@ def classify_entries(system):
             continue
         return None, (
             "pending event at t=%d (%s) is neither a worker resume nor a "
-            "merge flush" % (entry[0], _callback_name(callback))
+            "merge flush" % (entry[0], _callback_name(callback or entry[3]))
         )
     ordered.sort()
     descriptors = [descriptor for _, descriptor in ordered]
