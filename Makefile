@@ -6,8 +6,8 @@ export PYTHONPATH
 # code side; this pins the interpreter side for tests and benchmarks).
 export PYTHONHASHSEED := 0
 
-.PHONY: test test-fast lint pin bench-simspeed bench-ckpt bench-recovery \
-	bench-workload bench-dsm
+.PHONY: test test-fast lint pin bench-ckpt bench-recovery bench-workload \
+	bench-dsm
 
 # Tier-1 suite (everything); lints first.
 test: lint
@@ -17,10 +17,10 @@ test: lint
 test-fast:
 	python -m pytest -x -q -m "not slow"
 
-# Re-pin the seven scenario fingerprints (default kwargs, event count
-# left out) that tests/test_scenarios.py holds every run to.  Only for a
-# change that moves a physical observable on purpose; say why in the
-# commit.
+# Re-pin the fingerprint of every scenario and seed variant (event
+# count left out) that tests/test_scenarios.py holds every run to.  Only
+# for a change that moves a physical observable on purpose; say why in
+# the commit.
 pin:
 	python -m repro.scenarios pin tests/fingerprints.json
 
@@ -42,35 +42,33 @@ lint:
 	fi
 	python -m repro.lint src tests
 
-# Simulator-speed microbench; refuses to record a >10% events/sec
-# regression -- or >2% instrumentation-off overhead -- into
-# BENCH_simspeed.json (override with FORCE=1).
-bench-simspeed:
-	python -m benchmarks.bench_simspeed $(if $(FORCE),--force)
+# The bench-* targets record simulated observables only, through the
+# shared gate in benchmarks/gate.py: each scale runs twice and must
+# repeat exactly, and a guarded key that regresses past its tolerance
+# refuses the write (FORCE=1 overrides).  Host speed is shrimpbench's.
 
-# Checkpoint size + save/restore time at two system scales; refuses to
-# record a >10% size or >50% wall-time regression into BENCH_ckpt.json
-# (override with FORCE=1).
+# Checkpoint size at two system scales, each restore verified exact;
+# refuses a >10% size growth in BENCH_ckpt.json.
 bench-ckpt:
 	python -m benchmarks.bench_ckpt $(if $(FORCE),--force)
 
 # Crash-recovery cost at two storm scales (replayed-traffic window,
-# retransmit overhead); every run is verified byte-for-byte against the
-# fault-free reference.  Refuses to record a >25% window or >50%
-# wall-time regression into BENCH_recovery.json (override with FORCE=1).
+# retransmit overhead) and one DSM home crash; every run is verified byte-for-byte against the
+# fault-free reference.  Refuses a >25% window or frame-count growth in
+# BENCH_recovery.json.
 bench-recovery:
 	python -m benchmarks.bench_recovery $(if $(FORCE),--force)
 
 # DSM fetch/upgrade latency and protocol traffic for the fetch-on-fault
 # app family (stencil/bfs/kv), every run verified against its closed
-# form first.  Records BENCH_dsm.json; refuses a >25% latency/traffic
-# or >50% wall-time regression (FORCE=1 overrides).  See docs/dsm.md.
+# form first.  Records BENCH_dsm.json; refuses a >25% growth of end
+# time, fetches or p99 latency.  See docs/dsm.md.
 bench-dsm:
 	python -m benchmarks.bench_dsm $(if $(FORCE),--force)
 
 # Datacenter-workload SLO numbers (p50/p99/p999 round-trip latency,
 # goodput vs offered load) on a 32x32 mesh, one run per placement
-# policy.  Records BENCH_workload.json; refuses a >25% goodput
-# regression (FORCE=1 overrides).  See docs/workloads.md.
+# policy.  Records BENCH_workload.json; refuses a >25% goodput drop.
+# See docs/workloads.md.
 bench-workload:
 	python -m benchmarks.bench_workload $(if $(FORCE),--force)

@@ -12,55 +12,31 @@ over the directory protocol and records the ``dsm.*`` namespace:
 
 Every stencil/bfs run is verified against its closed-form expectation
 first, so the numbers are the cost of a run that provably computed the
-right bytes.  All keys except ``run_wall_s`` are deterministic
-simulated observables.  Results land in ``BENCH_dsm.json``:
+right bytes.  All keys are deterministic simulated observables.  Results
+land in ``BENCH_dsm.json`` through the shared gate
+(``benchmarks/gate.py``):
 
     python -m benchmarks.bench_dsm            # refuses regressions
     python -m benchmarks.bench_dsm --force    # overwrite regardless
-    python -m benchmarks.bench_dsm --quick    # smoke test; never writes
     make bench-dsm                            # same as the first form
 """
 
-import argparse
-import json
 import os
 import sys
-import time
 
+from benchmarks import gate
 from repro.workload.dsm_apps import DsmWorkload
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_dsm.json")
-METRIC_TOLERANCE = 0.25  # refuse if latency/traffic grew >25%
-TIME_TOLERANCE = 0.50  # refuse if wall time got >50% slower
-
-DETERMINISTIC_KEYS = (
-    "end_ns",
-    "faults",
-    "fetches",
-    "invalidations",
-    "recalls",
-    "fetch_p50_ns",
-    "fetch_p99_ns",
-    "upgrade_p50_ns",
-    "upgrade_p99_ns",
-)
-
-#: Keys whose growth beyond METRIC_TOLERANCE refuses the write.
-GUARDED_KEYS = (
-    "end_ns",
-    "fetches",
-    "fetch_p99_ns",
-    "upgrade_p99_ns",
-)
+#: Keys whose growth beyond 25% refuses the write.
+GUARDS = {key: (0.25, "lower") for key in (
+    "end_ns", "fetches", "fetch_p99_ns", "upgrade_p99_ns",
+)}
 
 
 def _measure(**kwargs):
     """One workload run, verified where a closed form exists."""
-    t0 = time.perf_counter()
     workload = DsmWorkload(**kwargs).start()
     workload.run()
-    run_wall = time.perf_counter() - t0
 
     if kwargs["kind"] == "stencil":
         assert workload.final_shared_bytes() == workload.expected_stencil(), \
@@ -84,123 +60,23 @@ def _measure(**kwargs):
         "fetch_p99_ns": fetch["p99"],
         "upgrade_p50_ns": upgrade["p50"],
         "upgrade_p99_ns": upgrade["p99"],
-        "run_wall_s": run_wall,
     }
 
 
 SCALES = {
-    "stencil_4x4": lambda quick: _measure(
-        kind="stencil", width=4, height=4,
-        iterations=1 if quick else 2, words=8,
-    ),
-    "stencil_8x8": lambda quick: _measure(
-        kind="stencil", width=4 if quick else 8,
-        height=4 if quick else 8, iterations=1, words=4,
-    ),
-    "bfs_4x4": lambda quick: _measure(
-        kind="bfs", width=2 if quick else 4, height=2 if quick else 4,
-    ),
-    "kv_4x4": lambda quick: _measure(
-        kind="kv", width=4, height=4, seed=1,
-        requests=16 if quick else 64,
-    ),
+    "stencil_4x4": lambda: _measure(
+        kind="stencil", width=4, height=4, iterations=2, words=8),
+    "stencil_8x8": lambda: _measure(
+        kind="stencil", width=8, height=8, iterations=1, words=4),
+    "bfs_4x4": lambda: _measure(kind="bfs", width=4, height=4),
+    "kv_4x4": lambda: _measure(
+        kind="kv", width=4, height=4, seed=1, requests=64),
 }
 
 
-def run_all(quick=False, repeat=3):
-    """Run every scale ``repeat`` times; keep the median-wall-time run.
-
-    The simulated observables must be identical across repeats (the
-    engine is deterministic); repeating only steadies ``run_wall_s``.
-    """
-    if quick:
-        repeat = 1
-    results = {}
-    for name, fn in SCALES.items():
-        runs = [fn(quick) for _ in range(max(1, repeat))]
-        for key in DETERMINISTIC_KEYS:
-            values = {r[key] for r in runs}
-            assert len(values) == 1, (
-                "%s: %s must be deterministic, saw %s" % (name, key, values)
-            )
-        runs.sort(key=lambda r: r["run_wall_s"])
-        results[name] = runs[len(runs) // 2]
-        results[name]["repeats"] = len(runs)
-    return results
-
-
-def check_regression(old, new,
-                     metric_tolerance=METRIC_TOLERANCE,
-                     time_tolerance=TIME_TOLERANCE):
-    """Return human-readable regressions versus the recorded baselines."""
-    problems = []
-    old_scales = old.get("scales", {})
-    for name, result in new.items():
-        prior = old_scales.get(name)
-        if not prior:
-            continue
-        for key in GUARDED_KEYS:
-            if key not in prior:
-                continue
-            ceiling = prior[key] * (1.0 + metric_tolerance)
-            if result[key] > ceiling:
-                problems.append(
-                    "%s: %s %d is >%d%% above the recorded %d"
-                    % (name, key, result[key], int(metric_tolerance * 100),
-                       prior[key])
-                )
-        if "run_wall_s" in prior:
-            ceiling = prior["run_wall_s"] * (1.0 + time_tolerance)
-            if result["run_wall_s"] > ceiling:
-                problems.append(
-                    "%s: run_wall_s %.4f s is >%d%% above the recorded %.4f s"
-                    % (name, result["run_wall_s"], int(time_tolerance * 100),
-                       prior["run_wall_s"])
-                )
-    return problems
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--force", action="store_true",
-                        help="overwrite BENCH_dsm.json even on regression")
-    parser.add_argument("--output", default=DEFAULT_OUTPUT,
-                        help="result file (default: repo BENCH_dsm.json)")
-    parser.add_argument("--quick", action="store_true",
-                        help="tiny workloads (smoke test; never writes)")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="runs per scale; the median is recorded")
-    args = parser.parse_args(argv)
-
-    results = run_all(quick=args.quick, repeat=args.repeat)
-    for name, result in results.items():
-        print("%-14s end %9d ns  faults %4d  fetch p50/p99 %6d/%6d ns  "
-              "upgrade p99 %6d ns  wall %6.3f s"
-              % (name, result["end_ns"], result["faults"],
-                 result["fetch_p50_ns"], result["fetch_p99_ns"],
-                 result["upgrade_p99_ns"], result["run_wall_s"]))
-
-    if args.quick:
-        print("(quick mode: results not written)")
-        return 0
-
-    previous = None
-    if os.path.exists(args.output):
-        with open(args.output) as fh:
-            previous = json.load(fh)
-        problems = check_regression(previous, results)
-        if problems and not args.force:
-            print("REFUSING to overwrite %s:" % args.output)
-            for line in problems:
-                print("  " + line)
-            print("re-run with --force to record a known regression")
-            return 1
-
-    with open(args.output, "w") as fh:
-        json.dump({"scales": results}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print("wrote %s" % args.output)
-    return 0
+    return gate.main(argv, SCALES, GUARDS,
+                     os.path.join(gate.REPO_ROOT, "BENCH_dsm.json"))
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ so the numbers below are the *cost of a recovery that provably worked*:
 - ``dropped_packets``     -- volatile NIC state lost with the node.
 
 The ``dsm_homecrash`` scale crashes a DSM *home* instead
-(:mod:`repro.dsm`, see docs/dsm.md "Crash recovery") and times the
+(:mod:`repro.dsm`, see docs/dsm.md "Crash recovery") and measures the
 directory-rebuild machinery, again only after the final shared bytes
 matched the closed form:
 
@@ -27,54 +27,37 @@ matched the closed form:
 - ``replayed_requests``   -- parked/deferred DSM requests replayed once
   the rebuild finished.
 
-All of those are deterministic simulated observables; only
-``run_wall_s`` is host-dependent.  Results are recorded in
-``BENCH_recovery.json`` at the repository root:
+All of those are deterministic simulated observables.  Results are
+recorded in ``BENCH_recovery.json`` through the shared gate
+(``benchmarks/gate.py``), which refuses a >25% growth of any window or
+frame count:
 
     python -m benchmarks.bench_recovery            # refuses regressions
     python -m benchmarks.bench_recovery --force    # overwrite regardless
-    python -m benchmarks.bench_recovery --quick    # smoke test; never writes
     make bench-recovery                            # same as the first form
 """
 
-import argparse
-import json
 import os
 import sys
-import time
 
-from repro.faults.scenario import run_crash_recovery, run_fault_free
+from benchmarks import gate
+from repro.faults.scenario import (default_payloads, run_crash_recovery,
+                                   run_fault_free)
 
-REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-DEFAULT_OUTPUT = os.path.join(REPO_ROOT, "BENCH_recovery.json")
-WINDOW_TOLERANCE = 0.25  # refuse if a recovery window grew >25%
-TIME_TOLERANCE = 0.50  # refuse if wall time got >50% slower
-
-DETERMINISTIC_KEYS = (
-    "recovery_window_ns",
-    "replay_window_ns",
-    "frames_replayed",
-    "retransmits",
-    "dropped_packets",
-    "rebuild_window_ns",
-    "replayed_requests",
-    "end_ns",
-)
+GUARDS = {key: (0.25, "lower") for key in (
+    "recovery_window_ns", "replay_window_ns", "frames_replayed",
+    "retransmits", "rebuild_window_ns", "replayed_requests",
+)}
 
 
 def _measure(words_per_sender, payload_count, crash_delay_ns, dwell_ns):
     """One scale: crash run verified against the fault-free reference."""
-    from repro.faults.scenario import default_payloads
-
     payloads = default_payloads(payload_count)
     reference = run_fault_free(words_per_sender, payloads)
-
-    t0 = time.perf_counter()
     result = run_crash_recovery(
         words_per_sender, payloads, crash_delay_ns=crash_delay_ns,
         dwell_ns=dwell_ns,
     )
-    run_wall = time.perf_counter() - t0
 
     assert result["complete"], "reliable channel never completed"
     assert result["hot_image"] == reference["hot_image"], (
@@ -90,19 +73,18 @@ def _measure(words_per_sender, payload_count, crash_delay_ns, dwell_ns):
         "retransmits": result["retransmits"],
         "dropped_packets": result["dropped_packets"],
         "end_ns": result["end_time"],
-        "run_wall_s": run_wall,
     }
 
 
-def _measure_homecrash(quick, crash_at=400_000, dwell_ns=120_000):
+def _measure_homecrash(crash_at=400_000, dwell_ns=120_000):
     """The DSM home-crash scale: crash home node 1 mid-run, let the
     directory rebuild + lease replay recover it, verify the shared
-    bytes against the closed form, and time the rebuild window."""
+    bytes against the closed form, and measure the rebuild window."""
     from repro.faults.recovery import spawn_crash_restore_cycle
     from repro.sim.instrument import Instrumentation
     from repro.workload.dsm_apps import DsmWorkload
 
-    w = DsmWorkload(kind="homecrash", width=4, height=1 if quick else 4,
+    w = DsmWorkload(kind="homecrash", width=4, height=4,
                     iterations=2).start()
     hub = Instrumentation.of(w.system.sim)
     hub.enable_events(only_kinds={
@@ -115,9 +97,7 @@ def _measure_homecrash(quick, crash_at=400_000, dwell_ns=120_000):
         channels=list(w.runtime.channels()) + [w.runtime],
         outcome=outcome,
     )
-    t0 = time.perf_counter()
     w.run()
-    run_wall = time.perf_counter() - t0
 
     assert "restored_at" in outcome, "recovery never completed"
     assert w.final_shared_bytes() == w.expected_homecrash(), (
@@ -135,135 +115,25 @@ def _measure_homecrash(quick, crash_at=400_000, dwell_ns=120_000):
         "rebuild_window_ns": dones[0].time - starts[0].time,
         "replayed_requests": hub.value("dsm.replays"),
         "end_ns": w.system.sim.now,
-        "run_wall_s": run_wall,
     }
 
 
 SCALES = {
-    "storm_crash_midrun": lambda quick: _measure(
-        words_per_sender=12 if quick else 24,
-        payload_count=6 if quick else 12,
-        crash_delay_ns=15_000 if quick else 30_000,
-        dwell_ns=4_000,
+    "storm_crash_midrun": lambda: _measure(
+        words_per_sender=24, payload_count=12,
+        crash_delay_ns=30_000, dwell_ns=4_000,
     ),
-    "storm_crash_saturation": lambda quick: _measure(
-        words_per_sender=16 if quick else 48,
-        payload_count=8 if quick else 24,
-        crash_delay_ns=30_000 if quick else 60_000,
-        dwell_ns=8_000,
+    "storm_crash_saturation": lambda: _measure(
+        words_per_sender=48, payload_count=24,
+        crash_delay_ns=60_000, dwell_ns=8_000,
     ),
     "dsm_homecrash": _measure_homecrash,
 }
 
 
-def run_all(quick=False, repeat=3):
-    """Run every scale ``repeat`` times; keep the median-wall-time run.
-
-    The simulated observables must be identical across repeats (the
-    engine is deterministic); repeating only steadies ``run_wall_s``.
-    """
-    if quick:
-        repeat = 1
-    results = {}
-    for name, fn in SCALES.items():
-        runs = [fn(quick) for _ in range(max(1, repeat))]
-        for key in DETERMINISTIC_KEYS:
-            if key not in runs[0]:
-                continue  # scales record different observable sets
-            values = {r[key] for r in runs}
-            assert len(values) == 1, (
-                "%s: %s must be deterministic, saw %s" % (name, key, values)
-            )
-        runs.sort(key=lambda r: r["run_wall_s"])
-        results[name] = runs[len(runs) // 2]
-        results[name]["repeats"] = len(runs)
-    return results
-
-
-def check_regression(old, new,
-                     window_tolerance=WINDOW_TOLERANCE,
-                     time_tolerance=TIME_TOLERANCE):
-    """Return human-readable regressions versus the recorded baselines."""
-    problems = []
-    old_scales = old.get("scales", {})
-    for name, result in new.items():
-        prior = old_scales.get(name)
-        if not prior:
-            continue
-        for key in ("recovery_window_ns", "replay_window_ns",
-                    "frames_replayed", "retransmits",
-                    "rebuild_window_ns", "replayed_requests"):
-            # Keys are compared only when both runs recorded them: the
-            # scales record different observable sets, and an older
-            # baseline may predate a key entirely.
-            if key not in prior or key not in result:
-                continue
-            ceiling = prior[key] * (1.0 + window_tolerance)
-            if result[key] > ceiling:
-                problems.append(
-                    "%s: %s %d is >%d%% above the recorded %d"
-                    % (name, key, result[key], int(window_tolerance * 100),
-                       prior[key])
-                )
-        if "run_wall_s" in prior:
-            ceiling = prior["run_wall_s"] * (1.0 + time_tolerance)
-            if result["run_wall_s"] > ceiling:
-                problems.append(
-                    "%s: run_wall_s %.4f s is >%d%% above the recorded %.4f s"
-                    % (name, result["run_wall_s"], int(time_tolerance * 100),
-                       prior["run_wall_s"])
-                )
-    return problems
-
-
 def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--force", action="store_true",
-                        help="overwrite BENCH_recovery.json even on regression")
-    parser.add_argument("--output", default=DEFAULT_OUTPUT,
-                        help="result file (default: repo BENCH_recovery.json)")
-    parser.add_argument("--quick", action="store_true",
-                        help="tiny workloads (smoke test; never writes)")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="runs per scale; the median is recorded")
-    args = parser.parse_args(argv)
-
-    results = run_all(quick=args.quick, repeat=args.repeat)
-    for name, result in results.items():
-        if "rebuild_window_ns" in result:
-            print("%-24s recover %7d ns  rebuild %7d ns  replays %3d  "
-                  "wall %6.3f s"
-                  % (name, result["recovery_window_ns"],
-                     result["rebuild_window_ns"],
-                     result["replayed_requests"], result["run_wall_s"]))
-        else:
-            print("%-24s recover %7d ns  replay %7d ns  frames %3d  "
-                  "retx %3d  wall %6.3f s"
-                  % (name, result["recovery_window_ns"],
-                     result["replay_window_ns"], result["frames_replayed"],
-                     result["retransmits"], result["run_wall_s"]))
-
-    if args.quick:
-        print("(quick mode: results not written)")
-        return 0
-
-    previous = None
-    if os.path.exists(args.output):
-        with open(args.output) as fh:
-            previous = json.load(fh)
-        problems = check_regression(previous, results)
-        if problems and not args.force:
-            print("REFUSING to overwrite %s:" % args.output)
-            for line in problems:
-                print("  " + line)
-            print("re-run with --force to record a known regression")
-            return 1
-
-    with open(args.output, "w") as fh:
-        json.dump({"scales": results}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print("wrote %s" % args.output)
-    return 0
+    return gate.main(argv, SCALES, GUARDS,
+                     os.path.join(gate.REPO_ROOT, "BENCH_recovery.json"))
 
 
 if __name__ == "__main__":

@@ -72,9 +72,9 @@ def build_ping_pong(rounds=8, config="eisa-prototype"):
 def build_bandwidth(nbytes=16384, config="eisa-prototype"):
     """One deliberate-update DMA transfer, sender node 0 to receiver node 1.
 
-    The checkpoint twin of ``benchmarks.bench_simspeed``'s bandwidth
-    sweep, at a single size and with the sender running as a
-    :class:`CpuWorker` so the run is pause/resume-able.
+    The deliberate-update transfer of ``examples/block_transfer.py`` and
+    ``repro.analysis.bandwidth``, at a single size and with the sender
+    running as a :class:`CpuWorker` so the run is pause/resume-able.
     """
     system = ShrimpSystem(2, 1, CONFIGS[config])
     system.start()

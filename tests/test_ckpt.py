@@ -105,16 +105,21 @@ def test_merge_window_descriptor_restores_exactly():
 
 def test_completed_run_checkpoint_round_trips():
     """A drained run is trivially a safepoint; restoring it reproduces the
-    final machine (memory image, metrics, finished workers)."""
-    reference = build_contention()
-    reference.run()
-    state = SystemCheckpoint.capture(reference)
-    assert state["descriptors"] == []
-    restored = SystemCheckpoint.restore(state)
-    assert diff_fingerprints(fingerprint(reference), fingerprint(restored)) == []
-    assert all(worker.finished for worker in restored.ckpt_workers)
-    restored.run()  # resuming a finished run is a no-op
-    assert restored.sim.now == reference.sim.now
+    final machine (memory image, metrics, finished workers).  The 48-word
+    storm keeps all 15 senders' worms contending for the hot node."""
+    for words_per_sender in (8, 48):
+        reference = build_contention(words_per_sender=words_per_sender)
+        reference.run()
+        assert (reference.nodes[15].nic.words_delivered.value
+                == 15 * words_per_sender)
+        state = SystemCheckpoint.capture(reference)
+        assert state["descriptors"] == []
+        restored = SystemCheckpoint.restore(state)
+        assert diff_fingerprints(fingerprint(reference),
+                                 fingerprint(restored)) == []
+        assert all(worker.finished for worker in restored.ckpt_workers)
+        restored.run()  # resuming a finished run is a no-op
+        assert restored.sim.now == reference.sim.now
 
 
 def test_fork_is_independent_of_the_original():

@@ -340,4 +340,4 @@ def test_syntax_error_is_a_finding_not_a_crash(tmp_path):
 
 def test_parsed_module_scope_inference():
     assert ParsedModule("src/repro/os/kernel.py", "").scope == "sim"
-    assert ParsedModule("benchmarks/bench_simspeed.py", "").scope == "other"
+    assert ParsedModule("benchmarks/bench_ckpt.py", "").scope == "other"

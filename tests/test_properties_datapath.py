@@ -8,7 +8,7 @@ or merge behaviour.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cpu import Asm, Context, Mem, R0, R1
 from repro.faults import CorruptEveryNth
@@ -69,6 +69,10 @@ def test_automatic_update_mirrors_any_store_pattern(mode, stores):
     nwords=st.integers(min_value=1, max_value=2048),
     dest_offset_words=st.integers(min_value=0, max_value=1023),
 )
+# Whole-page transfers of one page and of 16 (64 KB, the bandwidth
+# curve's saturated end) always run.
+@example(offset_words=0, nwords=1024, dest_offset_words=0)
+@example(offset_words=0, nwords=16384, dest_offset_words=0)
 def test_deliberate_transfer_any_geometry(offset_words, nwords,
                                           dest_offset_words):
     """Random base offsets and sizes (spanning pages, unaligned to the
