@@ -323,7 +323,7 @@ class _FoldSignal(Signal):
 
     def _add_waiter(self, process, request=None):
         self.cpu._fold.process = process
-        self._waiters.append(process)
+        super()._add_waiter(process, request)
 
 
 class Cpu:
@@ -450,10 +450,6 @@ class Cpu:
         self._pending_interrupts.append(cause)
         if self._fold is not None:
             self.fold_wake()
-
-    @property
-    def interrupts_pending(self):
-        return len(self._pending_interrupts)
 
     def _take_interrupts(self):
         while self._pending_interrupts:

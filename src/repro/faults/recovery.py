@@ -237,14 +237,6 @@ def recover_node(system, state, mappings=(), channels=(), poll_ns=POLL_NS):
     return restore_node(system, state, mappings=mappings, channels=channels)
 
 
-def spawn_recover(system, state, mappings=(), channels=(), delay=0):
-    """Run :func:`recover_node` as its own process.  Returns the process."""
-    return Process(
-        system.sim, recover_node(system, state, mappings, channels),
-        "recover(%d)" % state["node_id"],
-    ).start(delay)
-
-
 def crash_restore_cycle(system, node_id, crash_at, dwell_ns, mappings,
                         channels=(), poll_ns=POLL_NS, outcome=None):
     """Process body: the full in-sim crash/restore arc for one node.

@@ -72,8 +72,9 @@ class Cache:
         # Each set starts with no ways; _victim appends one per fill until
         # the set holds ``assoc``.  A fill always takes the first invalid
         # way, so the ways ever used are a prefix of the set and a missing
-        # way is indistinguishable from an invalid one.
-        self._sets = [[] for _ in range(self.n_sets)]
+        # way is indistinguishable from an invalid one.  An untouched set
+        # is the shared empty tuple: its list is built by its first fill.
+        self._sets = [()] * self.n_sets
         self._lru_clock = 0
         # simlint: ignore[SL201] the folded spin's registration; a parked
         # fold is captured by its Cpu and re-registers on restore
@@ -148,7 +149,10 @@ class Cache:
                 return line
         if len(lines) < self.assoc:
             line = _Line()
-            lines.append(line)
+            if lines:
+                lines.append(line)
+            else:
+                self._sets[set_index] = [line]
             return line
         return min(lines, key=lambda line: line.lru)
 
@@ -316,9 +320,11 @@ class Cache:
 
     def ckpt_restore(self, state):
         self._changing(None)
-        self._sets = [[] for _ in range(self.n_sets)]
+        sets = self._sets = [()] * self.n_sets
         for set_index, way, entry in state["lines"]:
-            ways = self._sets[set_index]
+            ways = sets[set_index]
+            if not ways:
+                ways = sets[set_index] = []
             while len(ways) <= way:
                 ways.append(_Line())
             line = ways[way]

@@ -2,6 +2,7 @@
 
 import hashlib
 import mmap
+import struct
 
 from repro.memsys.address import (
     WORD_SIZE,
@@ -84,23 +85,18 @@ class PhysicalMemory:
     def read_words(self, addr, nwords):
         self._check(addr, nwords)
         self.read_count += nwords
-        return [
-            int.from_bytes(self._data[a : a + WORD_SIZE], "little")
-            for a in range(addr, addr + nwords * WORD_SIZE, WORD_SIZE)
-        ]
+        return list(struct.unpack_from("<%dI" % nwords, self._data, addr))
 
     def write_words(self, addr, values):
-        self._check(addr, len(values))
+        nwords = len(values)
+        self._check(addr, nwords)
         if self.write_guard is not None:
-            self.write_guard(addr, len(values))
-        self.write_count += len(values)
-        for i, value in enumerate(values):
-            a = addr + i * WORD_SIZE
-            self._data[a : a + WORD_SIZE] = (value & WORD_MASK).to_bytes(
-                WORD_SIZE, "little"
-            )
+            self.write_guard(addr, nwords)
+        self.write_count += nwords
+        struct.pack_into("<%dI" % nwords, self._data, addr,
+                         *[value & WORD_MASK for value in values])
         if self._watches:
-            end = addr + len(values) * WORD_SIZE
+            end = addr + nwords * WORD_SIZE
             for watched, callbacks in self._watches.items():
                 if addr <= watched < end:
                     for callback in callbacks:

@@ -8,7 +8,7 @@ each sender to each receiver" (paper section 3).
 This package models that backplane at flit level:
 
 - :mod:`~repro.mesh.packet` -- network packet format with CRC-16, and
-  serialisation to flits.
+  its size in flits.
 - :mod:`~repro.mesh.link` -- unidirectional flit channels with bounded
   buffering (backpressure) and per-flit transfer time.
 - :mod:`~repro.mesh.router` -- a 5-port wormhole router using dimension-
@@ -18,14 +18,13 @@ This package models that backplane at flit level:
   and attaches node NICs to injection/ejection ports.
 """
 
-from repro.mesh.packet import Packet, Flit, crc16, PacketError
+from repro.mesh.packet import Packet, crc16, PacketError
 from repro.mesh.link import Link
 from repro.mesh.router import Router, RoutingError
 from repro.mesh.backplane import Backplane
 
 __all__ = [
     "Packet",
-    "Flit",
     "crc16",
     "PacketError",
     "Link",

@@ -149,7 +149,7 @@ class Backplane:
         return self._ejection[node_id]
 
     def inject(self, node_id, packet):
-        """Generator: serialise ``packet`` into flits and send them.
+        """Generator: send ``packet`` as a worm of its flit count.
 
         This is the NIC-side transmit path; it blocks under backpressure
         exactly like real wormhole injection.  The injection port admits
@@ -160,7 +160,8 @@ class Backplane:
         lock = self._injection_locks[node_id]
         yield from lock.acquire(packet)
         try:
-            yield from link.send_burst(packet.to_flits(self.params.flit_bytes))
+            yield from link.send_burst(
+                packet, packet.flit_count(self.params.flit_bytes))
         finally:
             lock.release()
 
@@ -178,21 +179,20 @@ class Backplane:
         """
         link = self._ejection[node_id]
         yield from link.arrival()
-        flits, index, _ = link.take(self.sim._now)
-        head = flits[index]
-        if not head.is_head:
+        packet, index, _ = link.take(self.sim._now)
+        if index:
             raise RuntimeError("ejection out of sync at node %d" % node_id)
-        packet = head.packet
-        tail = head.is_tail
+        tail_index = packet.flit_count(self.params.flit_bytes) - 1
+        tail = index == tail_index
         while not tail:
             if not link.runs:
-                flit = yield from link.receive()
-                if flit.packet is not packet:
+                worm, index = yield from link.receive()
+                if worm is not packet:
                     raise RuntimeError("interleaved worms at node %d" % node_id)
-                tail = flit.is_tail
+                tail = index == tail_index
                 continue
             try:
-                last, tail = link.drain(flits)
+                last, tail = link.drain(packet)
             except ValueError:
                 raise RuntimeError(
                     "interleaved worms at node %d" % node_id) from None

@@ -11,8 +11,11 @@ for every flit, and a reader that pops each flit once it has arrived.
 This link computes the same schedule arithmetically, one *run* at a time
 instead of one flit at a time:
 
-- The buffer holds **entry runs** ``[t0, flits, lo, hi]``: flits
-  ``flits[lo:hi]`` of one worm, arriving ``t0, t0+f, t0+2f, ...``.  A
+- A worm is its packet and its flit count: flit ``index`` of a
+  ``count``-flit worm is the head when ``index == 0`` and the tail when
+  ``index == count - 1``.  No per-flit object exists.
+- The buffer holds **entry runs** ``[t0, packet, lo, hi, count]``:
+  flits ``lo..hi-1`` of one worm, arriving ``t0, t0+f, t0+2f, ...``.  A
   flit is only handed to the reader once its stamp matures, so arrival
   times are those of the per-flit model.
 - A reader that consumes flits ahead of time (the router forwards a run
@@ -44,9 +47,11 @@ Each link has exactly one writer (wormhole switching holds the upstream
 output port; injection ports are mutex-guarded) and one reader (the
 downstream router's input process or the NIC accept loop), which is what
 makes the stamp and free-time bookkeeping race-free.
-"""
 
-from collections import deque
+Both buffers are plain lists: each holds at most ``capacity`` runs, so
+dropping the oldest costs no more than a deque's ``popleft``, and an
+empty list costs a fraction of an empty deque on a 1024-node mesh.
+"""
 
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Signal, Timeout, Wait
@@ -61,8 +66,8 @@ class Link:
         self.name = name
         self.capacity = params.input_buffer_flits
         self._flit_ns = params.link_flit_ns
-        self.runs = deque()  # entry runs [t0, flits, lo, hi], oldest first
-        self._frees = deque()  # free runs [t0, n], non-decreasing
+        self.runs = []  # entry runs [t0, packet, lo, hi, count], oldest first
+        self._frees = []  # free runs [t0, n], non-decreasing
         self._held = 0  # flits buffered: the entry runs' total length
         self._owed = 0  # consumed-ahead slots not yet free: the free runs' total
         self._not_before = 0  # the parked reader resumes no earlier than this
@@ -104,7 +109,7 @@ class Link:
             done = n if not f else min(n, (now - t0) // f + 1)
             self._owed -= done
             if done == n:
-                frees.popleft()
+                del frees[0]
             else:
                 run[0] = t0 + done * f
                 run[1] = n - done
@@ -144,21 +149,23 @@ class Link:
         else:
             signal.fire()
 
-    def _append(self, land, flits, lo, n):
-        """Buffer ``flits[lo:lo+n]`` landing at ``land, land+f, ...``."""
+    def _append(self, land, packet, count, lo, n):
+        """Buffer flits ``lo..lo+n-1`` of the ``count``-flit worm
+        ``packet``, landing at ``land, land+f, ...``."""
         runs = self.runs
         self._held += n
         if runs:
             last = runs[-1]
-            if (last[1] is flits and last[3] == lo
+            if (last[1] is packet and last[3] == lo
                     and last[0] + (lo - last[2]) * self._flit_ns == land):
                 last[3] = lo + n
                 return
-        runs.append([land, flits, lo, lo + n])
+        runs.append([land, packet, lo, lo + n, count])
 
-    def _fill(self, flits, lo, hi, ready, done, src):
-        """Place ``flits[lo:hi]`` (ready at ``ready, ready+f, ...``) into
-        claimable slots, after a predecessor that landed at ``done``.
+    def _fill(self, packet, count, lo, hi, ready, done, src):
+        """Place flits ``lo..hi-1`` of the ``count``-flit worm ``packet``
+        (ready at ``ready, ready+f, ...``) into claimable slots, after a
+        predecessor that landed at ``done``.
 
         Returns ``(placed, done)``.  Slots are claimed in order, free ones
         first, then the declared future frees; one closed-form step per
@@ -195,11 +202,11 @@ class Link:
                     src._declare(read, 1)
                     if n > 1:
                         src._declare(land, n - 1)
-            self._append(land, flits, lo, n)
+            self._append(land, packet, count, lo, n)
             if free_now <= 0:
                 self._owed -= n
                 if n == left:
-                    frees.popleft()
+                    del frees[0]
                 else:
                     run[0] = slot + n * f
                     run[1] = left - n
@@ -217,10 +224,6 @@ class Link:
 
     # -- fault-injection hook (see repro.faults) -------------------------------
 
-    @property
-    def is_down(self):
-        return self._down
-
     def set_down(self, down):
         """Pull (or reconnect) the cable.
 
@@ -237,8 +240,9 @@ class Link:
         if not down:
             self._not_full.fire()
 
-    def send_burst(self, flits):
-        """Generator: transfer the worm ``flits`` run by run.
+    def send_burst(self, packet, count):
+        """Generator: transfer the ``count``-flit worm ``packet`` run by
+        run.
 
         Arrival times and backpressure blocking are identical to the
         per-flit reference: a transfer time, then a blocking put, per
@@ -250,13 +254,13 @@ class Link:
         """
         sim = self.sim
         lo = 0
-        hi = len(flits)
         done = sim._now  # reference completion time of the previous flit
-        while lo < hi:
+        while lo < count:
             if not self.claimable():
                 yield from self.wait_claimable()
                 continue
-            placed, done = self._fill(flits, lo, hi, done, done, None)
+            placed, done = self._fill(packet, count, lo, count, done, done,
+                                      None)
             lo += placed
             self.flits_moved.bump(placed)
             if self._not_empty._waiters:
@@ -264,17 +268,18 @@ class Link:
         if done > sim._now:
             yield Timeout(done - sim._now)
 
-    def put(self, flits, index, earliest):
-        """Place ``flits[index]`` at ``max(earliest, first claimable slot)``
-        -- the instant the reference's blocked put would complete for a
-        transfer finishing at ``earliest``.  Returns the landing time.
+    def put(self, packet, count, index, earliest):
+        """Place flit ``index`` of the ``count``-flit worm ``packet`` at
+        ``max(earliest, first claimable slot)`` -- the instant the
+        reference's blocked put would complete for a transfer finishing
+        at ``earliest``.  Returns the landing time.
 
         The caller must have made sure a slot is claimable (see
         :meth:`wait_claimable`).
         """
         f = self._flit_ns
-        placed, land = self._fill(flits, index, index + 1, earliest - f,
-                                  earliest - f, None)
+        placed, land = self._fill(packet, count, index, index + 1,
+                                  earliest - f, earliest - f, None)
         if not placed:
             raise RuntimeError("%s: put with no claimable slot" % self.name)
         self.flits_moved.bump()
@@ -298,8 +303,8 @@ class Link:
         placed = 0
         while runs:
             run = runs[0]
-            t0, flits, lo, hi = run
-            n, done = self._fill(flits, lo, hi, t0, done, src)
+            t0, packet, lo, hi, count = run
+            n, done = self._fill(packet, count, lo, hi, t0, done, src)
             if not n:
                 break
             placed += n
@@ -307,8 +312,8 @@ class Link:
                 run[0] = t0 + n * self._flit_ns
                 run[2] = lo + n
                 break
-            runs.popleft()
-            if hi == len(flits):
+            del runs[0]
+            if hi == count:
                 break
         if placed:
             src._held -= placed
@@ -324,9 +329,11 @@ class Link:
     def ckpt_capture(self):
         """Buffered flits plus declared future-free times, one record each.
 
-        Flits of one packet share the packet object; the capture dedupes by
-        identity (``packet_index`` into a side table) so the restore
-        rebuilds exactly one Packet per wormhole, not one per flit.
+        Each record is ``[ready_at, packet_index, flit_index, is_head,
+        is_tail]``.  Flits of one worm share its packet; the capture
+        dedupes by identity (``packet_index`` into a side table) so the
+        restore rebuilds exactly one Packet per wormhole, not one per
+        flit.
         System-level safepoints require links *idle* (no entries, no
         outstanding frees), but the component capture is general so link
         state round-trips in isolation tests.
@@ -336,17 +343,15 @@ class Link:
         packet_states = []
         packet_index_by_id = {}
         entries = []
-        for t0, flits, lo, hi in self.runs:
+        for t0, packet, lo, hi, count in self.runs:
+            packet_index = packet_index_by_id.get(id(packet))
+            if packet_index is None:
+                packet_index = len(packet_states)
+                packet_index_by_id[id(packet)] = packet_index
+                packet_states.append(packet.to_state())
             for index in range(lo, hi):
-                flit = flits[index]
-                key = id(flit.packet)
-                packet_index = packet_index_by_id.get(key)
-                if packet_index is None:
-                    packet_index = len(packet_states)
-                    packet_index_by_id[key] = packet_index
-                    packet_states.append(flit.packet.to_state())
-                entries.append([t0 + (index - lo) * f, packet_index,
-                                flit.index, flit.is_head, flit.is_tail])
+                entries.append([t0 + (index - lo) * f, packet_index, index,
+                                index == 0, index == count - 1])
         frees = [t0 + k * f for t0, n in self._frees for k in range(n)]
         return {"packets": packet_states, "entries": entries, "frees": frees}
 
@@ -354,24 +359,24 @@ class Link:
         from repro.mesh.packet import PacketError, Packet
 
         # The counters are rebuilt with the runs, never carried over.
-        self.runs = deque()
-        self._frees = deque()
+        self.runs = []
+        self._frees = []
         self._held = 0
         self._owed = 0
         self._not_before = 0
-        worms = [
-            Packet.from_state(ps).to_flits(self.params.flit_bytes)
-            for ps in state["packets"]
-        ]
+        packets = [Packet.from_state(ps) for ps in state["packets"]]
+        counts = [packet.flit_count(self.params.flit_bytes)
+                  for packet in packets]
         for ready_at, packet_index, flit_index, is_head, is_tail in state["entries"]:
-            flits = worms[packet_index]
-            if (flit_index >= len(flits) or flits[flit_index].is_head != is_head
-                    or flits[flit_index].is_tail != is_tail):
+            count = counts[packet_index]
+            if (not 0 <= flit_index < count or is_head != (flit_index == 0)
+                    or is_tail != (flit_index == count - 1)):
                 raise PacketError(
                     "%s: restored flit %d does not fit its packet"
                     % (self.name, flit_index)
                 )
-            self._append(ready_at, flits, flit_index, 1)
+            self._append(ready_at, packets[packet_index], count, flit_index,
+                         1)
         for free_at in state["frees"]:
             self._declare(free_at, 1)
 
@@ -437,13 +442,13 @@ class Link:
     def take(self, done):
         """Consume the oldest buffered flit as a reader that is busy until
         ``done`` would: it is read at ``max(stamp, done)``, which becomes
-        its slot's free time.  Returns ``(flits, index, read_at)``.
+        its slot's free time.  Returns ``(packet, index, read_at)``.
         """
         runs = self.runs
         run = runs[0]
-        t0, flits, lo, hi = run
+        t0, packet, lo, hi, _ = run
         if lo + 1 == hi:
-            runs.popleft()
+            del runs[0]
         else:
             run[0] = t0 + self._flit_ns
             run[2] = lo + 1
@@ -452,21 +457,21 @@ class Link:
         self._declare(read, 1)
         if self._not_full._waiters:
             self._not_full.fire()
-        return flits, lo, read
+        return packet, lo, read
 
     def receive(self):
         """Generator: take the next flit, blocking while the link is empty.
 
         A deposited flit is only handed over once its transfer-completion
-        stamp matures.
+        stamp matures.  Returns ``(packet, index)``.
         """
         yield from self.arrival()
-        flits, index, _ = self.take(self.sim._now)
-        return flits[index]
+        packet, index, _ = self.take(self.sim._now)
+        return packet, index
 
-    def drain(self, flits):
-        """Consume the buffered flits of worm ``flits``, through its tail at
-        most, as a reader with no think time: each is read at
+    def drain(self, packet):
+        """Consume the buffered flits of worm ``packet``, through its tail
+        at most, as a reader with no think time: each is read at
         ``max(stamp, now)``, which becomes its slot's free time.
 
         Returns ``(last read time, tail reached)``.  Raises
@@ -478,17 +483,17 @@ class Link:
         taken = 0
         tail = False
         while runs:
-            t0, worm, lo, hi = runs[0]
-            if worm is not flits:
+            t0, worm, lo, hi, count = runs[0]
+            if worm is not packet:
                 raise ValueError("%s: interleaved worms" % self.name)
-            runs.popleft()
+            del runs[0]
             n = hi - lo
             taken += n
             self._declare(t0, n)
             end = t0 + (n - 1) * self._flit_ns
             if end > last:
                 last = end
-            if hi == len(flits):
+            if hi == count:
                 tail = True
                 break
         self._held -= taken

@@ -1,11 +1,13 @@
-"""Network packet format, CRC and flit serialisation.
+"""Network packet format, CRC and flit count.
 
 "A packet consists of routing information, the absolute mesh coordinates of
 the intended receiver, destination memory address, data, and a CRC checksum
 to detect network errors." (paper section 3.1)
 
-Packets are serialised into 16-bit flits for wormhole transmission; the
-head flit carries the routing information, the tail flit carries the CRC.
+Packets travel as worms of 16-bit flits; the head flit carries the
+routing information, the tail flit carries the CRC.  A worm is its packet
+and :meth:`Packet.flit_count` -- no per-flit object exists (see
+:mod:`repro.mesh.link`).
 """
 
 import binascii
@@ -129,14 +131,6 @@ class Packet:
     def flit_count(self, flit_bytes):
         return -(-self.size_bytes // flit_bytes)  # ceiling division
 
-    def to_flits(self, flit_bytes):
-        """Serialise into a head...tail flit sequence for wormhole routing."""
-        count = self.flit_count(flit_bytes)
-        return [
-            Flit(self, index, is_head=(index == 0), is_tail=(index == count - 1))
-            for index in range(count)
-        ]
-
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
     def to_state(self):
@@ -183,18 +177,3 @@ class Packet:
             len(self.payload),
         )
 
-
-class Flit:
-    """One flow-control unit of a packet on a link."""
-
-    __slots__ = ("packet", "index", "is_head", "is_tail")
-
-    def __init__(self, packet, index, is_head, is_tail):
-        self.packet = packet
-        self.index = index
-        self.is_head = is_head
-        self.is_tail = is_tail
-
-    def __repr__(self):
-        marks = ("H" if self.is_head else "") + ("T" if self.is_tail else "")
-        return "Flit(%d%s of %r)" % (self.index, marks, self.packet)

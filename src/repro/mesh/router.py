@@ -177,14 +177,12 @@ class Router:
                 if resumed is not None:
                     ref = resumed
                     continue
-            flits, index, read = in_link.take(ref)
-            head = flits[index]
-            if not head.is_head:
+            packet, index, read = in_link.take(ref)
+            if index:
                 raise RoutingError(
-                    "%s.%s: worm out of sync, got %r expecting a head flit"
-                    % (self.name, port, head)
+                    "%s.%s: worm out of sync, got flit %d of %r expecting "
+                    "a head flit" % (self.name, port, index, packet)
                 )
-            packet = head.packet
             out_name = self.route(packet.routing_coords)
             output = self.outputs[out_name]
             if output.link is None:
@@ -200,7 +198,8 @@ class Router:
             yield from output.mutex.acquire(owner=packet)
             ref = sim._now
             try:
-                ref = yield from self._forward_worm(flits, in_link, output.link)
+                ref = yield from self._forward_worm(packet, in_link,
+                                                    output.link)
             finally:
                 output.mutex.release_at(ref)
             self.packets_routed.bump()
@@ -214,8 +213,9 @@ class Router:
                     dest=list(packet.dest_coords),
                 )
 
-    def _forward_worm(self, flits, in_link, out_link):
-        """Generator: forward the worm ``flits`` (head in hand) to its tail.
+    def _forward_worm(self, packet, in_link, out_link):
+        """Generator: forward the worm ``packet`` (head in hand) to its
+        tail.
 
         The per-flit reference behaviour is receive (waiting for the flit's
         arrival stamp), then send (one link transfer time, blocking while
@@ -244,7 +244,7 @@ class Router:
         """
         flit_ns = self.params.link_flit_ns
         sim = self.sim
-        last = len(flits) - 1
+        count = packet.flit_count(self.params.flit_bytes)
         # The head flit is placed arithmetically too: it lands at
         # ``max(transfer done, claimed slot time)``, parking first only if
         # nothing is claimable -- exactly the blocking send, minus its
@@ -252,9 +252,9 @@ class Router:
         transfer_done = sim._now + flit_ns
         if not out_link.claimable():
             yield from out_link.wait_claimable()
-        done = out_link.put(flits, 0, transfer_done)
-        count = 1
-        while count <= last:
+        done = out_link.put(packet, count, 0, transfer_done)
+        moved = 1
+        while moved < count:
             if not in_link.runs:
                 # Worm strung out upstream: the reference reader is busy
                 # until ``done`` and then blocks in receive().
@@ -262,7 +262,7 @@ class Router:
                 continue
             done, placed = out_link.pull(in_link, done)
             if placed:
-                count += placed
+                moved += placed
                 continue
             # Starved: take the next flit exactly when the reference
             # reader would, then park until the downstream reader frees a
@@ -270,7 +270,7 @@ class Router:
             # worm costs one event per flit.
             _, index, read = in_link.take(done)
             yield from out_link.wait_claimable()
-            done = out_link.put(flits, index, read + flit_ns)
-            count += 1
+            done = out_link.put(packet, count, index, read + flit_ns)
+            moved += 1
         self.flits_forwarded.bump(count)
         return done

@@ -242,12 +242,3 @@ class PacketFifo:
         """
         while self.above_threshold:
             yield Wait(self._changed)
-
-    def wait_drained(self):
-        """Generator: block until the FIFO is completely empty."""
-        while self._packets:
-            yield Wait(self._changed)
-
-    def wait_nonempty(self):
-        while not self._packets:
-            yield Wait(self._changed)

@@ -96,7 +96,7 @@ class ArrivalSignal(Signal):
         self._waiters = parked
 
     def _add_waiter(self, process, request=None):
-        self._waiters.append(process)
+        super()._add_waiter(process, request)
         if type(request) is WaitDeposit:
             self._spans[process] = (request.start, request.end)
 

@@ -142,25 +142,33 @@ class NiptEntry:
 class Nipt:
     """The table: one :class:`NiptEntry` per page of local physical memory.
 
-    An entry is built on the first :meth:`entry` call for its page; until
-    then its slot holds None, which reads as a default entry (no halves,
-    not mapped in, no interrupt or resident bit).  A machine that touches
-    a few pages per node so pays for a few entries, not one per page.
+    An entry is built on the first :meth:`entry` call for its page and
+    kept in a dict by page number; a page without one reads as a default
+    entry (no halves, not mapped in, no interrupt or resident bit).  A
+    machine that touches a few pages per node so pays for a few entries,
+    not one slot per page.  Enumerations walk the built pages in page
+    order, as a scan of the full table would.
     """
 
     def __init__(self, dram_pages):
-        self.entries = [None] * dram_pages
+        self._pages = dram_pages
+        self.entries = {}  # page -> NiptEntry, built on first use
 
     def __len__(self):
-        return len(self.entries)
+        return self._pages
 
     def entry(self, page):
-        if not 0 <= page < len(self.entries):
+        if not 0 <= page < self._pages:
             raise NiptError("no NIPT entry for page %r" % (page,))
-        entry = self.entries[page]
+        entry = self.entries.get(page)
         if entry is None:
             entry = self.entries[page] = NiptEntry()
         return entry
+
+    def _built(self):
+        """``(page, entry)`` for every built entry, in page order."""
+        entries = self.entries
+        return [(page, entries[page]) for page in sorted(entries)]
 
     def map_out(self, page, half):
         self.entry(page).add_half(half)
@@ -190,12 +198,10 @@ class Nipt:
         return self.entry(page).dsm_resident
 
     def mapped_out_pages(self):
-        return [i for i, e in enumerate(self.entries)
-                if e is not None and e.mapped_out]
+        return [page for page, entry in self._built() if entry.mapped_out]
 
     def mapped_in_pages(self):
-        return [i for i, e in enumerate(self.entries)
-                if e is not None and e.mapped_in]
+        return [page for page, entry in self._built() if entry.mapped_in]
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
@@ -205,8 +211,8 @@ class Nipt:
         The ``dsm_resident`` key is likewise emitted only when set, so
         non-DSM checkpoints are byte-identical to the pre-DSM format."""
         pages = []
-        for page, entry in enumerate(self.entries):
-            if entry is None or not (entry.halves or entry.mapped_in
+        for page, entry in self._built():
+            if not (entry.halves or entry.mapped_in
                     or entry.interrupt_on_arrival or entry.dsm_resident):
                 continue
             entry_state = {
@@ -229,7 +235,7 @@ class Nipt:
         return {"pages": pages}
 
     def ckpt_restore(self, state):
-        self.entries = [None] * len(self.entries)
+        self.entries = {}
         for page, entry_state in state["pages"]:
             entry = self.entry(page)
             for half_state in entry_state["halves"]:

@@ -94,9 +94,3 @@ class MapArgs:
             return self.MODE_CODES[self.mode_code]
         except KeyError:
             raise SyscallError("unknown mapping mode code %r" % (self.mode_code,))
-
-
-class UnmapArgs:
-    """Layout of the UNMAP argument block: [mapping_id]."""
-
-    WORDS = 1

@@ -200,6 +200,14 @@ _TIMESERIES = "timeseries"
 _HISTOGRAM = "histogram"
 _PROBE = "probe"
 
+# A metric's kind follows from its type; any other callable is a probe.
+_KIND_OF_TYPE = {Counter: _COUNTER, TimeSeries: _TIMESERIES,
+                 Histogram: _HISTOGRAM}
+
+
+def _kind_of(metric):
+    return _KIND_OF_TYPE.get(type(metric), _PROBE)
+
 
 class Instrumentation:
     """Per-simulator metrics registry and event bus.
@@ -218,7 +226,10 @@ class Instrumentation:
         # checkpoint: the hub captures *metric* state only, and a restored
         # run re-attaches its own consumers (see docs/checkpoint.md).
         self.active = False  # simlint: ignore[SL201] observer wiring
-        self._metrics = {}  # name -> (kind, metric object or probe callable)
+        # name -> metric object or probe callable; the kind is derived
+        # from its type (_kind_of), so a 1024-node build stores no
+        # (kind, metric) pair per name
+        self._metrics = {}
         self._collecting = False  # simlint: ignore[SL201] observer wiring
         self._only_kinds = None  # simlint: ignore[SL201] observer wiring
         self._limit = None  # simlint: ignore[SL201] observer wiring
@@ -241,16 +252,16 @@ class Instrumentation:
     # -- metric registration ---------------------------------------------------
 
     def _register(self, name, kind, factory):
-        entry = self._metrics.get(name)
-        if entry is not None:
-            if entry[0] != kind:
+        metric = self._metrics.get(name)
+        if metric is not None:
+            have = _kind_of(metric)
+            if have != kind:
                 raise MetricError(
                     "metric %r already registered as %s, not %s"
-                    % (name, entry[0], kind)
+                    % (name, have, kind)
                 )
-            return entry[1]
-        metric = factory(name)
-        self._metrics[name] = (kind, metric)
+            return metric
+        metric = self._metrics[name] = factory(name)
         return metric
 
     def counter(self, name):
@@ -273,13 +284,13 @@ class Instrumentation:
         without mirroring them into a second counter.  Re-registering a
         probe name rebinds it (a rebuilt component replaces its probes).
         """
-        entry = self._metrics.get(name)
-        if entry is not None and entry[0] != _PROBE:
+        metric = self._metrics.get(name)
+        if metric is not None and _kind_of(metric) != _PROBE:
             raise MetricError(
                 "metric %r already registered as %s, not probe"
-                % (name, entry[0])
+                % (name, _kind_of(metric))
             )
-        self._metrics[name] = (_PROBE, fn)
+        self._metrics[name] = fn
         return fn
 
     # -- metric queries ----------------------------------------------------------
@@ -302,10 +313,11 @@ class Instrumentation:
         return self._lookup(name)[1]
 
     def _lookup(self, name):
-        entry = self._metrics.get(name)
-        if entry is None:
+        """``(kind, metric)`` for ``name``."""
+        metric = self._metrics.get(name)
+        if metric is None:
             raise MetricError("no metric registered under %r" % name)
-        return entry
+        return _kind_of(metric), metric
 
     def value(self, name):
         """The scalar reading of a metric: counter value, probe result,
@@ -449,7 +461,7 @@ class Instrumentation:
         """
         metrics = {}
         for name in sorted(self._metrics):
-            kind, metric = self._metrics[name]
+            kind, metric = self._lookup(name)
             if kind == _PROBE:
                 continue
             metrics[name] = {"kind": kind, "state": metric.ckpt_capture()}
@@ -466,13 +478,13 @@ class Instrumentation:
         from repro.ckpt.protocol import CkptError
 
         for name, entry in state["metrics"].items():
-            registered = self._metrics.get(name)
-            if registered is None:
+            metric = self._metrics.get(name)
+            if metric is None:
                 raise CkptError(
                     "checkpoint names metric %r that this machine does not "
                     "register (configuration mismatch)" % name
                 )
-            kind, metric = registered
+            kind = _kind_of(metric)
             if kind != entry["kind"]:
                 raise CkptError(
                     "metric %r is a %s in the checkpoint but a %s here"

@@ -43,6 +43,10 @@ class Signal:
     and delivers ``value`` to each.  A signal can be fired any number of
     times; only the waiters present at fire time are woken (no buffering --
     use :class:`repro.sim.resources.BoundedQueue` for buffered hand-off).
+
+    With nobody parked, ``_waiters`` is the shared empty tuple; the first
+    park builds the list.  Most signals of a large machine never see a
+    waiter, so they cost no list.
     """
 
     __slots__ = ("sim", "name", "_waiters", "fire_count", "_watchers")
@@ -50,7 +54,7 @@ class Signal:
     def __init__(self, sim, name="signal"):
         self.sim = sim
         self.name = name
-        self._waiters = []
+        self._waiters = ()
         self.fire_count = 0
         self._watchers = None  # callbacks run synchronously by fire()
 
@@ -79,7 +83,7 @@ class Signal:
         waiters = self._waiters
         if not waiters:
             return
-        self._waiters = []
+        self._waiters = ()
         post = self.sim.post
         for process in waiters:
             post(process._resume, value)
@@ -109,13 +113,14 @@ class Signal:
         """Park ``process``; ``request`` is the :class:`Wait` it yielded
         (None for the bare-signal shorthand), for subclasses that filter
         whom a fire wakes."""
-        self._waiters.append(process)
+        if self._waiters:
+            self._waiters.append(process)
+        else:
+            self._waiters = [process]
 
     def _remove_waiter(self, process):
-        try:
+        if process in self._waiters:
             self._waiters.remove(process)
-        except ValueError:
-            pass
 
     def __repr__(self):
         return "Signal(%s, %d waiting)" % (self.name, len(self._waiters))

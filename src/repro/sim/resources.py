@@ -140,9 +140,6 @@ class BoundedQueue:
     def is_full(self):
         return self.capacity is not None and len(self._items) >= self.capacity
 
-    def is_empty(self):
-        return not self._items
-
     def close(self):
         """No further puts; pending/ future gets drain then raise QueueClosed."""
         self._closed = True

@@ -46,12 +46,23 @@ class TestHubRegistry:
         assert hub.value("nic.delivered") == 3
 
     def test_kind_clash_raises(self):
+        """The registry stores the metric alone; its kind comes from its
+        type, so every clash still names the kind registered first."""
         hub = Instrumentation.of(Simulator())
-        hub.counter("x")
-        with pytest.raises(MetricError):
-            hub.timeseries("x")
-        with pytest.raises(MetricError):
-            hub.probe("x", lambda: 1)
+        register = {"counter": hub.counter, "timeseries": hub.timeseries,
+                    "histogram": hub.histogram,
+                    "probe": lambda name: hub.probe(name, lambda: 0)}
+        for kind, make in register.items():
+            make("m." + kind)
+            assert hub.kind("m." + kind) == kind
+        for have, new in [(a, b) for a in register for b in register
+                          if a != b]:
+            with pytest.raises(MetricError, match="already registered as %s, "
+                               "not %s" % (have, new)):
+                register[new]("m." + have)
+            assert hub.kind("m." + have) == have
+        assert sorted(hub.ckpt_capture()["metrics"]) == [
+            "m.counter", "m.histogram", "m.timeseries"]
 
     def test_timeseries_and_histogram(self):
         hub = Instrumentation.of(Simulator())
@@ -75,8 +86,12 @@ class TestHubRegistry:
         state["n"] = 7
         assert hub.value("cpu.instructions") == 7
         # Probes rebind (a rebuilt component replaces its probes).
-        hub.probe("cpu.instructions", lambda: -1)
+        rebound = hub.probe("cpu.instructions", lambda: -1)
         assert hub.value("cpu.instructions") == -1
+        assert hub.get("cpu.instructions") is rebound
+        assert hub.names() == ["cpu.instructions"]
+        assert hub.summary("cpu.instructions") == {"kind": "probe",
+                                                   "value": -1}
 
     def test_names_prefix_filter_and_unknown(self):
         hub = Instrumentation.of(Simulator())

@@ -18,6 +18,7 @@ from repro.sim.process import Process, Timeout
 from repro.sim.resources import BoundedQueue
 
 FLIT_NS = 10
+WORM = object()  # the packet a worm carries; these tests only count flits
 
 
 class _Params:
@@ -37,9 +38,9 @@ class _RefLink:
         yield Timeout(self.params.link_flit_ns)
         yield from self._buffer.put(flit)
 
-    def send_burst(self, flits):
-        for flit in flits:
-            yield from self.send(flit)
+    def send_burst(self, worm, count):
+        for index in range(count):
+            yield from self.send((worm, index))
 
     def receive(self):
         flit = yield from self._buffer.get()
@@ -49,22 +50,23 @@ class _RefLink:
 def _run_eager_consumer(link_cls, n_flits, think_times, capacity):
     """Producer bursts n flits; consumer takes each, then thinks.
 
-    Returns [(delivery_time, flit), ...] in delivery order.
+    Returns [(delivery_time, flit index), ...] in delivery order.
     """
     sim = Simulator()
     link = link_cls(sim, _Params(capacity))
     log = []
 
     def produce():
-        yield from link.send_burst(list(range(n_flits)))
+        yield from link.send_burst(WORM, n_flits)
 
     def consume():
         for i in range(n_flits):
-            flit = yield from link.receive()
+            worm, index = yield from link.receive()
+            assert worm is WORM
             if isinstance(link, Link):
                 assert link.occupancy <= capacity
                 assert link.free_slots() >= 0
-            log.append((sim.now, flit))
+            log.append((sim.now, index))
             if think_times[i]:
                 yield Timeout(think_times[i])
 
@@ -125,14 +127,14 @@ def test_consume_ahead_reader_does_not_loosen_backpressure(
     arrivals = []
 
     def produce():
-        yield from link.send_burst(list(range(n_flits)))
+        yield from link.send_burst(WORM, n_flits)
 
     def consume():
         taken = 0
         while taken < n_flits:
             if not link.runs:
-                flit = yield from link.receive()  # pops at the arrival stamp
-                arrivals.append((sim.now, flit))
+                _, index = yield from link.receive()  # pops at the arrival stamp
+                arrivals.append((sim.now, index))
                 assert link.free_slots() >= 0
                 service = services[taken]
                 taken += 1
@@ -144,8 +146,8 @@ def test_consume_ahead_reader_does_not_loosen_backpressure(
             # are ready, the reader busy for its service time afterwards.
             reader_free = sim.now
             while link.runs:
-                flits, index, pop_at = link.take(reader_free)
-                arrivals.append((pop_at, flits[index]))
+                _, index, pop_at = link.take(reader_free)
+                arrivals.append((pop_at, index))
                 reader_free = pop_at + services[taken]
                 taken += 1
             assert link.free_slots() >= 0

@@ -259,8 +259,10 @@ class _EagerCache(Cache):
         self._build_all_ways()
 
     def _build_all_ways(self):
-        for ways in self._sets:
-            ways.extend(_Line() for _ in range(self.assoc - len(ways)))
+        self._sets = [
+            list(ways) + [_Line() for _ in range(self.assoc - len(ways))]
+            for ways in self._sets
+        ]
 
     def _victim(self, set_index):
         lines = self._sets[set_index]
@@ -342,6 +344,25 @@ def test_lazy_ways_match_eager_reference(ops):
     cache whose every way exists from the start -- across snoop
     invalidations and page flushes that leave holes in a set."""
     assert _drive(Cache, ops) == _drive(_EagerCache, ops)
+
+
+@settings(max_examples=20, deadline=None)
+@given(ops=_cache_ops)
+def test_restore_into_untouched_sets_matches_eager_reference(ops):
+    """Untouched sets are one shared empty tuple until their first fill.
+    A capture that fills one set leaves the other untouched; restoring it
+    and then running ops matches the eager reference, whose every way
+    exists from the start."""
+    sim, _bus, _mem, cache, _p = make_system(**GEOMETRY)
+    assert cache._sets[0] is cache._sets[1] == ()
+    assert cache.ckpt_capture() == {"lru_clock": 0, "lines": []}
+    state = {"lru_clock": 4, "lines": [
+        [1, 1, {"tag": 2, "dirty": True, "lru": 4, "data": [5] * 8}],
+    ]}
+    cache.ckpt_restore(state)
+    assert cache._sets[0] == () and len(cache._sets[1]) == 2
+    assert cache.ckpt_capture() == state
+    assert _drive(Cache, ops, state) == _drive(_EagerCache, ops, state)
 
 
 @settings(max_examples=20, deadline=None)

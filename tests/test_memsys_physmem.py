@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.memsys import PhysicalMemory
 from repro.memsys.address import AddressError
@@ -162,6 +162,14 @@ def _apply(mem, ref, op):
 @given(ops=st.lists(_ops, max_size=40),
        elsewhere=st.lists(st.tuples(_word_addr, _word),
                           min_size=1, max_size=8))
+# Negative and wider-than-32-bit words, written across a page boundary:
+# the stored word is the value modulo 2**32.
+@example(ops=[("write_words", 4088, [-1, (1 << 40) | 7, -(1 << 33) - 3,
+                                     1 << 32, 0x1_2345_6789]),
+              ("read_words", 4084, 7),
+              ("write_word", 0, -2),
+              ("dump_bytes", 4084, 28)],
+         elsewhere=[(4092, 5)])
 def test_lazy_memory_matches_dense_reference(ops, elsewhere):
     """Property: the anonymously mapped DRAM behaves exactly like a dense
     zero-filled ``bytearray`` -- reads, dumps, digest, and a checkpoint

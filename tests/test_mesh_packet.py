@@ -1,10 +1,39 @@
 """Unit tests for packets, CRC and flit serialisation."""
 
+from collections import namedtuple
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.mesh import Packet, crc16, PacketError
+from repro.memsys.params import MeshParams
+from repro.mesh import Link, Packet, crc16, PacketError
 from repro.mesh.packet import HEADER_BYTES, CRC_BYTES
+from repro.sim import Process, Simulator
+
+#: One flit as a per-flit reader sees it: head is index 0, tail is the
+#: last index of the packet's flit count.
+_Flit = namedtuple("_Flit", "packet index is_head is_tail")
+
+
+def _flits_over_link(pkt, flit_bytes):
+    """Send ``pkt`` down one link as a worm and read it back flit by flit."""
+    sim = Simulator()
+    link = Link(sim, MeshParams(flit_bytes=flit_bytes), "probe")
+    count = pkt.flit_count(flit_bytes)
+    got = []
+
+    def writer():
+        yield from link.send_burst(pkt, count)
+
+    def reader():
+        for _ in range(count):
+            packet, index = yield from link.receive()
+            got.append(_Flit(packet, index, index == 0, index == count - 1))
+
+    Process(sim, writer(), "writer").start()
+    Process(sim, reader(), "reader").start()
+    sim.run_until_idle()
+    return got
 
 
 def make_packet(payload=(1, 2, 3), dest=(1, 1), src=(0, 0), addr=0x1000):
@@ -58,7 +87,7 @@ def test_size_accounting():
 
 def test_flit_serialisation_structure():
     pkt = make_packet(payload=[1])
-    flits = pkt.to_flits(flit_bytes=2)
+    flits = _flits_over_link(pkt, flit_bytes=2)
     assert len(flits) == pkt.flit_count(2)
     assert flits[0].is_head and not flits[0].is_tail
     assert flits[-1].is_tail and not flits[-1].is_head
@@ -83,7 +112,7 @@ def test_single_word_packet_flit_count():
 def test_flits_cover_packet_exactly(payload, flit_bytes):
     """Property: flit count covers the packet size with no gap or overlap."""
     pkt = Packet((0, 0), (1, 0), 0x100, payload)
-    flits = pkt.to_flits(flit_bytes)
+    flits = _flits_over_link(pkt, flit_bytes)
     assert (len(flits) - 1) * flit_bytes < pkt.size_bytes <= len(flits) * flit_bytes
     assert flits[0].is_head and flits[-1].is_tail
 

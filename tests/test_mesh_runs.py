@@ -11,7 +11,7 @@ instead of sleeping until then.  These tests hold that machinery to:
 - checkpoints captured in the per-flit link's format.
 """
 
-from collections import deque
+from collections import deque, namedtuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +25,15 @@ from repro.sim.process import Signal, Wait
 
 FLIT_NS = 10
 HOP_NS = 40
+
+#: One flit of the per-flit reference: head is index 0, tail the last.
+_Flit = namedtuple("_Flit", "packet index is_head is_tail")
+
+
+def _flits(packet, flit_bytes):
+    count = packet.flit_count(flit_bytes)
+    return [_Flit(packet, index, index == 0, index == count - 1)
+            for index in range(count)]
 
 
 # -- the per-flit reference --------------------------------------------------
@@ -92,7 +101,7 @@ def _run_reference(hops, capacity, flit_bytes, words, gaps, thinks, flap):
 
     def sender():
         for i, packet in enumerate(_packets(hops, words, flit_bytes)):
-            for flit in packet.to_flits(flit_bytes):
+            for flit in _flits(packet, flit_bytes):
                 yield from links[0].send(flit)
             log.append(("sent", i, sim.now))
             yield Timeout(gaps[i])
@@ -141,9 +150,9 @@ def _run_mesh(hops, capacity, flit_bytes, words, gaps, thinks, flap,
                             sim.now))
             else:
                 while True:
-                    flit = yield from link.receive()
-                    log.append(("flit", i, flit.index, sim.now))
-                    if flit.is_tail:
+                    packet, index = yield from link.receive()
+                    log.append(("flit", i, index, sim.now))
+                    if index == packet.flit_count(flit_bytes) - 1:
                         break
             yield Timeout(thinks[i])
 
@@ -376,13 +385,13 @@ def test_per_flit_capture_restores_into_runs():
     packet = Packet((1, 1), (1, 0), 0x3000, list(range(12)))
 
     def writer():
-        yield from link.send_burst(packet.to_flits(params.flit_bytes))
+        yield from link.send_burst(packet, packet.flit_count(params.flit_bytes))
         log.append(("written", sim.now))
 
     def reader():
         for _ in range(7 + 33):
-            flit = yield from link.receive()
-            log.append((sim.now, flit.packet.dest_addr, flit.index))
+            worm, index = yield from link.receive()
+            log.append((sim.now, worm.dest_addr, index))
             yield Timeout(15)
 
     Process(sim, writer(), "writer").start()

@@ -147,6 +147,41 @@ class TestNipt:
         # Reading built default entries; the capture must not list them.
         assert nipt.ckpt_capture() == before
 
+    def test_sparse_capture_restore_capture_is_a_fixed_point(self):
+        """Entries live in a dict of built pages: a restore into a table
+        that built other pages drops them, enumerations come back in page
+        order whatever the build order, and capture -> restore -> capture
+        reproduces the state exactly."""
+        nipt = Nipt(64)
+        nipt.map_in(40)
+        nipt.map_out(9, half(0, 2048, node=2, dest=0x8000))
+        nipt.map_out(9, half(2048, 4096, node=3, dest=0x9000,
+                             mode=MappingMode.DELIBERATE))
+        nipt.set_dsm_resident(17, True)
+        nipt.entry(33)  # built, but default: not captured
+        nipt.map_in(2)
+        nipt.entry(2).interrupt_on_arrival = True
+        state = nipt.ckpt_capture()
+        assert [page for page, _ in state["pages"]] == [2, 9, 17, 40]
+
+        other = Nipt(64)
+        other.map_out(5, half())
+        other.map_in(60)
+        other.ckpt_restore(state)
+        assert len(other) == 64
+        assert other.ckpt_capture() == state
+        assert other.mapped_out_pages() == [9]
+        assert other.mapped_in_pages() == [2, 40]
+        assert not other.is_mapped_in(60)
+        assert other.lookup_out(5, 0) is None
+        assert sorted(other.entries) == [2, 5, 9, 17, 40, 60]
+        with pytest.raises(NiptError):
+            other.entry(64)
+
+        third = Nipt(64)
+        third.ckpt_restore(other.ckpt_capture())
+        assert third.ckpt_capture() == state
+
     def test_mapped_machine_capture_is_pinned(self):
         """The sparse capture format of a mapped two-node machine: a
         split outgoing mapping, its mapped-in destination, and a
