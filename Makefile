@@ -25,14 +25,14 @@ pin:
 	python -m repro.scenarios pin tests/fingerprints.json
 
 # Style/defect gate: ruff when available (config in pyproject.toml),
-# then simlint (this repo's own AST invariant checker -- determinism,
-# checkpoint coverage, instrumentation hygiene, callback safety, plus
-# the whole-program protocol/vocabulary pass; see
-# docs/static-analysis.md).  The project graph is cached under
-# .lint_cache/ keyed on a tree content hash, so warm runs skip the
-# parse.  The container image may not ship ruff and installs are
-# off-limits, so fall back to a byte-compile sweep -- it still catches
-# syntax errors across every tree the real linter covers.
+# then simlint, this repo's own AST invariant checker (determinism,
+# checkpoint coverage, instrumentation hygiene, callback safety, owned
+# operations, DSM protocol order and vocabulary drift; see
+# docs/static-analysis.md).  simlint parses src and tests once and
+# passes only with zero findings; `# simlint: ignore[SLnnn] reason` is
+# its one exception mechanism.  Without ruff, fall back to a
+# byte-compile sweep -- it still catches syntax errors across every
+# tree the real linter covers.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
 		ruff check src tests benchmarks examples; \

@@ -353,9 +353,9 @@ class Cpu:
         self._timeouts = {}  # cycles -> reusable Timeout (immutable requests)
         # The parked spin, if any (captured by ckpt_capture when parked).
         self._fold = None
-        # simlint: ignore[SL201] wiring: the signal a folded spin parks on
+        # Wiring: the signal a folded spin parks on, and the request that
+        # parks on it.
         self._fold_signal = _FoldSignal(self)
-        # simlint: ignore[SL201] wiring: the request that parks on it
         self.fold_request = Wait(self._fold_signal)
         # simlint: ignore[SL201] derived from programs and params on demand
         self._spin_timings = {}  # SpinLoop -> SpinTiming on this CPU

@@ -261,8 +261,8 @@ class DsmRuntime:
             home = layout.home_of(page)
             system.nodes[home].nic.nipt.map_in(layout.frame_page(page))
 
-        # Arm the DRAM write guard (debugging backstop; SL801 is the
-        # static side).  Writes into a frame are legal from its home
+        # Arm the DRAM write guard, which keeps frame bytes behind the
+        # directory protocol.  Writes into a frame are legal from its home
         # (memory copy, recall imports) or while the local page state
         # grants or is receiving rights; anything else is a scribble.
         for node_id, node in enumerate(system.nodes):

@@ -15,8 +15,9 @@ frame would need the section 4.4 walk to also shoot down cache lines --
 a modeling shortcut documented in docs/dsm.md.
 
 ``peek``/``poke`` are the *sanctioned* zero-time escape hatch for tests
-and verification harnesses; simlint rule SL801 bans any other direct
-DRAM access to DSM frames outside ``src/repro/dsm/``.
+and verification harnesses; any other direct DRAM write into a DSM
+frame by a node without rights on the page trips the runtime's DRAM
+write guard (:class:`~repro.dsm.state.DsmError`).
 """
 
 from repro.dsm.state import READ, WRITE, DsmError

@@ -15,27 +15,6 @@ def dotted_name(node):
     return None
 
 
-def import_aliases(tree):
-    """Map local names to the fully qualified names they import.
-
-    ``import time`` -> {"time": "time"}; ``from time import perf_counter
-    as pc`` -> {"pc": "time.perf_counter"}; ``import os.path`` ->
-    {"os": "os"}.
-    """
-    aliases = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                local = alias.asname or alias.name.split(".")[0]
-                qualified = alias.name if alias.asname else local
-                aliases[local] = qualified
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                local = alias.asname or alias.name
-                aliases[local] = node.module + "." + alias.name
-    return aliases
-
-
 def resolved_call_name(node, aliases):
     """The qualified dotted name of a call target, through import aliases.
 
@@ -62,18 +41,6 @@ def self_attr(node):
     return None
 
 
-def contains_call_to(node, name):
-    """True if any call to bare ``name(...)`` appears under ``node``."""
-    for child in ast.walk(node):
-        if (
-            isinstance(child, ast.Call)
-            and isinstance(child.func, ast.Name)
-            and child.func.id == name
-        ):
-            return True
-    return False
-
-
 def literal_str_keys(dict_node):
     """The string-literal keys of an ast.Dict (non-literal keys skipped)."""
     keys = set()
@@ -81,12 +48,3 @@ def literal_str_keys(dict_node):
         if isinstance(key, ast.Constant) and isinstance(key.value, str):
             keys.add(key.value)
     return keys
-
-
-def class_methods(class_node):
-    """{name: FunctionDef} for the direct methods of a class."""
-    return {
-        item.name: item
-        for item in class_node.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }

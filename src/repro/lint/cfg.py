@@ -29,13 +29,11 @@ class Cfg:
     - ``succ``: node id -> list of ``(dst, tag)`` edges.  ``tag`` is
       ``"true"``/``"false"`` for the two sides of an ``if``/loop test,
       ``"except"`` for a potential exception edge, else ``None``.
-    - ``node_of``: maps ``id(stmt)`` back to its node id.
     """
 
     def __init__(self):
         self.stmts = {}
         self.succ = {ENTRY: []}
-        self.node_of = {}
 
     def nodes_matching(self, predicate):
         """Node ids whose statement's *shallow* expressions satisfy
@@ -100,7 +98,6 @@ class _Builder:
         self._next += 1
         self.cfg.stmts[nid] = stmt
         self.cfg.succ[nid] = []
-        self.cfg.node_of[id(stmt)] = nid
         return nid
 
     def _connect(self, edges, dst):

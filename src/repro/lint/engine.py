@@ -1,4 +1,4 @@
-"""The simlint rule engine: parsing, scoping, suppressions, baselines.
+"""The simlint rule engine: parsing, scoping, suppressions, one pass.
 
 simlint is an AST-based static checker for this repository's own
 invariants -- the contracts that golden traces, checkpoint/replay and the
@@ -6,10 +6,13 @@ instrumentation hub rely on but that ordinary linters cannot see
 (``docs/static-analysis.md`` documents every rule).  The engine is
 deliberately small:
 
-- Each rule is a :class:`Rule` subclass with a stable code (``SL1xx``
-  determinism, ``SL2xx`` checkpoint coverage, ``SL3xx`` instrumentation
-  hygiene, ``SL4xx`` callback safety), a one-line title, and a
-  ``check(module)`` generator yielding :class:`Finding` objects.
+- The linted tree is parsed once into a
+  :class:`~repro.lint.project.ProjectGraph`, and every rule runs on it.
+  A rule is a :class:`Rule` subclass with a stable code (``SL1xx``
+  determinism, ``SL2xx`` checkpoint coverage, ...), a one-line title,
+  and a ``check(graph)`` generator yielding :class:`Finding` objects;
+  a rule that looks at one file at a time implements ``check_module``
+  instead, and the default ``check`` runs it on each module in scope.
 - Rules declare a *scope*: ``"sim"`` rules only run on files under
   ``src/repro`` (simulation code), ``"all"`` rules run everywhere.  A
   fixture file can opt into a scope with a ``# simlint: scope=sim``
@@ -20,24 +23,18 @@ deliberately small:
   directly above it (the comment then applies to the next code line).
   Several codes: ``ignore[SL104,SL201]``; bare ``# simlint: ignore``
   suppresses every code.  ``# simlint: ignore-file[SLnnn]`` in the first
-  20 lines suppresses for the whole file.  Suppressions are the in-code
-  escape hatch for *deliberate* exceptions and should carry a
-  justification in the same comment.
-- A checked-in JSON *baseline* (``LINT_baseline.json``) absorbs known
-  findings so the CI gate is "zero NEW findings", not "zero findings":
-  a finding whose fingerprint (path + code + message) is in the baseline
-  with sufficient count is reported as baselined, not new.
+  20 lines suppresses for the whole file.  Suppressions are the only
+  exception mechanism: the gate is zero findings, and a coded
+  suppression must carry its justification in the same comment.
 """
 
 import ast
 import io
-import json
 import re
 import tokenize
 from pathlib import Path
 
-BASELINE_VERSION = 1
-DEFAULT_BASELINE_NAME = "LINT_baseline.json"
+from repro.lint.project import ProjectGraph
 
 # Directories never walked into: caches, and the lint fixture corpus
 # (fixture files are deliberate rule violations; tests lint them by
@@ -60,7 +57,7 @@ class LintUsageError(Exception):
 class Finding:
     """One rule violation anchored to a source line."""
 
-    __slots__ = ("code", "path", "line", "col", "message", "baselined")
+    __slots__ = ("code", "path", "line", "col", "message")
 
     def __init__(self, code, path, line, col, message):
         self.code = code
@@ -68,16 +65,6 @@ class Finding:
         self.line = line
         self.col = col
         self.message = message
-        self.baselined = False
-
-    @property
-    def fingerprint(self):
-        """Line-independent identity used for baseline matching.
-
-        Excluding the line number keeps the baseline stable across
-        unrelated edits above the finding.
-        """
-        return "%s::%s::%s" % (self.path, self.code, self.message)
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.code)
@@ -89,7 +76,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "baselined": self.baselined,
         }
 
     def __repr__(self):
@@ -102,8 +88,10 @@ class Rule:
     """Base class for simlint rules.
 
     Subclasses set ``code``, ``title`` and ``scope``, and implement
-    :meth:`check` as a generator over :class:`Finding`.  The class
-    docstring is the rule's long-form documentation (``--explain``).
+    :meth:`check` (given the whole
+    :class:`~repro.lint.project.ProjectGraph`) or :meth:`check_module`
+    (given one in-scope module) as a generator over :class:`Finding`.
+    The rule's docstring is its long-form documentation (``--explain``).
     """
 
     code = "SL000"
@@ -118,29 +106,60 @@ class Rule:
             module.path.endswith(suffix) for suffix in self.skip_path_suffixes
         )
 
-    def check(self, module):
+    def check(self, graph):
+        """Every finding in ``graph``: by default, each in-scope module's
+        :meth:`check_module` findings; cross-module rules override this."""
+        for module in graph.files:
+            if self.applies_to(module):
+                yield from self.check_module(module)
+
+    def check_module(self, module):
         raise NotImplementedError
 
-    def finding(self, module, node, message):
+    def finding(self, module, node, message, line=None):
         return Finding(
             self.code, module.path,
-            getattr(node, "lineno", 1), getattr(node, "col_offset", 0),
+            line or getattr(node, "lineno", 1), getattr(node, "col_offset", 0),
             message,
         )
 
 
 class ParsedModule:
-    """One parsed source file plus its suppression and scope pragmas."""
+    """One parsed source file plus its suppression and scope pragmas.
+
+    The project graph fills in the rest: the dotted ``name``, import
+    ``aliases``, ``top_defs`` and the module-level literal ``constants``
+    and ``tables``.
+    """
 
     def __init__(self, path, source):
         self.path = path  # posix-style, as given on the command line
-        self.source = source
         self.tree = ast.parse(source, filename=path)
+        self.nodes = list(ast.walk(self.tree))  # every rule walks these
         self.suppressions = {}  # line -> set of codes, or {"*"}
         self.file_suppressions = set()
         self.unjustified = []   # (pragma line, sorted codes) missing a reason
         self.scope = self._infer_scope(path)
-        self._scan_pragmas(source)
+        if "simlint:" in source:
+            self._scan_pragmas(source)
+        self.name = None          # dotted module name, or None
+        self.is_package = False
+        self.aliases = {}         # local name -> qualified dotted name
+        self.top_defs = {}        # top-level def/class/assign name -> node
+        self.constants = {}       # module-level str constants
+        self.tables = {}          # module-level dicts of str literals
+
+    @property
+    def package(self):
+        """The package this module's relative imports are rooted at."""
+        if self.name is None:
+            return None
+        if self.is_package:
+            return self.name
+        return self.name.rpartition(".")[0] or None
+
+    def __repr__(self):
+        return "ParsedModule(%s)" % (self.name or self.path)
 
     @staticmethod
     def _infer_scope(path):
@@ -239,29 +258,14 @@ UNJUSTIFIED_MESSAGE = (
 )
 
 
-def run_rules(paths, rules, selected_codes=None, phases=("file", "project"),
-              cache_dir=None):
+def run_rules(paths, rules, selected_codes=None):
     """Lint ``paths`` with ``rules``; returns (findings, suppressed_count).
 
     Findings are sorted by (path, line, col, code); suppressed findings
     are dropped and only counted.  Unparseable files produce an ``SL000``
     finding instead of crashing the run (a syntax error is a finding);
     a coded suppression with no justification produces an ``SL001``.
-
-    ``phases`` selects the per-file pass (``"file"``), the whole-program
-    pass over :class:`~repro.lint.project.ProjectRule` instances
-    (``"project"``), or both.  ``cache_dir`` (a Path) enables the
-    content-hash-keyed project-graph cache: on a hit the parse and graph
-    build are skipped entirely.
     """
-    from repro.lint.project import (
-        ProjectGraph,
-        ProjectRule,
-        load_cached_graph,
-        store_cached_graph,
-        tree_digest,
-    )
-
     if selected_codes:
         known = {rule.code for rule in rules} | {"SL000", "SL001"}
         unknown = set(selected_codes) - known
@@ -270,133 +274,33 @@ def run_rules(paths, rules, selected_codes=None, phases=("file", "project"),
                 "unknown rule code(s): %s" % ", ".join(sorted(unknown))
             )
         rules = [rule for rule in rules if rule.code in selected_codes]
-    file_rules = [r for r in rules if not isinstance(r, ProjectRule)]
-    project_rules = [r for r in rules if isinstance(r, ProjectRule)]
-    run_file = "file" in phases
-    run_project = "project" in phases and bool(project_rules)
-    emit_unjustified = run_file and (
-        selected_codes is None or "SL001" in selected_codes
-    )
 
     findings = []
-    suppressed = 0
-    sources = []
-    errors = []  # (path, line, message) -> SL000
+    modules = []
     for file_path in iter_python_files(paths):
         posix = file_path.as_posix()
         try:
-            sources.append((posix, file_path.read_text(encoding="utf-8")))
-        except UnicodeDecodeError as exc:
-            errors.append((posix, 1, "unparseable: %s" % exc))
+            source = file_path.read_text(encoding="utf-8")
+            modules.append(ParsedModule(posix, source))
+        except (UnicodeDecodeError, SyntaxError) as exc:
+            line = getattr(exc, "lineno", 1) or 1
+            findings.append(
+                Finding("SL000", posix, line, 0, "unparseable: %s" % exc)
+            )
+    graph = ProjectGraph(modules)
 
-    digest = None
-    cached = None
-    if cache_dir is not None and run_project:
-        digest = tree_digest(sources)
-        cached = load_cached_graph(cache_dir, digest)
-    if cached is not None:
-        graph = cached["graph"]
-        errors.extend(cached.get("errors", ()))
-        modules = [info.parsed for _, info in sorted(graph.by_path.items())]
-    else:
-        modules = []
-        parse_errors = []
-        for posix, source in sources:
-            try:
-                modules.append(ParsedModule(posix, source))
-            except SyntaxError as exc:
-                line = getattr(exc, "lineno", 1) or 1
-                parse_errors.append((posix, line, "unparseable: %s" % exc))
-        graph = ProjectGraph(modules) if run_project else None
-        if graph is not None and digest is not None:
-            store_cached_graph(cache_dir, digest, graph, parse_errors)
-        errors.extend(parse_errors)
-
-    for posix, line, message in errors:
-        findings.append(Finding("SL000", posix, line, 0, message))
-    if run_file:
+    suppressed = 0
+    for rule in rules:
+        for finding in rule.check(graph):
+            if graph.by_path[finding.path].is_suppressed(finding):
+                suppressed += 1
+            else:
+                findings.append(finding)
+    if selected_codes is None or "SL001" in selected_codes:
         for module in modules:
-            for rule in file_rules:
-                if not rule.applies_to(module):
-                    continue
-                for finding in rule.check(module):
-                    if module.is_suppressed(finding):
-                        suppressed += 1
-                    else:
-                        findings.append(finding)
-            if emit_unjustified:
-                for line, codes in module.unjustified:
-                    findings.append(Finding(
-                        "SL001", module.path, line, 0,
-                        UNJUSTIFIED_MESSAGE % codes,
-                    ))
-    if run_project and graph is not None:
-        for rule in project_rules:
-            for finding in rule.check_project(graph):
-                info = graph.by_path.get(finding.path)
-                if info is not None and info.parsed.is_suppressed(finding):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
+            for line, codes in module.unjustified:
+                findings.append(Finding(
+                    "SL001", module.path, line, 0, UNJUSTIFIED_MESSAGE % codes,
+                ))
     findings.sort(key=Finding.sort_key)
     return findings, suppressed
-
-
-# -- baseline -----------------------------------------------------------------
-
-
-def baseline_payload(findings):
-    """The JSON document recording current findings as accepted debt."""
-    counts = {}
-    for finding in findings:
-        counts[finding.fingerprint] = counts.get(finding.fingerprint, 0) + 1
-    by_code = {}
-    for finding in findings:
-        by_code[finding.code] = by_code.get(finding.code, 0) + 1
-    return {
-        "version": BASELINE_VERSION,
-        "tool": "simlint",
-        "counts": {
-            "total": len(findings),
-            "by_code": dict(sorted(by_code.items())),
-        },
-        "findings": dict(sorted(counts.items())),
-    }
-
-
-def load_baseline(path):
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        raise LintUsageError("cannot read baseline %s: %s" % (path, exc))
-    if payload.get("version") != BASELINE_VERSION:
-        raise LintUsageError(
-            "baseline %s has version %r, expected %d"
-            % (path, payload.get("version"), BASELINE_VERSION)
-        )
-    return payload
-
-
-def apply_baseline(findings, baseline):
-    """Mark findings covered by the baseline; returns (new, stale).
-
-    ``new`` is the list of findings exceeding the baselined count for
-    their fingerprint; ``stale`` is the list of baseline fingerprints no
-    longer observed at all (candidates for a baseline refresh).
-    """
-    budget = dict(baseline.get("findings", {}))
-    new = []
-    seen = set()
-    for finding in findings:
-        seen.add(finding.fingerprint)
-        remaining = budget.get(finding.fingerprint, 0)
-        if remaining > 0:
-            budget[finding.fingerprint] = remaining - 1
-            finding.baselined = True
-        else:
-            new.append(finding)
-    stale = sorted(
-        fingerprint for fingerprint in baseline.get("findings", {})
-        if fingerprint not in seen
-    )
-    return new, stale

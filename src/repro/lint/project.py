@@ -1,98 +1,109 @@
-"""Whole-program analysis: the project graph behind the SL9xx--SL11xx rules.
+"""The project graph: the whole linted tree, parsed once, for every rule.
 
-Per-file rules see one :class:`~repro.lint.engine.ParsedModule` at a
-time; the cross-file invariants (protocol order in ``repro.dsm``,
-vocabulary drift between emitters and ``repro.analysis``, checkpoint
-coverage across inheritance) need the whole tree at once.
-:class:`ProjectGraph` is built exactly once per run from the modules the
-engine already parsed and gives rules:
+:class:`ProjectGraph` is built once per run from the parsed modules and
+gives rules:
 
 - **module resolution**: dotted module names inferred from the
   ``__init__.py`` chain, import aliases (absolute *and* relative) per
   module, and :meth:`resolve_symbol` following re-export chains
   (``from repro.dsm import DsmRuntime`` resolves to
   ``repro.dsm.runtime.DsmRuntime``);
-- **class hierarchy**: every class indexed by qualified name, base
-  classes resolved across modules, and a C3 :meth:`mro` (unresolvable
-  external bases are skipped, so ``object``/stdlib mixins do not block
-  linearization);
+- **class hierarchy**: every top-level class indexed by qualified name,
+  base classes resolved across modules, and a C3 :meth:`mro`
+  (unresolvable external bases are skipped, so ``object``/stdlib mixins
+  do not block linearization);
 - **string-literal tables**: every ``hub.emit`` site with its statically
-  resolved event kinds, every metric registration with its literal leaf,
-  and every module-level ``EVENT_KINDS``/``METRIC_LEAVES`` vocabulary
-  table -- the raw material of the SL10xx drift rules.
-
-Project rules subclass :class:`ProjectRule` and implement
-``check_project(graph)``; the engine runs them once after the per-file
-pass and routes findings through the owning module's suppressions.
-
-The graph (with its parsed modules) pickles cleanly; the CLI caches it
-under ``.lint_cache/`` keyed on a content hash of the input tree, so a
-warm whole-program pass skips parsing entirely.
+  resolved event kinds, every metric registration with its name shape
+  and literal leaf, and every module-level ``EVENT_KINDS``/
+  ``METRIC_LEAVES`` vocabulary table.
 """
 
 import ast
-import hashlib
-import pickle
+import re
 from pathlib import PurePosixPath
 
-from repro.lint.engine import Rule
-from repro.lint.rules_instrument import (
-    EventKindLiteralRule,
-    _is_hub_receiver,
-    _name_shape,
-)
-
-GRAPH_CACHE_VERSION = 1
+from repro.lint.astutil import dotted_name
 
 #: Module-level names recognized as the central vocabulary tables.
 EVENT_VOCAB_NAME = "EVENT_KINDS"
 METRIC_VOCAB_NAME = "METRIC_LEAVES"
 
-_REGISTRATION_METHODS = {"counter", "timeseries", "histogram", "probe"}
+REGISTRATION_METHODS = {"counter", "timeseries", "histogram", "probe"}
+_HUB_RECEIVER_HINTS = ("instr", "instrumentation", "hub")
 
 
-class ProjectRule(Rule):
-    """A rule that checks the whole :class:`ProjectGraph` at once.
-
-    ``check_project(graph)`` yields findings anchored to ordinary
-    (path, line) positions; the engine applies the owning module's
-    suppression pragmas exactly as for per-file rules.  ``applies_to``
-    /``check`` are unused for project rules.
-    """
-
-    def check(self, module):  # pragma: no cover - project rules never run per-file
-        return iter(())
-
-    def check_project(self, graph):
-        raise NotImplementedError
-
-    def finding_at(self, module_info, node, message):
-        return self.finding(module_info.parsed, node, message)
-
-    def module_in_scope(self, module_info):
-        """Mirror the per-file scope contract for project rules."""
-        if self.scope == "sim" and module_info.parsed.scope != "sim":
-            return False
-        return not any(
-            module_info.path.endswith(suffix)
-            for suffix in self.skip_path_suffixes
+def _is_hub_receiver(node):
+    """Heuristic: the receiver of a call is the instrumentation hub."""
+    name = dotted_name(node)
+    if name is not None:
+        last = name.split(".")[-1].lower()
+        return any(hint in last for hint in _HUB_RECEIVER_HINTS)
+    if isinstance(node, ast.Call):
+        func_name = dotted_name(node.func)
+        return func_name is not None and func_name.endswith(
+            "Instrumentation.of"
         )
+    return False
+
+
+def name_shape(node):
+    """Flatten a metric-name expression into LIT/DYN parts.
+
+    Handles string literals, ``+`` concatenation, f-strings and
+    %-formatting (the literal skeleton is kept, placeholders become DYN).
+    Returns a list of ("lit", text) / ("dyn", None) pairs, or None when
+    the expression has a shape we cannot analyze.
+    """
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [("lit", node.value)]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left = name_shape(node.left)
+        right = name_shape(node.right)
+        if left is None or right is None:
+            return None
+        return left + right
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
+        left = name_shape(node.left)
+        if left is None:
+            return None
+        parts = []
+        for kind, text in left:
+            if kind != "lit":
+                parts.append((kind, text))
+                continue
+            for i, chunk in enumerate(re.split(r"%[sdrxf]", text)):
+                if i:
+                    parts.append(("dyn", None))
+                if chunk:
+                    parts.append(("lit", chunk))
+        return parts
+    if isinstance(node, ast.JoinedStr):
+        parts = []
+        for value in node.values:
+            if isinstance(value, ast.Constant) and isinstance(
+                value.value, str
+            ):
+                parts.append(("lit", value.value))
+            else:
+                parts.append(("dyn", None))
+        return parts
+    if isinstance(node, (ast.Name, ast.Attribute, ast.Call, ast.Subscript)):
+        return [("dyn", None)]
+    return None
 
 
 class ClassInfo:
     """One class definition: where it lives and what it inherits."""
 
-    def __init__(self, qualname, node, module_info, base_qualnames):
+    def __init__(self, qualname, node, module, base_qualnames):
         self.qualname = qualname
         self.name = node.name
         self.node = node
-        self.module = module_info
+        self.module = module
         self.base_qualnames = base_qualnames  # resolved where possible
-
-    def methods(self):
-        return {
+        self.methods = {  # name -> FunctionDef, direct methods only
             item.name: item
-            for item in self.node.body
+            for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
 
@@ -112,58 +123,32 @@ class EmitSite:
 
 
 class MetricSite:
-    """One hub metric registration and its literal leaf segment."""
+    """One hub metric registration, its name shape and literal leaf."""
 
-    __slots__ = ("module", "node", "method", "leaf")
+    __slots__ = ("module", "node", "method", "shape", "leaf")
 
-    def __init__(self, module, node, method, leaf):
+    def __init__(self, module, node, method, shape, leaf):
         self.module = module
         self.node = node
         self.method = method
-        self.leaf = leaf  # trailing literal segment, or None
+        self.shape = shape  # name_shape() of the name, or None
+        self.leaf = leaf    # trailing literal segment, or None
 
 
 class VocabEntry:
     """One entry of a module-level vocabulary table."""
 
-    __slots__ = ("module", "node", "value")
+    __slots__ = ("module", "node")
 
-    def __init__(self, module, node, value):
+    def __init__(self, module, node):
         self.module = module
         self.node = node
-        self.value = value
-
-
-class ModuleInfo:
-    """One parsed module inside the project graph."""
-
-    def __init__(self, parsed, name, is_package):
-        self.parsed = parsed
-        self.path = parsed.path
-        self.name = name          # dotted module name, or None
-        self.is_package = is_package
-        self.aliases = {}         # local name -> qualified dotted name
-        self.top_defs = {}        # top-level def/class/assign name -> node
-        self.constants = {}       # module-level str constants (SL303 shape)
-        self.tables = {}          # module-level literal dict tables
-
-    @property
-    def package(self):
-        """The package this module's relative imports are rooted at."""
-        if self.name is None:
-            return None
-        if self.is_package:
-            return self.name
-        return self.name.rpartition(".")[0] or None
-
-    def __repr__(self):
-        return "ModuleInfo(%s)" % (self.name or self.path)
 
 
 def _module_names(parsed_modules):
     """Infer dotted names from the ``__init__.py`` chain *within the
     linted set* -- no filesystem access, so the result is a pure function
-    of the inputs (cache-safe)."""
+    of the inputs."""
     package_dirs = set()
     for parsed in parsed_modules:
         pure = PurePosixPath(parsed.path)
@@ -178,11 +163,7 @@ def _module_names(parsed_modules):
         while directory in package_dirs:
             parts.append(directory.name)
             directory = directory.parent
-        if is_package and not parts:
-            names[parsed.path] = (None, True)
-        else:
-            names[parsed.path] = (".".join(reversed(parts)) or None,
-                                  is_package)
+        names[parsed.path] = (".".join(reversed(parts)) or None, is_package)
     return names
 
 
@@ -190,74 +171,101 @@ class ProjectGraph:
     """The whole linted tree as one queryable structure."""
 
     def __init__(self, parsed_modules):
-        self.modules = {}       # dotted name -> ModuleInfo
-        self.by_path = {}       # posix path -> ModuleInfo
+        self.files = list(parsed_modules)  # input order
+        self.modules = {}       # dotted name -> ParsedModule
+        self.by_path = {}       # posix path -> ParsedModule
         self.classes = {}       # canonical qualname -> ClassInfo
         self.emit_sites = []
         self.metric_sites = []
         self.event_vocab = {}   # kind -> VocabEntry
         self.metric_vocab = {}  # leaf -> VocabEntry
-        names = _module_names(parsed_modules)
-        infos = []
-        for parsed in parsed_modules:
-            name, is_package = names[parsed.path]
-            info = ModuleInfo(parsed, name, is_package)
-            infos.append(info)
-            self.by_path[parsed.path] = info
-            if name is not None:
-                self.modules[name] = info
-        for info in infos:
-            self._index_module(info)
-        for info in infos:
-            self._index_classes(info)
         self._mro_cache = {}
+        names = _module_names(self.files)
+        for module in self.files:
+            module.name, module.is_package = names[module.path]
+            self.by_path[module.path] = module
+            if module.name is not None:
+                self.modules[module.name] = module
+        for module in self.files:
+            self._index_module(module)
+        for module in self.files:
+            self._index_classes(module)
 
     # -- construction ---------------------------------------------------------
 
-    def _index_module(self, info):
-        tree = info.parsed.tree
-        for node in tree.body:
+    def _index_module(self, module):
+        for node in module.tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                                  ast.ClassDef)):
-                info.top_defs[node.name] = node
+                module.top_defs[node.name] = node
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Name):
-                        info.top_defs[target.id] = node
+                        module.top_defs[target.id] = node
+                self._index_literal(module, node)
             elif isinstance(node, ast.AnnAssign) and isinstance(
                 node.target, ast.Name
             ):
-                info.top_defs[node.target.id] = node
-        for node in ast.walk(tree):
+                module.top_defs[node.target.id] = node
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
-                    info.aliases[local] = (
+                    module.aliases[local] = (
                         alias.name if alias.asname else local
                     )
             elif isinstance(node, ast.ImportFrom):
-                base = self._import_base(info, node)
+                base = self._import_base(module, node)
                 if base is None:
                     continue
                 for alias in node.names:
                     if alias.name == "*":
                         continue
                     local = alias.asname or alias.name
-                    info.aliases[local] = (
+                    module.aliases[local] = (
                         base + "." + alias.name if base else alias.name
                     )
-        constants, tables = EventKindLiteralRule._module_literals(tree)
-        info.constants = constants
-        info.tables = tables
-        self._index_string_sites(info)
-        self._index_vocab(info)
+        self._index_string_sites(module)
+
+    def _index_literal(self, module, node):
+        """Module-level ``NAME = "literal"`` constants, dicts whose values
+        are all string literals, and the vocabulary tables."""
+        if len(node.targets) != 1 or not isinstance(node.targets[0],
+                                                    ast.Name):
+            return
+        name = node.targets[0].id
+        value = node.value
+        if isinstance(value, ast.Constant) and isinstance(value.value, str):
+            module.constants[name] = value.value
+        elif isinstance(value, ast.Dict):
+            values = [
+                v.value for v in value.values
+                if isinstance(v, ast.Constant) and isinstance(v.value, str)
+            ]
+            if values and len(values) == len(value.values):
+                module.tables[name] = values
+        if name == EVENT_VOCAB_NAME:
+            vocab = self.event_vocab
+        elif name == METRIC_VOCAB_NAME:
+            vocab = self.metric_vocab
+        else:
+            return
+        if isinstance(value, ast.Dict):
+            items = value.keys
+        elif isinstance(value, (ast.Set, ast.Tuple, ast.List)):
+            items = value.elts
+        else:
+            return
+        for item in items:
+            if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                vocab.setdefault(item.value, VocabEntry(module, item))
 
     @staticmethod
-    def _import_base(info, node):
+    def _import_base(module, node):
         """The dotted prefix an ImportFrom binds names under."""
         if not node.level:
             return node.module
-        package = info.package
+        package = module.package
         if package is None:
             return None
         parts = package.split(".")
@@ -270,103 +278,80 @@ class ProjectGraph:
             parts += node.module.split(".")
         return ".".join(parts) if parts else None
 
-    def _index_string_sites(self, info):
-        tree = info.parsed.tree
-        for node in ast.walk(tree):
+    def _index_string_sites(self, module):
+        for node in module.nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)):
                 continue
             if (
                 node.func.attr == "emit"
-                and _is_hub_receiver(node.func.value)
                 and len(node.args) >= 2
-            ):
-                kinds = EventKindLiteralRule._resolve(
-                    node.args[1], info.constants, info.tables
-                )
-                self.emit_sites.append(EmitSite(info, node, kinds))
-            elif (
-                node.func.attr in _REGISTRATION_METHODS
                 and _is_hub_receiver(node.func.value)
-                and node.args
             ):
-                shape = _name_shape(node.args[0])
+                kinds = self._resolve_kind(module, node.args[1])
+                self.emit_sites.append(EmitSite(module, node, kinds))
+            elif (
+                node.func.attr in REGISTRATION_METHODS
+                and node.args
+                and _is_hub_receiver(node.func.value)
+            ):
+                shape = name_shape(node.args[0])
                 leaf = None
                 if shape:
                     last_kind, last_text = shape[-1]
                     if last_kind == "lit" and last_text:
                         leaf = last_text.rsplit(".", 1)[-1] or None
                 self.metric_sites.append(
-                    MetricSite(info, node, node.func.attr, leaf)
-                )
-
-    def _index_vocab(self, info):
-        for node in info.parsed.tree.body:
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if target.id == EVENT_VOCAB_NAME:
-                vocab = self.event_vocab
-            elif target.id == METRIC_VOCAB_NAME:
-                vocab = self.metric_vocab
-            else:
-                continue
-            for key in self._literal_entries(node.value):
-                vocab.setdefault(
-                    key.value, VocabEntry(info, key, key.value)
+                    MetricSite(module, node, node.func.attr, shape, leaf)
                 )
 
     @staticmethod
-    def _literal_entries(value):
-        """String-literal entry nodes of a dict/set/tuple/list literal."""
-        if isinstance(value, ast.Dict):
-            items = value.keys
-        elif isinstance(value, (ast.Set, ast.Tuple, ast.List)):
-            items = value.elts
-        else:
-            return
-        for item in items:
-            if isinstance(item, ast.Constant) and isinstance(item.value, str):
-                yield item
+    def _resolve_kind(module, node):
+        """An emit's kind as literal strings: a literal, a module-level
+        constant, or a subscript into a module-level literal table."""
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            return [node.value]
+        if isinstance(node, ast.Name) and node.id in module.constants:
+            return [module.constants[node.id]]
+        if (
+            isinstance(node, ast.Subscript)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in module.tables
+        ):
+            return module.tables[node.value.id]
+        return None
 
-    def _index_classes(self, info):
-        if info.name is None:
-            prefix = info.path + "::"
+    def _index_classes(self, module):
+        if module.name is None:
+            prefix = module.path + "::"
         else:
-            prefix = info.name + "."
-        for node in info.parsed.tree.body:
+            prefix = module.name + "."
+        for node in module.tree.body:
             if not isinstance(node, ast.ClassDef):
                 continue
             bases = []
             for base in node.bases:
-                qualified = self._qualify(info, base)
+                qualified = self._qualify(module, base)
                 if qualified is not None:
                     bases.append(self.resolve_symbol(qualified))
             self.classes[prefix + node.name] = ClassInfo(
-                prefix + node.name, node, info, bases
+                prefix + node.name, node, module, bases
             )
 
     @staticmethod
-    def _qualify(info, node):
+    def _qualify(module, node):
         """A base-class expression as a qualified dotted name, through
         the module's import aliases and top-level defs."""
-        parts = []
-        while isinstance(node, ast.Attribute):
-            parts.append(node.attr)
-            node = node.value
-        if not isinstance(node, ast.Name):
+        name = dotted_name(node)
+        if name is None:
             return None
-        parts.append(node.id)
-        parts.reverse()
-        head, rest = parts[0], parts[1:]
-        if head in info.aliases:
-            return ".".join([info.aliases[head]] + rest)
-        if head in info.top_defs and not rest:
-            if info.name is None:
-                return info.path + "::" + head
-            return info.name + "." + head
+        head, _, rest = name.partition(".")
+        if head in module.aliases:
+            return module.aliases[head] + ("." + rest if rest else "")
+        if head in module.top_defs and not rest:
+            if module.name is None:
+                return module.path + "::" + head
+            return module.name + "." + head
         return None
 
     # -- queries --------------------------------------------------------------
@@ -385,32 +370,20 @@ class ProjectGraph:
         _seen.add(qualified)
         parts = qualified.split(".")
         for cut in range(len(parts) - 1, 0, -1):
-            module_name = ".".join(parts[:cut])
-            info = self.modules.get(module_name)
-            if info is None:
+            module = self.modules.get(".".join(parts[:cut]))
+            if module is None:
                 continue
             if len(parts) - cut != 1:
                 return qualified  # attribute chains stop at the module
             attr = parts[cut]
-            if attr in info.top_defs:
-                return qualified
-            if attr in info.aliases:
-                return self.resolve_symbol(info.aliases[attr], _seen)
+            if attr not in module.top_defs and attr in module.aliases:
+                return self.resolve_symbol(module.aliases[attr], _seen)
             return qualified
         return qualified
 
     def class_named(self, qualified):
         """The :class:`ClassInfo` for a (possibly re-exported) name."""
         return self.classes.get(self.resolve_symbol(qualified))
-
-    def defining_module(self, qualified):
-        """The ModuleInfo whose top level defines ``qualified``."""
-        canonical = self.resolve_symbol(qualified)
-        module_name, _, attr = canonical.rpartition(".")
-        info = self.modules.get(module_name)
-        if info is not None and attr in info.top_defs:
-            return info
-        return None
 
     def mro(self, class_info):
         """C3 linearization over the classes the graph can resolve.
@@ -420,21 +393,19 @@ class ProjectGraph:
         than failing, since a lint pass must not crash on odd code.
         """
         cached = self._mro_cache.get(class_info.qualname)
-        if cached is not None:
-            return cached
-        result = self._linearize(class_info, set())
-        self._mro_cache[class_info.qualname] = result
-        return result
+        if cached is None:
+            cached = self._linearize(class_info, set())
+            self._mro_cache[class_info.qualname] = cached
+        return cached
 
     def _linearize(self, class_info, visiting):
         if class_info.qualname in visiting:
             return [class_info]  # inheritance cycle: stop
         visiting = visiting | {class_info.qualname}
-        parents = []
-        for base in class_info.base_qualnames:
-            parent = self.classes.get(base)
-            if parent is not None:
-                parents.append(parent)
+        parents = [
+            self.classes[base] for base in class_info.base_qualnames
+            if base in self.classes
+        ]
         if not parents:
             return [class_info]
         sequences = [self._linearize(p, visiting) for p in parents]
@@ -470,51 +441,3 @@ def _c3_merge(sequences):
         ]
         sequences = [s for s in sequences if s]
     return result
-
-
-# -- the on-disk graph cache --------------------------------------------------
-
-
-def tree_digest(sources):
-    """Content hash of ``[(path, source), ...]`` -- the cache key."""
-    digest = hashlib.sha256()
-    digest.update(b"simlint-graph-v%d" % GRAPH_CACHE_VERSION)
-    for path, source in sorted(sources):
-        digest.update(path.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(hashlib.sha256(source.encode("utf-8")).digest())
-    return digest.hexdigest()
-
-
-def load_cached_graph(cache_dir, digest):
-    """The cached ``{"graph", "errors"}`` payload for ``digest``, or
-    None on a miss or an unreadable/corrupt cache file."""
-    cache_file = cache_dir / "graph.pkl"
-    try:
-        with open(cache_file, "rb") as handle:
-            payload = pickle.load(handle)
-    except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-            ImportError, IndexError):
-        return None
-    if (
-        isinstance(payload, dict)
-        and payload.get("version") == GRAPH_CACHE_VERSION
-        and payload.get("digest") == digest
-        and payload.get("graph") is not None
-    ):
-        return payload
-    return None
-
-
-def store_cached_graph(cache_dir, digest, graph, errors):
-    """Best-effort: an unwritable cache never fails the lint run."""
-    try:
-        cache_dir.mkdir(parents=True, exist_ok=True)
-        payload = {"version": GRAPH_CACHE_VERSION, "digest": digest,
-                   "graph": graph, "errors": list(errors)}
-        tmp = cache_dir / "graph.pkl.tmp"
-        with open(tmp, "wb") as handle:
-            pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        tmp.replace(cache_dir / "graph.pkl")
-    except OSError:
-        pass

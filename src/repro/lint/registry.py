@@ -10,13 +10,10 @@ row to the rule table in the docs.
 from repro.lint import (
     rules_callback,
     rules_ckpt,
-    rules_ckpt_project,
     rules_determinism,
-    rules_dsm,
-    rules_faults,
     rules_instrument,
+    rules_owner,
     rules_protocol,
-    rules_topology,
     rules_vocab,
 )
 
@@ -28,12 +25,9 @@ def all_rules():
         + rules_ckpt.RULES
         + rules_instrument.RULES
         + rules_callback.RULES
-        + rules_faults.RULES
-        + rules_topology.RULES
-        + rules_dsm.RULES
+        + rules_owner.RULES
         + rules_protocol.RULES
         + rules_vocab.RULES
-        + rules_ckpt_project.RULES
     )
-    # Numeric sort: "SL1001" must come after "SL903", not before "SL201".
+    # Numeric sort: "SL1001" must come after "SL904", not before "SL201".
     return sorted(rules, key=lambda rule: int(rule.code[2:]))

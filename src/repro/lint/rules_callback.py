@@ -2,16 +2,17 @@
 
 Everything the simulator executes is a callback: engine events
 (``sim.schedule``/``sim.post``) and live event-bus subscribers
-(``hub.subscribe``).  Three things a callback must never do:
+(``hub.subscribe``).  Two things a callback must never do:
 
-- re-enter the run loop (``sim.run()`` raises ``SimulationError`` at
-  runtime, but only if the path is exercised);
 - block on host I/O (``time.sleep``, ``input``, ``open``...): simulated
   time is decoupled from wall time, and a blocking call stalls the whole
   single-threaded engine;
 - mutate the engine clock or sequence counter: ``sim._now``/``sim._seq``
   are owned exclusively by the run loop, and the event-bus contract
   (docs/observability.md) requires subscribers to be timing-invisible.
+
+(Re-entering the run loop needs no rule: ``Simulator.run`` raises
+``SimulationError("run() is not reentrant")`` the moment it happens.)
 
 These rules resolve, module-locally, which functions are posted as
 callbacks (lambdas inline; ``self._method`` / bare function references by
@@ -21,7 +22,7 @@ the fixture corpus documents the supported shapes.
 
 import ast
 
-from repro.lint.astutil import dotted_name, import_aliases, resolved_call_name
+from repro.lint.astutil import dotted_name, resolved_call_name
 from repro.lint.engine import Rule
 
 # (method attribute, positional index of the callback argument)
@@ -44,11 +45,11 @@ _BLOCKING_BARE = {"open", "input"}
 _CLOCK_ATTRS = {"_now", "_seq", "now", "_event_count"}
 
 
-def _callback_targets(tree):
+def _callback_targets(nodes):
     """(method/function names, lambda nodes) referenced as callbacks."""
     names = set()
     lambdas = []
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -77,49 +78,20 @@ class _CallbackRule(Rule):
 
     skip_path_suffixes = ("repro/sim/engine.py",)
 
-    def check(self, module):
-        names, lambdas = _callback_targets(module.tree)
+    def check_module(self, module):
+        names, lambdas = _callback_targets(module.nodes)
         bodies = list(lambdas)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if (
                 isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and node.name in names
             ):
                 bodies.append(node)
-        aliases = import_aliases(module.tree)
         for body in bodies:
-            yield from self.scan_body(module, body, aliases)
+            yield from self.scan_body(module, body)
 
-    def scan_body(self, module, body, aliases):
+    def scan_body(self, module, body):
         raise NotImplementedError
-
-
-class ReentrantRunRule(_CallbackRule):
-    """SL401: an engine callback re-enters the run loop.
-
-    ``sim.run()`` / ``sim.run_until_idle()`` from inside a callback is a
-    reentrancy error: the engine guards it at runtime, but only on paths
-    a test happens to drive.  Callbacks advance the world by scheduling
-    further events, never by running the loop.
-    """
-
-    code = "SL401"
-    title = "callback re-enters sim.run()"
-
-    def scan_body(self, module, body, aliases):
-        for node in ast.walk(body):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in {"run", "run_until_idle"}
-                and _is_sim_receiver(node.func.value)
-            ):
-                yield self.finding(
-                    module, node,
-                    "engine callback calls sim.%s(); run() is not "
-                    "reentrant -- schedule follow-up events instead"
-                    % node.func.attr,
-                )
 
 
 class BlockingIoRule(_CallbackRule):
@@ -134,11 +106,11 @@ class BlockingIoRule(_CallbackRule):
     code = "SL402"
     title = "callback performs blocking host I/O"
 
-    def scan_body(self, module, body, aliases):
+    def scan_body(self, module, body):
         for node in ast.walk(body):
             if not isinstance(node, ast.Call):
                 continue
-            name = resolved_call_name(node, aliases)
+            name = resolved_call_name(node, module.aliases)
             if name in _BLOCKING_BARE or name in _BLOCKING_CALLS or (
                 name is not None
                 and any(name.endswith("." + c) for c in _BLOCKING_CALLS)
@@ -162,7 +134,7 @@ class ClockMutationRule(_CallbackRule):
     code = "SL403"
     title = "callback mutates the engine clock"
 
-    def scan_body(self, module, body, aliases):
+    def scan_body(self, module, body):
         for node in ast.walk(body):
             if isinstance(node, (ast.Assign, ast.AugAssign)):
                 targets = (
@@ -183,4 +155,4 @@ class ClockMutationRule(_CallbackRule):
                         )
 
 
-RULES = (ReentrantRunRule(), BlockingIoRule(), ClockMutationRule())
+RULES = (BlockingIoRule(), ClockMutationRule())

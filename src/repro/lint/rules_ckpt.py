@@ -7,7 +7,10 @@ is *drift*: a new mutable attribute is added to ``__init__`` and touched
 on the datapath, but nobody extends capture/restore, so checkpoints
 silently stop being complete.  These rules cross-check, per class
 implementing the protocol, the attribute set assigned in ``__init__``
-against the key set captured and restored.
+against the key set captured and restored.  Methods resolve along the
+class's MRO in the project graph, so a triple split between a base and
+a subclass -- in one file or across files -- is checked like a local
+one, and each finding is reported once, at its anchor.
 
 Heuristics (documented in docs/static-analysis.md):
 
@@ -31,8 +34,9 @@ comment is exactly the documentation the next reader needs.
 
 import ast
 
-from repro.lint.astutil import class_methods, literal_str_keys, self_attr
+from repro.lint.astutil import literal_str_keys, self_attr
 from repro.lint.engine import Rule
+from repro.lint.project import REGISTRATION_METHODS
 
 _CONTAINER_CALLS = {
     "dict", "list", "set", "deque", "defaultdict", "OrderedDict", "bytearray",
@@ -45,9 +49,6 @@ _MUTATOR_METHODS = {
 }
 
 _PROTOCOL_METHODS = {"ckpt_capture", "ckpt_restore"}
-
-# Hub registrations return metric objects whose state the hub captures.
-_HUB_REGISTRATIONS = {"counter", "timeseries", "histogram", "probe"}
 
 
 def _init_params(init):
@@ -73,7 +74,7 @@ def _is_instantiation(node):
         return False
     func = node.func
     if isinstance(func, ast.Attribute):
-        if func.attr in _HUB_REGISTRATIONS:
+        if func.attr in REGISTRATION_METHODS:
             return True
         return func.attr[:1].isupper() or _is_capitalized_chain(func)
     if isinstance(func, ast.Name):
@@ -283,124 +284,153 @@ def _normalize(name):
     return name.lstrip("_")
 
 
+def _protocol_classes(rule, graph):
+    """(class, MRO, {method name: (owner, FunctionDef)}) for every
+    in-scope class with ``ckpt_capture`` and ``ckpt_restore`` along its
+    MRO.  Methods resolve derived-first, so a triple split between a
+    base and a subclass is checked like a local one."""
+    for qualname in sorted(graph.classes):
+        class_info = graph.classes[qualname]
+        if not rule.applies_to(class_info.module):
+            continue
+        mro = graph.mro(class_info)
+        methods = {}
+        for ancestor in mro:
+            for name, node in ancestor.methods.items():
+                methods.setdefault(name, (ancestor, node))
+        if _PROTOCOL_METHODS.issubset(methods):
+            yield class_info, mro, methods
+
+
+def _definitions(mro, name):
+    """Every definition of ``name`` along the MRO (super() chains)."""
+    return [ancestor.methods[name] for ancestor in mro
+            if name in ancestor.methods]
+
+
 class CkptCoverageRule(Rule):
     """SL201: mutable state not covered by ckpt_capture/ckpt_restore.
 
-    For every class implementing both protocol methods: each ``__init__``
-    attribute that is (heuristically) own mutable simulation state and is
-    mutated by another method must be captured (its name, modulo a
-    leading underscore, appears among captured keys) or assigned during
-    restore.  Anchors on the ``__init__`` assignment line, so deliberate
-    exclusions take an inline ignore *with a justification* right where
-    the attribute is born.
+    For every class implementing both protocol methods, itself or
+    through its inheritance chain (the MRO): each ``__init__`` attribute
+    that is (heuristically) own mutable simulation state and is mutated
+    by another method along the chain must be captured (its name, modulo
+    a leading underscore, appears among the keys of any ``ckpt_capture``
+    in the chain) or assigned by any ``ckpt_restore`` in the chain.
+    Anchors on the ``__init__`` assignment line, in whichever module
+    defines it, so deliberate exclusions take an inline ignore *with a
+    justification* right where the attribute is born.
     """
 
     code = "SL201"
     title = "mutable attribute missing from checkpoint capture/restore"
 
-    def check(self, module):
-        for class_node in ast.walk(module.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            methods = class_methods(class_node)
-            if not _PROTOCOL_METHODS.issubset(methods):
-                continue
-            init = methods.get("__init__")
-            if init is None:
-                continue
-            candidates = _candidate_attrs(init)
+    def check(self, graph):
+        reported = set()
+        for class_info, mro, methods in _protocol_classes(self, graph):
+            owner, init = methods.get("__init__", (None, None))
+            candidates = _candidate_attrs(init) if init else {}
             if not candidates:
                 continue
-            mutated = _mutated_attrs(methods, skip=_init_helpers(init))
+            mutated = _mutated_attrs(
+                {name: node for name, (_, node) in methods.items()},
+                skip=_init_helpers(init),
+            )
             captured = {
                 _normalize(key)
-                for key in _captured_keys(methods["ckpt_capture"])
+                for capture in _definitions(mro, "ckpt_capture")
+                for key in _captured_keys(capture)
             }
-            _, restored_attrs = _restored_keys(methods["ckpt_restore"])
+            restored = set().union(*(
+                _restored_keys(restore)[1]
+                for restore in _definitions(mro, "ckpt_restore")
+            ))
             for attr, line in sorted(candidates.items()):
-                if attr not in mutated:
+                anchor = (owner.module.path, line)
+                if (attr not in mutated or anchor in reported
+                        or _normalize(attr) in captured or attr in restored):
                     continue
-                if _normalize(attr) in captured or attr in restored_attrs:
-                    continue
-                yield self._attr_finding(
-                    module, class_node, attr, line, mutated[attr]
+                reported.add(anchor)
+                yield self.finding(
+                    owner.module, init,
+                    "%s.%s is mutable state (mutated in %s) but no "
+                    "ckpt_capture/ckpt_restore of %s covers it; checkpoint "
+                    "it or mark the assignment with an ignore explaining "
+                    "why it is not state"
+                    % (owner.name, attr, mutated[attr], class_info.name),
+                    line=line,
                 )
 
-    def _attr_finding(self, module, class_node, attr, line, mutator):
-        finding = self.finding(
-            module, class_node,
-            "%s.%s is mutable state (mutated in %s) but ckpt_capture/"
-            "ckpt_restore never cover it; checkpoint it or mark the "
-            "assignment with an ignore explaining why it is not state"
-            % (class_node.name, attr, mutator),
-        )
-        finding.line = line
-        return finding
+
+class _KeyDriftRule(Rule):
+    """Shared driver of SL202/SL203: compare the key sets unioned along
+    the MRO and anchor each drifted key on the first ``ckpt_restore``.
+    Silent when some capture does not resolve to dict literals."""
+
+    message = ""
+
+    def drifted(self, captured, restored):
+        raise NotImplementedError
+
+    def check(self, graph):
+        reported = set()
+        for class_info, mro, methods in _protocol_classes(self, graph):
+            captured = set()
+            for capture in _definitions(mro, "ckpt_capture"):
+                keys = _top_level_capture_keys(capture)
+                if keys is None:
+                    break
+                captured |= keys
+            else:
+                restored = set().union(*(
+                    _restored_keys(restore)[0]
+                    for restore in _definitions(mro, "ckpt_restore")
+                ))
+                owner, restore = methods["ckpt_restore"]
+                for key in sorted(self.drifted(captured, restored)):
+                    anchor = (owner.module.path, restore.lineno, key)
+                    if anchor not in reported:
+                        reported.add(anchor)
+                        yield self.finding(
+                            owner.module, restore,
+                            self.message % (class_info.name, key),
+                        )
 
 
-class CkptSymmetryRule(Rule):
-    """SL202/SL203: capture and restore key sets drifted apart.
+class CkptSymmetryRule(_KeyDriftRule):
+    """SL202: ckpt_capture writes a key ckpt_restore never reads.
 
     ``ckpt_restore`` must consume exactly what ``ckpt_capture`` produces:
-    a captured key never read back (SL202) is dead weight or a missed
-    restore; a restored key never captured (SL203) raises ``KeyError`` on
-    the first real checkpoint.  Only checked when the capture's returned
-    dict literal can be resolved statically.
+    a captured key never read back is dead weight or a missed restore.
+    Keys are the union over every capture and restore along the MRO, so
+    a pair split between a base and a subclass is checked too.  Only
+    checked when every capture's returned dict resolves statically.
     """
 
     code = "SL202"
     title = "ckpt_capture key never consumed by ckpt_restore"
+    message = "%s: ckpt_capture writes key %r but no ckpt_restore reads it"
 
-    def check(self, module):
-        for class_node in ast.walk(module.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            methods = class_methods(class_node)
-            if not _PROTOCOL_METHODS.issubset(methods):
-                continue
-            capture_keys = _top_level_capture_keys(methods["ckpt_capture"])
-            if capture_keys is None:
-                continue
-            restored, _ = _restored_keys(methods["ckpt_restore"])
-            if not restored and not capture_keys:
-                continue
-            for key in sorted(capture_keys - restored):
-                yield self.finding(
-                    module, methods["ckpt_restore"],
-                    "%s.ckpt_capture writes key %r but ckpt_restore never "
-                    "reads it" % (class_node.name, key),
-                )
+    def drifted(self, captured, restored):
+        return captured - restored
 
 
-class CkptPhantomKeyRule(Rule):
+class CkptPhantomKeyRule(_KeyDriftRule):
     """SL203: ckpt_restore reads a key ckpt_capture never writes.
 
     Restoring a key the capture does not produce fails with ``KeyError``
     on every real checkpoint -- this is the "renamed the capture key,
     forgot the restore" drift, caught before a checkpoint file ever
-    exists.  Only checked when the capture dict resolves statically.
+    exists.  Keys are the union along the MRO, as for SL202; only
+    checked when every capture's dict resolves statically.
     """
 
     code = "SL203"
     title = "ckpt_restore key never produced by ckpt_capture"
+    message = "%s: ckpt_restore reads key %r that no ckpt_capture writes"
 
-    def check(self, module):
-        for class_node in ast.walk(module.tree):
-            if not isinstance(class_node, ast.ClassDef):
-                continue
-            methods = class_methods(class_node)
-            if not _PROTOCOL_METHODS.issubset(methods):
-                continue
-            capture_keys = _top_level_capture_keys(methods["ckpt_capture"])
-            if capture_keys is None:
-                continue
-            restored, _ = _restored_keys(methods["ckpt_restore"])
-            for key in sorted(restored - capture_keys):
-                yield self.finding(
-                    module, methods["ckpt_restore"],
-                    "%s.ckpt_restore reads key %r that ckpt_capture never "
-                    "writes" % (class_node.name, key),
-                )
+    def drifted(self, captured, restored):
+        return restored - captured
 
 
 RULES = (CkptCoverageRule(), CkptSymmetryRule(), CkptPhantomKeyRule())

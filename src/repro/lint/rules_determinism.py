@@ -11,7 +11,6 @@ import ast
 
 from repro.lint.astutil import (
     dotted_name,
-    import_aliases,
     resolved_call_name,
     self_attr,
 )
@@ -51,8 +50,8 @@ class RandomModuleRule(Rule):
     code = "SL101"
     title = "random module used in sim code"
 
-    def check(self, module):
-        for node in ast.walk(module.tree):
+    def check_module(self, module):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     if alias.name.split(".")[0] == "random":
@@ -83,12 +82,11 @@ class WallClockRule(Rule):
     code = "SL102"
     title = "wall-clock read in sim code"
 
-    def check(self, module):
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
+    def check_module(self, module):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
-            name = resolved_call_name(node, aliases)
+            name = resolved_call_name(node, module.aliases)
             if name in _WALL_CLOCK_CALLS or (
                 name is not None
                 and any(name.endswith("." + c) for c in _WALL_CLOCK_CALLS)
@@ -111,9 +109,8 @@ class EntropyRule(Rule):
     code = "SL103"
     title = "entropy source in sim code"
 
-    def check(self, module):
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
+    def check_module(self, module):
+        for node in module.nodes:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = (
                     [alias.name for alias in node.names]
@@ -127,7 +124,7 @@ class EntropyRule(Rule):
                             "import of entropy module %r in sim code" % name,
                         )
             elif isinstance(node, ast.Call):
-                name = resolved_call_name(node, aliases)
+                name = resolved_call_name(node, module.aliases)
                 if name in _ENTROPY_CALLS or (
                     name is not None
                     and any(name.endswith("." + c) for c in _ENTROPY_CALLS)
@@ -142,69 +139,76 @@ class EntropyRule(Rule):
 class _SetValueTracker:
     """Static approximation of which expressions are sets.
 
-    Tracks, per module: class attributes assigned set values anywhere in
-    the class (``self.ready = set()``), class attributes used as
-    dict-of-sets (``self.index.setdefault(k, set())`` or
-    ``self.index[k] = set(...)``), and function-local names bound to set
-    values.
+    Tracks, per module: attributes a class body assigns set values
+    (``self.ready = set()``), attributes used as dict-of-sets
+    (``self.index.setdefault(k, set())`` or ``self.index[k] = set(...)``),
+    and, per outermost function, the local names bound to set values.
     """
 
-    def __init__(self, tree):
-        self.set_attrs = {}  # class name -> set of attr names
-        self.dict_of_set_attrs = {}  # class name -> set of attr names
-        self.local_sets = {}  # FunctionDef node -> set of local names
-        for class_node in ast.walk(tree):
-            if isinstance(class_node, ast.ClassDef):
-                self._scan_class(class_node)
-        for func in ast.walk(tree):
-            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                self.local_sets[func] = self._scan_locals(func)
-
-    def _scan_class(self, class_node):
-        attrs = self.set_attrs.setdefault(class_node.name, set())
-        dict_attrs = self.dict_of_set_attrs.setdefault(class_node.name, set())
-        for node in ast.walk(class_node):
+    def __init__(self, scoped):
+        self.set_attrs = set()
+        self.dict_of_set_attrs = set()
+        self.local_sets = {}  # outermost FunctionDef -> set of local names
+        for node, func, in_class in scoped:
             if isinstance(node, ast.Assign):
-                for target in node.targets:
-                    attr = self_attr(target)
-                    if attr and _is_set_expr(node.value, None, None):
-                        attrs.add(attr)
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and self_attr(target.value)
-                        and _is_set_expr(node.value, None, None)
-                    ):
-                        dict_attrs.add(self_attr(target.value))
-            elif isinstance(node, ast.Call):
-                func = node.func
                 if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr == "setdefault"
-                    and self_attr(func.value)
+                    func is not None
+                    and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and _is_set_expr(node.value)
+                ):
+                    self.local_sets.setdefault(func, set()).add(
+                        node.targets[0].id
+                    )
+                if in_class:
+                    self._scan_assign(node)
+            elif in_class and isinstance(node, ast.Call):
+                func_node = node.func
+                if (
+                    isinstance(func_node, ast.Attribute)
+                    and func_node.attr == "setdefault"
+                    and self_attr(func_node.value)
                     and len(node.args) == 2
-                    and _is_set_expr(node.args[1], None, None)
+                    and _is_set_expr(node.args[1])
                 ):
-                    dict_attrs.add(self_attr(func.value))
+                    self.dict_of_set_attrs.add(self_attr(func_node.value))
 
-    @staticmethod
-    def _scan_locals(func):
-        names = set()
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = node.targets[0]
-                if isinstance(target, ast.Name) and _is_set_expr(
-                    node.value, None, None
-                ):
-                    names.add(target.id)
-        return names
+    def _scan_assign(self, node):
+        if not _is_set_expr(node.value):
+            return
+        for target in node.targets:
+            attr = self_attr(target)
+            if attr:
+                self.set_attrs.add(attr)
+            if isinstance(target, ast.Subscript) and self_attr(target.value):
+                self.dict_of_set_attrs.add(self_attr(target.value))
 
 
-def _is_set_expr(node, tracker, func):
+def _scoped_nodes(tree):
+    """(node, outermost enclosing function or None, inside a class?) for
+    every node of ``tree``, in one pass."""
+    scoped = []
+    stack = [(tree, None, False)]
+    while stack:
+        node, func, in_class = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            scoped.append((child, func, in_class))
+            child_func = func
+            if func is None and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                child_func = child
+            stack.append((child, child_func,
+                          in_class or isinstance(child, ast.ClassDef)))
+    return scoped
+
+
+def _is_set_expr(node, tracker=None, local_sets=()):
     """True if ``node`` statically looks like a set (or dict-of-sets read).
 
-    With ``tracker``/``func`` provided, attribute and local-name reads
-    resolve through the tracked assignments; without them only direct
-    constructions count.
+    With a ``tracker`` (and the enclosing function's ``local_sets``),
+    attribute and local-name reads resolve through the tracked
+    assignments; without one only direct constructions count.
     """
     if isinstance(node, (ast.Set, ast.SetComp)):
         return True
@@ -217,25 +221,20 @@ def _is_set_expr(node, tracker, func):
     if isinstance(node, ast.BinOp) and isinstance(
         node.op, (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
     ):
-        return _is_set_expr(node.left, tracker, func) or _is_set_expr(
-            node.right, tracker, func
+        return _is_set_expr(node.left, tracker, local_sets) or _is_set_expr(
+            node.right, tracker, local_sets
         )
     if tracker is None:
         return False
-    all_set_attrs = set().union(*tracker.set_attrs.values()) \
-        if tracker.set_attrs else set()
-    all_dict_attrs = set().union(*tracker.dict_of_set_attrs.values()) \
-        if tracker.dict_of_set_attrs else set()
     attr = self_attr(node)
-    if attr and attr in all_set_attrs:
+    if attr and attr in tracker.set_attrs:
         return True
-    if isinstance(node, ast.Name) and func is not None:
-        if node.id in tracker.local_sets.get(func, ()):
-            return True
+    if isinstance(node, ast.Name) and node.id in local_sets:
+        return True
     # Reads out of a dict-of-sets: self.index[k] or self.index.get(k, ...)
     if isinstance(node, ast.Subscript):
         attr = self_attr(node.value)
-        if attr and attr in all_dict_attrs:
+        if attr and attr in tracker.dict_of_set_attrs:
             return True
     if (
         isinstance(node, ast.Call)
@@ -243,9 +242,19 @@ def _is_set_expr(node, tracker, func):
         and node.func.attr == "get"
     ):
         attr = self_attr(node.func.value)
-        if attr and attr in all_dict_attrs:
+        if attr and attr in tracker.dict_of_set_attrs:
             return True
     return False
+
+
+def _iteration_target(node):
+    """The iterated expression of a for loop or comprehension, else None."""
+    if isinstance(node, ast.For):
+        return node.iter
+    if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp,
+                         ast.SetComp)):
+        return node.generators[0].iter
+    return None
 
 
 class SetIterationRule(Rule):
@@ -263,38 +272,27 @@ class SetIterationRule(Rule):
     code = "SL104"
     title = "unordered set iteration in sim code"
 
-    def check(self, module):
-        tracker = _SetValueTracker(module.tree)
-        funcs = [
-            node for node in ast.walk(module.tree)
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        seen = set()
-        for func in funcs + [None]:
-            root = func if func is not None else module.tree
-            for node in ast.walk(root):
-                if id(node) in seen:
-                    continue
-                target = None
-                if isinstance(node, ast.For):
-                    target = node.iter
-                elif isinstance(node, (ast.ListComp, ast.GeneratorExp,
-                                       ast.DictComp, ast.SetComp)):
-                    target = node.generators[0].iter
-                elif (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in _ORDER_SENSITIVE_CALLS
-                    and node.args
-                ):
-                    target = node.args[0]
-                if target is not None and _is_set_expr(target, tracker, func):
-                    seen.add(id(node))
-                    yield self.finding(
-                        module, node,
-                        "iteration over a set exposes hash order; wrap in "
-                        "sorted(...) or use an ordered container",
-                    )
+    def check_module(self, module):
+        scoped = _scoped_nodes(module.tree)
+        tracker = _SetValueTracker(scoped)
+        for node, func, _ in scoped:
+            target = _iteration_target(node)
+            if (
+                target is None
+                and isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in _ORDER_SENSITIVE_CALLS
+                and node.args
+            ):
+                target = node.args[0]
+            if target is not None and _is_set_expr(
+                target, tracker, tracker.local_sets.get(func, ())
+            ):
+                yield self.finding(
+                    module, node,
+                    "iteration over a set exposes hash order; wrap in "
+                    "sorted(...) or use an ordered container",
+                )
 
 
 class IdentityOrderRule(Rule):
@@ -310,9 +308,9 @@ class IdentityOrderRule(Rule):
     code = "SL105"
     title = "id()-dependent ordering in sim code"
 
-    def check(self, module):
-        id_keyed = self._id_keyed_attrs(module.tree)
-        for node in ast.walk(module.tree):
+    def check_module(self, module):
+        id_keyed = self._id_keyed_attrs(module.nodes)
+        for node in module.nodes:
             if isinstance(node, ast.Call):
                 name = dotted_name(node.func)
                 if name in {"sorted", "min", "max"}:
@@ -325,12 +323,7 @@ class IdentityOrderRule(Rule):
                                 "%s() keyed on id(); identity order differs "
                                 "between runs" % name,
                             )
-            target = None
-            if isinstance(node, ast.For):
-                target = node.iter
-            elif isinstance(node, (ast.ListComp, ast.GeneratorExp,
-                                   ast.DictComp, ast.SetComp)):
-                target = node.generators[0].iter
+            target = _iteration_target(node)
             if target is None:
                 continue
             attr = self._dict_view_attr(target)
@@ -356,10 +349,10 @@ class IdentityOrderRule(Rule):
         return False
 
     @staticmethod
-    def _id_keyed_attrs(tree):
+    def _id_keyed_attrs(nodes):
         """Attributes used as dicts with id(...)-bearing keys."""
         attrs = set()
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Assign):
                 for target in node.targets:
                     if isinstance(target, ast.Subscript):

@@ -7,6 +7,7 @@ lowercase paths rooted at a component instance name (``node3.nic.crc_drops``,
 by name, so a dynamically-built name that drifts from the grammar (or a
 counter constructed outside the hub) silently disappears from every
 dashboard and JSONL export.  These rules keep names statically auditable.
+SL302 and SL303 read the metric and emit sites the project graph indexes.
 """
 
 import ast
@@ -15,31 +16,12 @@ import re
 from repro.lint.astutil import dotted_name
 from repro.lint.engine import Rule
 
-# Leaf segments appended to a dynamic owner prefix: ".puts", ".out.crc_drops"
-_LITERAL_SUFFIX_RE = re.compile(r"^(\.[a-z][a-z0-9_]*)+$")
 # Fully literal metric names: allow the router/link coordinate vocabulary
 # (parentheses, commas, ->) plus %-placeholders for formatted coordinates.
 _FULL_NAME_RE = re.compile(r"^[a-z0-9_.(),>%-]+\.[a-z][a-z0-9_]*$")
 _EVENT_KIND_RE = re.compile(r"^[a-z][a-z0-9_]*\.[a-z][a-z0-9_]*$")
 
 _METRIC_CLASSES = {"Counter", "TimeSeries", "Histogram"}
-_REGISTRATION_METHODS = {"counter", "timeseries", "histogram", "probe"}
-_HUB_RECEIVER_HINTS = ("instr", "instrumentation", "hub")
-
-
-def _is_hub_receiver(node):
-    """Heuristic: the receiver of a call is the instrumentation hub."""
-    name = dotted_name(node)
-    if name is not None:
-        last = name.split(".")[-1].lower()
-        return any(hint in last for hint in _HUB_RECEIVER_HINTS)
-    if isinstance(node, ast.Call):
-        func_name = dotted_name(node.func)
-        return func_name is not None and (
-            func_name.endswith("Instrumentation.of")
-            or func_name == "Instrumentation.of"
-        )
-    return False
 
 
 class OrphanMetricRule(Rule):
@@ -56,9 +38,9 @@ class OrphanMetricRule(Rule):
     title = "orphan metric construction outside the instrumentation hub"
     skip_path_suffixes = ("repro/sim/trace.py", "repro/sim/instrument.py")
 
-    def check(self, module):
+    def check_module(self, module):
         imported = set()
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.ImportFrom) and node.module and (
                 node.module.endswith("sim.trace")
                 or node.module.endswith("sim.instrument")
@@ -66,7 +48,7 @@ class OrphanMetricRule(Rule):
                 for alias in node.names:
                     if alias.name in _METRIC_CLASSES:
                         imported.add(alias.asname or alias.name)
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = dotted_name(node.func)
@@ -84,52 +66,6 @@ class OrphanMetricRule(Rule):
                 )
 
 
-def _name_shape(node):
-    """Flatten a metric-name expression into LIT/DYN parts.
-
-    Handles string literals, ``+`` concatenation, f-strings and
-    %-formatting (the literal skeleton is kept, placeholders become DYN).
-    Returns a list of ("lit", text) / ("dyn", None) pairs, or None when
-    the expression has a shape we cannot analyze.
-    """
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return [("lit", node.value)]
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left = _name_shape(node.left)
-        right = _name_shape(node.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
-        left = _name_shape(node.left)
-        if left is None:
-            return None
-        parts = []
-        for kind, text in left:
-            if kind != "lit":
-                parts.append((kind, text))
-                continue
-            for i, chunk in enumerate(re.split(r"%[sdrxf]", text)):
-                if i:
-                    parts.append(("dyn", None))
-                if chunk:
-                    parts.append(("lit", chunk))
-        return parts
-    if isinstance(node, ast.JoinedStr):
-        parts = []
-        for value in node.values:
-            if isinstance(value, ast.Constant) and isinstance(
-                value.value, str
-            ):
-                parts.append(("lit", value.value))
-            else:
-                parts.append(("dyn", None))
-        return parts
-    if isinstance(node, (ast.Name, ast.Attribute, ast.Call, ast.Subscript)):
-        return [("dyn", None)]
-    return None
-
-
 class MetricNameGrammarRule(Rule):
     """SL302: metric names must be statically auditable and grammatical.
 
@@ -143,54 +79,42 @@ class MetricNameGrammarRule(Rule):
     code = "SL302"
     title = "metric name not statically auditable / violates grammar"
 
-    def check(self, module):
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _REGISTRATION_METHODS
-                and _is_hub_receiver(node.func.value)
-                and node.args
-            ):
-                continue
-            shape = _name_shape(node.args[0])
-            if shape is None:
-                yield self.finding(
-                    module, node,
-                    "metric name expression is not statically analyzable; "
-                    "use a literal, owner + '.leaf' concatenation, or "
-                    "%%-formatted literal skeleton",
-                )
-                continue
-            literals = [text for kind, text in shape if kind == "lit"]
-            if not literals:
-                yield self.finding(
-                    module, node,
-                    "metric name has no literal part; analysis code cannot "
-                    "grep for it (give it a literal leaf segment)",
-                )
-                continue
-            last_kind, last_text = shape[-1]
-            if last_kind != "lit" or "." not in last_text:
-                yield self.finding(
-                    module, node,
-                    "metric name must end in a literal '.leaf' segment "
-                    "(the metric leaf is the greppable contract)",
-                )
-                continue
-            joined = "".join(
-                text if kind == "lit" else "x" for kind, text in shape
+    def check(self, graph):
+        for site in graph.metric_sites:
+            if self.applies_to(site.module):
+                message = self._problem(site.shape)
+                if message:
+                    yield self.finding(site.module, site.node, message)
+
+    @staticmethod
+    def _problem(shape):
+        if shape is None:
+            return (
+                "metric name expression is not statically analyzable; "
+                "use a literal, owner + '.leaf' concatenation, or "
+                "%-formatted literal skeleton"
             )
-            if not _FULL_NAME_RE.match(joined):
-                yield self.finding(
-                    module, node,
-                    "metric name %r violates the namespace grammar "
-                    "(lowercase dotted segments, see docs/observability.md)"
-                    % "".join(
-                        text if kind == "lit" else "<dyn>"
-                        for kind, text in shape
-                    ),
+        if not any(kind == "lit" for kind, _ in shape):
+            return (
+                "metric name has no literal part; analysis code cannot "
+                "grep for it (give it a literal leaf segment)"
+            )
+        last_kind, last_text = shape[-1]
+        if last_kind != "lit" or "." not in last_text:
+            return (
+                "metric name must end in a literal '.leaf' segment "
+                "(the metric leaf is the greppable contract)"
+            )
+        joined = "".join(text if kind == "lit" else "x" for kind, text in shape)
+        if not _FULL_NAME_RE.match(joined):
+            return (
+                "metric name %r violates the namespace grammar "
+                "(lowercase dotted segments, see docs/observability.md)"
+                % "".join(
+                    text if kind == "lit" else "<dyn>" for kind, text in shape
                 )
+            )
+        return None
 
 
 class EventKindLiteralRule(Rule):
@@ -206,76 +130,25 @@ class EventKindLiteralRule(Rule):
     code = "SL303"
     title = "event kind is not a grammar-valid string literal"
 
-    def check(self, module):
-        constants, tables = self._module_literals(module.tree)
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "emit"
-                and _is_hub_receiver(node.func.value)
-                and len(node.args) >= 2
-            ):
+    def check(self, graph):
+        for site in graph.emit_sites:
+            if not self.applies_to(site.module):
                 continue
-            kind_arg = node.args[1]
-            values = self._resolve(kind_arg, constants, tables)
-            if values is None:
+            if site.kinds is None:
                 yield self.finding(
-                    module, node,
+                    site.module, site.node,
                     "event kind must be a string literal (or module-level "
                     "literal constant/table); computed kinds cannot be "
                     "audited against the event vocabulary",
                 )
                 continue
-            for value in values:
+            for value in site.kinds:
                 if not _EVENT_KIND_RE.match(value):
                     yield self.finding(
-                        module, node,
+                        site.module, site.node,
                         "event kind %r violates the <layer>.<what> grammar"
                         % value,
                     )
-
-    @staticmethod
-    def _module_literals(tree):
-        constants = {}
-        tables = {}
-        for node in tree.body:
-            if not (isinstance(node, ast.Assign) and len(node.targets) == 1):
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            if isinstance(node.value, ast.Constant) and isinstance(
-                node.value.value, str
-            ):
-                constants[target.id] = node.value.value
-            elif isinstance(node.value, ast.Dict):
-                values = []
-                for value in node.value.values:
-                    if isinstance(value, ast.Constant) and isinstance(
-                        value.value, str
-                    ):
-                        values.append(value.value)
-                    else:
-                        values = None
-                        break
-                if values:
-                    tables[target.id] = values
-        return constants, tables
-
-    @staticmethod
-    def _resolve(node, constants, tables):
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return [node.value]
-        if isinstance(node, ast.Name) and node.id in constants:
-            return [constants[node.id]]
-        if (
-            isinstance(node, ast.Subscript)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in tables
-        ):
-            return tables[node.value.id]
-        return None
 
 
 RULES = (OrphanMetricRule(), MetricNameGrammarRule(), EventKindLiteralRule())

@@ -1,8 +1,8 @@
 """SL9xx: DSM protocol-order rules (whole-program, CFG dominance).
 
-The directory protocol in :mod:`repro.dsm.runtime` rests on three
-*ordering* invariants that no per-file syntax check can see
-(``docs/dsm.md`` states them; these rules certify them):
+The directory protocol in :mod:`repro.dsm.runtime` rests on *ordering*
+invariants that no per-file syntax check can see (``docs/dsm.md``
+states them; these rules certify three of them):
 
 - a ``WRITE_OK`` grant may only be sent once the section 4.4 sorted-
   reader invalidation walk has completed -- every control-flow path to
@@ -11,14 +11,15 @@ The directory protocol in :mod:`repro.dsm.runtime` rests on three
   request filter in DRAM) must be written before the page data push, so
   a crash between the two can never re-push stale bytes over a granted
   page;
-- the grant send itself must be preceded by the page push on every
-  path -- the deliberate-update deposit rides the same FIFO as the
-  grant frame, and per-sender in-order delivery only helps if the data
-  was queued *first*;
 - the crash-recovery claim collection (``RECOVER_REQ`` broadcast) must
   visit peers in sorted node order, so the rebuild's conflict
   resolution sees claims in one deterministic arrival order on every
   host.
+
+The fourth, "the page push precedes its grant send" (the deliberate-
+update deposit rides the same FIFO as the grant frame), needs no rule:
+the happens-before sanitizer (:mod:`repro.lint.sanitize`) fails any run
+whose grant has no push and NIC deposit before it.
 
 The rules key on the protocol's own vocabulary: a module that defines a
 top-level ``WRITE_OK`` constant is a protocol engine; ``_send(...)``
@@ -37,8 +38,8 @@ and ``_home_inval_ack`` (the last-ack branch).
 
 import ast
 
-from repro.lint.cfg import build_cfg, shallow_exprs
-from repro.lint.project import ProjectRule
+from repro.lint.cfg import build_cfg
+from repro.lint.engine import Rule
 
 GRANT_SEND = "_send"
 PUSH_CALL = "_push_page"
@@ -80,10 +81,6 @@ def _is_grant_send(expr, constants):
 
 def _contains_attr_call(expr, attr):
     return any(_call_attr(node) == attr for node in ast.walk(expr))
-
-
-def _stmt_has(cfg, nid, predicate):
-    return any(predicate(expr) for expr in shallow_exprs(cfg.stmts[nid]))
 
 
 class _MethodCfg:
@@ -173,11 +170,11 @@ class _MethodCfg:
 def _class_method_cfgs(class_info, constants):
     return {
         name: _MethodCfg(func, constants)
-        for name, func in sorted(class_info.methods().items())
+        for name, func in sorted(class_info.methods.items())
     }
 
 
-class WriteGrantWalkRule(ProjectRule):
+class WriteGrantWalkRule(Rule):
     """SL901: a WRITE_OK grant not dominated by a completed inval walk.
 
     Sending ``WRITE_OK`` while a reader copy may survive breaks single-
@@ -195,9 +192,9 @@ class WriteGrantWalkRule(ProjectRule):
     code = "SL901"
     title = "WRITE_OK grant not dominated by a completed inval walk"
 
-    def check_project(self, graph):
+    def check(self, graph):
         for info in _protocol_modules(graph):
-            if not self.module_in_scope(info):
+            if not self.applies_to(info):
                 continue
             for class_info in _classes_of(graph, info):
                 yield from self._check_class(info, class_info)
@@ -235,7 +232,7 @@ class WriteGrantWalkRule(ProjectRule):
                     continue
                 if method_entry_guarded(name, set()):
                     continue
-                yield self.finding_at(
+                yield self.finding(
                     info, mcfg.cfg.stmts[nid],
                     "%s.%s sends WRITE_OK on a path not dominated by a "
                     "completed reader-invalidation walk (no 'walk is "
@@ -244,7 +241,7 @@ class WriteGrantWalkRule(ProjectRule):
                 )
 
 
-class DurableBeforePushRule(ProjectRule):
+class DurableBeforePushRule(Rule):
     """SL902: a page push not dominated by the durable last-grant write.
 
     ``set_last_grant`` is the DRAM record that makes an already-granted
@@ -259,9 +256,9 @@ class DurableBeforePushRule(ProjectRule):
     code = "SL902"
     title = "page push not dominated by the durable last-grant update"
 
-    def check_project(self, graph):
+    def check(self, graph):
         for info in _protocol_modules(graph):
-            if not self.module_in_scope(info):
+            if not self.applies_to(info):
                 continue
             for class_info in _classes_of(graph, info):
                 cfgs = _class_method_cfgs(class_info, GRANT_CONSTANTS)
@@ -273,48 +270,12 @@ class DurableBeforePushRule(ProjectRule):
                         if mcfg.cfg.reaches_without(
                             nid, blocked_nodes=mcfg.durables
                         ):
-                            yield self.finding_at(
+                            yield self.finding(
                                 info, mcfg.cfg.stmts[nid],
                                 "%s.%s pushes page data on a path where "
                                 "set_last_grant has not run; write the "
                                 "durable last-grant record before the "
                                 "push" % (class_info.name, name),
-                            )
-
-
-class PushBeforeGrantRule(ProjectRule):
-    """SL903: a grant send not dominated by its page push.
-
-    The deposit and the grant share one FIFO; per-sender in-order
-    delivery guarantees the deposit lands first *only if it was queued
-    first*.  A ``READ_OK``/``WRITE_OK`` ``_send`` reachable without a
-    prior ``_push_page`` call hands out rights to a frame whose bytes
-    may still be stale.  (The push itself may short-circuit when
-    requester == home -- the home's frame *is* the memory copy -- but
-    the call must dominate the send.)
-    """
-
-    code = "SL903"
-    title = "grant send not dominated by its page data push"
-
-    def check_project(self, graph):
-        for info in _protocol_modules(graph):
-            if not self.module_in_scope(info):
-                continue
-            for class_info in _classes_of(graph, info):
-                cfgs = _class_method_cfgs(class_info, GRANT_CONSTANTS)
-                for name in sorted(cfgs):
-                    mcfg = cfgs[name]
-                    for nid in sorted(mcfg.grant_sends):
-                        if mcfg.cfg.reaches_without(
-                            nid, blocked_nodes=mcfg.pushes
-                        ):
-                            yield self.finding_at(
-                                info, mcfg.cfg.stmts[nid],
-                                "%s.%s sends a grant on a path with no "
-                                "preceding _push_page: the deliberate-"
-                                "update deposit must be queued before "
-                                "the doorbell" % (class_info.name, name),
                             )
 
 
@@ -334,7 +295,7 @@ def _is_sorted_iter(expr):
             and expr.func.id == "sorted")
 
 
-class SortedRecoverBroadcastRule(ProjectRule):
+class SortedRecoverBroadcastRule(Rule):
     """SL904: a RECOVER_REQ broadcast loop not iterating in sorted order.
 
     The directory rebuild collects surviving peers' claims over per-pair
@@ -350,9 +311,9 @@ class SortedRecoverBroadcastRule(ProjectRule):
     code = "SL904"
     title = "RECOVER_REQ broadcast loop must iterate in sorted order"
 
-    def check_project(self, graph):
+    def check(self, graph):
         for info in _protocol_modules(graph):
-            if not self.module_in_scope(info):
+            if not self.applies_to(info):
                 continue
             if RECOVER_CONSTANT not in info.top_defs:
                 continue
@@ -372,9 +333,9 @@ class SortedRecoverBroadcastRule(ProjectRule):
             for child in ast.iter_child_nodes(node):
                 visit(child, loops)
 
-        visit(info.parsed.tree, ())
+        visit(info.tree, ())
         for loop in flagged:
-            yield self.finding_at(
+            yield self.finding(
                 info, loop,
                 "this loop broadcasts RECOVER_REQ but does not iterate a "
                 "sorted(...) iterable: the rebuild claim collection must "
@@ -383,17 +344,11 @@ class SortedRecoverBroadcastRule(ProjectRule):
             )
 
 
-def _classes_of(graph, info):
-    for class_name in sorted(
-        n for n, node in info.top_defs.items()
-        if isinstance(node, ast.ClassDef)
-    ):
-        qual = (info.name + "." + class_name if info.name
-                else info.path + "::" + class_name)
-        class_info = graph.classes.get(qual)
-        if class_info is not None:
-            yield class_info
+def _classes_of(graph, module):
+    """The module's top-level classes, by name."""
+    return sorted((c for c in graph.classes.values() if c.module is module),
+                  key=lambda c: c.name)
 
 
-RULES = (WriteGrantWalkRule(), DurableBeforePushRule(), PushBeforeGrantRule(),
+RULES = (WriteGrantWalkRule(), DurableBeforePushRule(),
          SortedRecoverBroadcastRule())

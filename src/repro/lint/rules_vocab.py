@@ -23,14 +23,11 @@ at all (a subtree or fixture run without ``repro.analysis.vocabulary``
 has nothing to drift against).
 """
 
-from repro.lint.project import (
-    EVENT_VOCAB_NAME,
-    METRIC_VOCAB_NAME,
-    ProjectRule,
-)
+from repro.lint.engine import Rule
+from repro.lint.project import EVENT_VOCAB_NAME, METRIC_VOCAB_NAME
 
 
-class OrphanVocabularyRule(ProjectRule):
+class OrphanVocabularyRule(Rule):
     """SL1001: emitted event kind or registered metric leaf missing from
     the central vocabulary.
 
@@ -44,14 +41,14 @@ class OrphanVocabularyRule(ProjectRule):
     code = "SL1001"
     title = "event kind / metric leaf missing from the vocabulary"
 
-    def check_project(self, graph):
+    def check(self, graph):
         if graph.event_vocab:
             for site in graph.emit_sites:
-                if site.kinds is None or not self.module_in_scope(site.module):
+                if site.kinds is None or not self.applies_to(site.module):
                     continue  # unresolvable kinds are SL303's business
                 for kind in site.kinds:
                     if kind not in graph.event_vocab:
-                        yield self.finding_at(
+                        yield self.finding(
                             site.module, site.node,
                             "event kind %r is emitted here but missing from "
                             "%s in the vocabulary module; add a row saying "
@@ -60,10 +57,10 @@ class OrphanVocabularyRule(ProjectRule):
                         )
         if graph.metric_vocab:
             for site in graph.metric_sites:
-                if site.leaf is None or not self.module_in_scope(site.module):
+                if site.leaf is None or not self.applies_to(site.module):
                     continue  # dynamic names are SL302's business
                 if site.leaf not in graph.metric_vocab:
-                    yield self.finding_at(
+                    yield self.finding(
                         site.module, site.node,
                         "metric leaf %r is registered here (%s) but missing "
                         "from %s in the vocabulary module; add a row saying "
@@ -73,7 +70,7 @@ class OrphanVocabularyRule(ProjectRule):
                     )
 
 
-class DeadVocabularyRule(ProjectRule):
+class DeadVocabularyRule(Rule):
     """SL1002: vocabulary entry that nothing in the tree emits/registers.
 
     Dead vocabulary is documentation of behavior that no longer exists;
@@ -86,7 +83,7 @@ class DeadVocabularyRule(ProjectRule):
     code = "SL1002"
     title = "dead vocabulary entry: no emitter or registration"
 
-    def check_project(self, graph):
+    def check(self, graph):
         yield from self._dead(
             graph, graph.event_vocab, self._emitted_kinds(graph),
             "event kind %r has a vocabulary row but no emitter anywhere "
@@ -103,7 +100,7 @@ class DeadVocabularyRule(ProjectRule):
         site is unresolvable (deadness then cannot be proven)."""
         kinds = set()
         for site in graph.emit_sites:
-            if not self.module_in_scope(site.module):
+            if not self.applies_to(site.module):
                 continue
             if site.kinds is None:
                 return None
@@ -113,7 +110,7 @@ class DeadVocabularyRule(ProjectRule):
     def _registered_leaves(self, graph):
         leaves = set()
         for site in graph.metric_sites:
-            if not self.module_in_scope(site.module):
+            if not self.applies_to(site.module):
                 continue
             if site.leaf is None:
                 return None
@@ -127,9 +124,9 @@ class DeadVocabularyRule(ProjectRule):
             if value in used:
                 continue
             entry = vocab[value]
-            if not self.module_in_scope(entry.module):
+            if not self.applies_to(entry.module):
                 continue
-            yield self.finding_at(entry.module, entry.node, template % value)
+            yield self.finding(entry.module, entry.node, template % value)
 
 
 RULES = (OrphanVocabularyRule(), DeadVocabularyRule())

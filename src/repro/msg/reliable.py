@@ -129,7 +129,23 @@ class ReliableChannel:
     when no more will follow, then :meth:`start` before running the
     simulation.  ``delivered`` is the in-order log of (seq, payload)
     the application received -- the exactly-once property the tests pin.
+    Every ring address is read through ``layout`` (a
+    :class:`ChannelLayout`; the classic one when none is given).
     """
+
+    # Slots, not an instance dict: a channel has over 30 attributes, and
+    # CPython 3.11 then gives each instance its own full-size dict -- the
+    # largest per-channel cost of a 1,024-node build.
+    __slots__ = (
+        "system", "src_node_id", "dest_node_id", "src", "dest", "name",
+        "window_slots", "payload_words", "slot_words", "slot_bytes",
+        "ack_poll_ns", "retransmit_timeout_ns", "max_timeout_ns", "layout",
+        "on_deliver", "dma_lock", "filter_arrivals", "ring_bytes",
+        "mappings", "outbox", "closed", "base", "next_seq", "epoch",
+        "delivered", "replayed_window", "_tx_proc", "_rx_proc", "_tx_busy",
+        "_rx_busy", "_force_retransmit", "_doorbell", "instr", "frames_sent",
+        "retransmits", "acks_written", "frames_replayed",
+    )
 
     def __init__(self, system, src_node_id, dest_node_id, src_base=None,
                  dest_base=None, name=None, window_slots=4, payload_words=8,
@@ -162,13 +178,6 @@ class ReliableChannel:
         self.max_timeout_ns = max_timeout_ns
 
         self.layout = layout
-        self.src_base = layout.src_ring
-        self.dest_base = layout.dest_ring
-        self.ack_src_addr = layout.ack_src_addr  # receiver writes here
-        self.ack_dest_addr = layout.ack_dest_addr  # NIC deposits here
-        self.state_addr = layout.state_addr
-        self.app_base = layout.app_base
-        self.app_wrap_words = layout.app_wrap_words
         # Delivery callback: called as ``on_deliver(channel, seq, payload)``
         # from the receiver driver after each in-order delivery (the
         # datacenter workload's server/latency hooks).  Runs inside the
@@ -191,10 +200,10 @@ class ReliableChannel:
 
         # The two hardware mappings (kept for crash-time invalidation).
         self.mappings = [
-            establish(self.src, self.src_base, self.dest, self.dest_base,
+            establish(self.src, layout.src_ring, self.dest, layout.dest_ring,
                       ring_bytes, MappingMode.DELIBERATE),
-            establish(self.dest, self.ack_src_addr, self.src,
-                      self.ack_dest_addr, 4, MappingMode.AUTO_SINGLE),
+            establish(self.dest, layout.ack_src_addr, self.src,
+                      layout.ack_dest_addr, 4, MappingMode.AUTO_SINGLE),
         ]
 
         # Sender window state (device registers, Python-level).
@@ -255,7 +264,7 @@ class ReliableChannel:
 
     def expected_seq(self):
         """The receiver's next expected sequence (reads receiver DRAM)."""
-        return self.dest.memory.read_word(self.state_addr)
+        return self.dest.memory.read_word(self.layout.state_addr)
 
     def app_words(self):
         """The application receive buffer contents, as delivered so far.
@@ -263,15 +272,16 @@ class ReliableChannel:
         With a wrapped (bounded) buffer only the unwrapped prefix is
         recoverable; callers of this helper use unbounded layouts.
         """
-        cursor = self.dest.memory.read_word(self.state_addr + 4)
-        if self.app_wrap_words is not None and cursor > self.app_wrap_words:
+        layout = self.layout
+        cursor = self.dest.memory.read_word(layout.state_addr + 4)
+        if layout.app_wrap_words is not None and cursor > layout.app_wrap_words:
             raise RuntimeError(
                 "%s: application buffer has wrapped; app_words() is only "
                 "meaningful for unbounded layouts" % self.name
             )
         if cursor == 0:
             return []
-        return self.dest.memory.read_words(self.app_base, cursor)
+        return self.dest.memory.read_words(layout.app_base, cursor)
 
     @property
     def complete(self):
@@ -336,7 +346,7 @@ class ReliableChannel:
         if node_id == self.src_node_id:
             # The sender's device registers restart from its restored ack
             # word; anything past it is retransmitted.
-            raw = self.src.memory.read_word(self.ack_dest_addr)
+            raw = self.src.memory.read_word(self.layout.ack_dest_addr)
             self.base = min(self.base, raw & ACK_VALUE_MASK)
             self._force_retransmit = True
             self._spawn_sender()
@@ -353,7 +363,7 @@ class ReliableChannel:
 
     def _read_ack(self):
         """Parse the deposited ack word; None for a stale-epoch ack."""
-        raw = self.src.memory.read_word(self.ack_dest_addr)
+        raw = self.src.memory.read_word(self.layout.ack_dest_addr)
         if (raw >> ACK_VALUE_BITS) != (self.epoch & 0xFFF):
             return None
         return raw & ACK_VALUE_MASK
@@ -412,7 +422,7 @@ class ReliableChannel:
             yield from poll(sim, self.ack_poll_ns, self._tx_ready,
                             last_send + timeout, at_deadline=True,
                             memory=self.src.memory, reads=1,
-                            words=(self.ack_dest_addr,),
+                            words=(self.layout.ack_dest_addr,),
                             signals=(self._doorbell,))
 
     def _send_frame(self, seq):
@@ -423,7 +433,8 @@ class ReliableChannel:
         try:
             payload = self.outbox[seq]
             wire = (seq + 1) & 0xFFFFFFFF  # 1-based: zeroed RAM never matches
-            slot_addr = self.src_base + (seq % self.window_slots) * self.slot_bytes
+            slot_addr = (self.layout.src_ring
+                         + (seq % self.window_slots) * self.slot_bytes)
             words = [wire, len(payload)]
             words += payload
             words += [0] * (self.payload_words - len(payload))
@@ -462,8 +473,8 @@ class ReliableChannel:
         """
         signal = self.dest.nic.arrival_signal
         if self.filter_arrivals:
-            arrival = WaitDeposit(signal, self.dest_base,
-                                  self.dest_base + self.ring_bytes)
+            ring = self.layout.dest_ring
+            arrival = WaitDeposit(signal, ring, ring + self.ring_bytes)
         else:
             arrival = Wait(signal)
         while True:
@@ -474,12 +485,13 @@ class ReliableChannel:
     def _scan_slots(self):
         """Deliver every consecutive valid frame waiting in the ring."""
         mem = self.dest.memory
+        layout = self.layout
         while True:
-            expected = mem.read_word(self.state_addr)
+            expected = mem.read_word(layout.state_addr)
             if self.total is not None and expected >= self.total:
                 return
             slot_addr = (
-                self.dest_base
+                layout.dest_ring
                 + (expected % self.window_slots) * self.slot_bytes
             )
             wire = (expected + 1) & 0xFFFFFFFF
@@ -491,21 +503,21 @@ class ReliableChannel:
             payload = (
                 mem.read_words(slot_addr + 8, nwords) if nwords else []
             )
-            cursor = mem.read_word(self.state_addr + 4)
+            cursor = mem.read_word(layout.state_addr + 4)
             if payload:
-                wrap = self.app_wrap_words
+                wrap = layout.app_wrap_words
                 if wrap is None:
-                    mem.write_words(self.app_base + 4 * cursor, payload)
+                    mem.write_words(layout.app_base + 4 * cursor, payload)
                 else:
                     # Bounded buffer: the cursor keeps counting, writes
                     # wrap -- an open-ended stream stays inside its arena.
                     for index, word in enumerate(payload):
                         mem.write_word(
-                            self.app_base + 4 * ((cursor + index) % wrap),
+                            layout.app_base + 4 * ((cursor + index) % wrap),
                             word,
                         )
-            mem.write_word(self.state_addr + 4, cursor + nwords)
-            mem.write_word(self.state_addr, expected + 1)
+            mem.write_word(layout.state_addr + 4, cursor + nwords)
+            mem.write_word(layout.state_addr, expected + 1)
             self.delivered.append((expected, list(payload)))
             if self.on_deliver is not None:
                 self.on_deliver(self, expected, list(payload))
@@ -514,12 +526,12 @@ class ReliableChannel:
         """Generator: store the cumulative ack through the return mapping."""
         self._rx_busy = True
         try:
-            expected = self.dest.memory.read_word(self.state_addr)
+            expected = self.dest.memory.read_word(self.layout.state_addr)
             word = ((self.epoch & 0xFFF) << ACK_VALUE_BITS) | (
                 expected & ACK_VALUE_MASK
             )
             node = self.dest
-            addr, policy = node.mmu.translate(self.ack_src_addr, "write")
+            addr, policy = node.mmu.translate(self.layout.ack_src_addr, "write")
             yield from node.cache.write(addr, word, policy)
             self.acks_written.bump()
         finally:

@@ -147,6 +147,19 @@ class _MergeContext:
 class NetworkInterface:
     """One node's SHRIMP network interface."""
 
+    # Slots, not an instance dict: with over 30 attributes, CPython 3.11
+    # gives each instance its own full-size dict (one per node).
+    __slots__ = (
+        "sim", "node_id", "bus", "eisa", "backplane", "address_map", "params",
+        "name", "coords", "_cpu_originator", "nipt", "outgoing_fifo",
+        "incoming_fifo", "dma_engine", "command_device", "kernel_inbox",
+        "arrival_signal", "_merge", "cpu", "stage_hook", "instr",
+        "packets_packetized", "packets_injected", "packets_delivered",
+        "words_delivered", "crc_drops", "coord_drops", "unmapped_drops",
+        "arrival_interrupts", "merged_writes", "_started", "inject_process",
+        "accept_process", "delivery_process",
+    )
+
     def __init__(self, sim, node_id, bus, eisa, backplane, address_map,
                  nic_params, cpu_originator="cache", name=None):
         self.sim = sim

@@ -23,6 +23,7 @@ import sys
 from repro.ckpt.divergence import fingerprint
 from repro.ckpt.scenarios import (
     build_bandwidth,
+    build_blocked_stream,
     build_contention,
     build_ping_pong,
 )
@@ -104,6 +105,7 @@ SCENARIOS = {
     "ping_pong": build_ping_pong,
     "bandwidth": build_bandwidth,
     "contention": build_contention,
+    "blocked_stream": build_blocked_stream,
     "fault_storm": _fault_storm,
     "workload": _workload,
     "dsm": _dsm,

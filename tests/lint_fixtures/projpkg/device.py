@@ -12,7 +12,7 @@ class TickDevice(BaseCounter):
         self.name = name
         self.hub = Instrumentation.of(sim)
         self._ticks = 0
-        # SL1101: mutated below, but the inherited capture/restore pair
+        # SL201: mutated below, but the inherited capture/restore pair
         # in counters.py only covers _ticks.
         self._skips = 0
 

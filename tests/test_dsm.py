@@ -231,8 +231,8 @@ class TestProtocol:
 
         drive(system, body())
         frame = runtime.layout.frame_addr(0)
-        # Node 1 holds no rights on page 0: a direct DRAM write is the
-        # bug SL801 bans statically and this guard catches dynamically.
+        # Node 1 holds no rights on page 0: a direct DRAM write bypasses
+        # the directory protocol, and this guard catches it.
         with pytest.raises(DsmError):
             system.nodes[1].memory.write_word(frame, 99)
         # The owner and the home stay legal.

@@ -1,11 +1,10 @@
-"""The whole-program pass: project graph, SL9xx--SL11xx, cache, sanitizer.
+"""The project graph, the cross-file rules, and the sanitizer.
 
 The single-file corpus in ``test_lint.py`` proves each rule's bad/good
 contract; this module proves the *cross-file* machinery those rules sit
 on -- module/import resolution through re-export chains, the C3 MRO,
-the content-hash graph cache, the ``--phase`` split, the vocabulary pin
-against ``docs/observability.md`` and the ``--sanitize`` runtime
-companion -- using the miniature package under
+the vocabulary pin against ``docs/observability.md`` and the
+``--sanitize`` runtime companion -- using the miniature package under
 ``tests/lint_fixtures/projpkg/``.
 """
 
@@ -17,11 +16,7 @@ from repro.analysis.vocabulary import EVENT_KINDS
 from repro.lint import all_rules, run_rules
 from repro.lint.cli import main
 from repro.lint.engine import ParsedModule
-from repro.lint.project import (
-    ProjectGraph,
-    load_cached_graph,
-    tree_digest,
-)
+from repro.lint.project import ProjectGraph
 from repro.lint.sanitize import HappensBeforeSanitizer, run_sanitized
 from repro.memsys.address import PAGE_SIZE
 
@@ -41,12 +36,8 @@ def _projpkg_graph():
     return ProjectGraph(modules)
 
 
-def _lint(*paths, phases=("file", "project"), cache_dir=None):
-    findings, suppressed = run_rules(
-        [str(p) for p in paths], all_rules(), phases=phases,
-        cache_dir=cache_dir,
-    )
-    return findings, suppressed
+def _lint(*paths):
+    return run_rules([str(p) for p in paths], all_rules())
 
 
 # -- the project graph --------------------------------------------------------
@@ -100,70 +91,27 @@ def test_graph_indexes_emit_sites_and_vocabulary():
 def test_projpkg_produces_exactly_the_planted_findings():
     findings, _ = _lint(*_projpkg_paths())
     assert [(f.code, Path(f.path).name) for f in findings] == [
-        ("SL1101", "device.py"),   # _skips invisible to inherited ckpt
+        ("SL201", "device.py"),    # _skips invisible to inherited ckpt
         ("SL1001", "device.py"),   # dev.orphan missing from the table
         ("SL1002", "vocab.py"),    # dev.dead has no emitter
     ]
-    # The SL1101 finding anchors on the __init__ assignment line, so an
+    # The SL201 finding anchors on the __init__ assignment line, so an
     # inline ignore-with-reason lands exactly where the attribute is born.
-    sl1101 = findings[0]
+    sl201 = findings[0]
     source = (PROJPKG / "device.py").read_text().splitlines()
-    assert "_skips = 0" in source[sl1101.line - 1]
+    assert "_skips = 0" in source[sl201.line - 1]
 
 
 def test_project_findings_respect_inline_suppressions(tmp_path):
-    source = (FIXTURES / "bad_sl1101.py").read_text()
+    source = (FIXTURES / "bad_sl201_mro.py").read_text()
     patched = source.replace(
         "self._drops = 0",
-        "self._drops = 0  # simlint: ignore[SL1101] rebuilt by the wiring",
+        "self._drops = 0  # simlint: ignore[SL201] rebuilt by the wiring",
     )
     path = tmp_path / "mod.py"
     path.write_text(patched)
     findings, suppressed = _lint(path)
     assert findings == [] and suppressed == 1
-
-
-def test_phase_split_partitions_the_rules():
-    bad = FIXTURES / "bad_sl1001.py"
-    per_file, _ = _lint(bad, phases=("file",))
-    assert per_file == []  # SL1001 is a project rule
-    project, _ = _lint(bad, phases=("project",))
-    assert {f.code for f in project} == {"SL1001"}
-
-
-# -- the graph cache ----------------------------------------------------------
-
-
-def test_tree_digest_is_content_keyed_and_order_independent():
-    a = ("pkg/a.py", "x = 1\n")
-    b = ("pkg/b.py", "y = 2\n")
-    assert tree_digest([a, b]) == tree_digest([b, a])
-    assert tree_digest([a, b]) != tree_digest([a, ("pkg/b.py", "y = 3\n")])
-
-
-def test_cache_roundtrip_reproduces_the_findings(tmp_path):
-    cache_dir = tmp_path / "cache"
-    cold, _ = _lint(*_projpkg_paths(), cache_dir=cache_dir)
-    assert (cache_dir / "graph.pkl").exists()
-    warm, _ = _lint(*_projpkg_paths(), cache_dir=cache_dir)
-    assert [repr(f) for f in warm] == [repr(f) for f in cold]
-
-
-def test_cache_misses_on_edit_and_corruption(tmp_path):
-    sources = [
-        (p.as_posix(), p.read_text(encoding="utf-8"))
-        for p in _projpkg_paths()
-    ]
-    cache_dir = tmp_path / "cache"
-    _lint(*_projpkg_paths(), cache_dir=cache_dir)
-    digest = tree_digest(sources)
-    assert load_cached_graph(cache_dir, digest) is not None
-    assert load_cached_graph(cache_dir, "0" * 64) is None
-    (cache_dir / "graph.pkl").write_bytes(b"not a pickle")
-    assert load_cached_graph(cache_dir, digest) is None
-    # A corrupt cache never fails the run -- it is rebuilt.
-    findings, _ = _lint(*_projpkg_paths(), cache_dir=cache_dir)
-    assert {f.code for f in findings} == {"SL1001", "SL1002", "SL1101"}
 
 
 # -- the vocabulary pin -------------------------------------------------------
@@ -197,33 +145,11 @@ def test_event_vocabulary_matches_observability_docs():
 # -- the CLI ------------------------------------------------------------------
 
 
-def test_cli_phase_flags(tmp_path):
-    bad = str(FIXTURES / "bad_sl1001.py")
-    assert main([bad, "--no-baseline", "--no-cache",
-                 "--phase", "per-file"], out=io.StringIO()) == 0
-    out = io.StringIO()
-    assert main([bad, "--no-baseline", "--no-cache",
-                 "--phase", "project"], out=out) == 1
-    assert "SL1001" in out.getvalue()
-
-
-def test_cli_populates_and_reuses_the_cache_dir(tmp_path):
-    bad = str(FIXTURES / "bad_sl1002.py")
-    cache = tmp_path / "cache"
-    args = [bad, "--no-baseline", "--cache-dir", str(cache)]
-    cold = io.StringIO()
-    assert main(args, out=cold) == 1
-    assert (cache / "graph.pkl").exists()
-    warm = io.StringIO()
-    assert main(args, out=warm) == 1
-    assert warm.getvalue() == cold.getvalue()
-
-
 def test_cli_explain_covers_the_project_rules(capsys):
     assert main(["--explain", "SL901"]) == 0
     assert "WRITE_OK" in capsys.readouterr().out
-    assert main(["--explain", "SL1101"]) == 0
-    assert "inheritance" in capsys.readouterr().out
+    assert main(["--explain", "SL201"]) == 0
+    assert "inheritance chain" in capsys.readouterr().out
 
 
 def test_cli_explain_unknown_code_lists_known_codes(capsys):
@@ -231,7 +157,7 @@ def test_cli_explain_unknown_code_lists_known_codes(capsys):
     err = capsys.readouterr().err
     assert "unknown rule code: SL999" in err
     assert "known codes:" in err
-    for code in ("SL101", "SL901", "SL1001", "SL1101"):
+    for code in ("SL101", "SL201", "SL901", "SL1001"):
         assert code in err
 
 

@@ -387,7 +387,7 @@ def test_restore_wakes_a_polling_sender_but_not_an_idle_one():
     system.run(max_events=100_000)
     assert channel.base == 2 and channel._doorbell.waiter_count == 1
     # Roll the receiver back one frame, as a node restore would.
-    system.nodes[1].memory.write_word(channel.state_addr, 1)
+    system.nodes[1].memory.write_word(channel.layout.state_addr, 1)
     channel.node_restored(1)
     system.run(max_events=100_000)
     assert channel.retransmits.value == 0
