@@ -28,8 +28,8 @@ import tempfile
 from benchmarks import gate
 from repro.ckpt.divergence import diff_fingerprints, fingerprint
 from repro.ckpt.safepoint import seek_safepoint
-from repro.ckpt.scenarios import build_contention, build_ping_pong
 from repro.ckpt.system import SystemCheckpoint
+from repro.scenarios import build_contention, build_ping_pong
 
 GUARDS = {"ckpt_bytes": (0.10, "lower")}
 

@@ -1,9 +1,10 @@
 """Crash-recovery benchmarks: replayed-traffic window + retransmit cost.
 
 Runs the canonical crash-recovery scenario
-(:mod:`repro.faults.scenario`): a 16-node contention storm with a
-reliable channel streaming into node (1, 1), which is crashed mid-storm
-and restored in place from its last per-node checkpoint.  Every run is
+(:func:`repro.scenarios.run_crash_recovery`): a 16-node contention
+storm with a reliable channel streaming into node (1, 1), which is
+crashed mid-storm and restored in place from its last per-node
+checkpoint.  Every run is
 verified against the fault-free reference -- the hot node's receive
 buffers and the channel's application buffer must match byte for byte --
 so the numbers below are the *cost of a recovery that provably worked*:
@@ -17,10 +18,11 @@ so the numbers below are the *cost of a recovery that provably worked*:
   while the node was dark (the channel's recovery overhead);
 - ``dropped_packets``     -- volatile NIC state lost with the node.
 
-The ``dsm_homecrash`` scale crashes a DSM *home* instead
-(:mod:`repro.dsm`, see docs/dsm.md "Crash recovery") and measures the
-directory-rebuild machinery, again only after the final shared bytes
-matched the closed form:
+The ``dsm_homecrash`` scale runs the ``dsm_homecrash`` scenario
+(:func:`repro.scenarios.homecrash_workload`), which crashes a DSM
+*home* instead (:mod:`repro.dsm`, see docs/dsm.md "Crash recovery"), and
+measures the directory-rebuild machinery, again only after the final
+shared bytes matched the closed form:
 
 - ``rebuild_window_ns``   -- ``dsm.rebuild_start`` to ``dsm.rebuild_done``:
   how long the restored home spent collecting survivor claims;
@@ -41,8 +43,8 @@ import os
 import sys
 
 from benchmarks import gate
-from repro.faults.scenario import (default_payloads, run_crash_recovery,
-                                   run_fault_free)
+from repro.scenarios import (default_payloads, homecrash_workload,
+                             run_crash_recovery, run_fault_free)
 
 GUARDS = {key: (0.25, "lower") for key in (
     "recovery_window_ns", "replay_window_ns", "frames_replayed",
@@ -76,35 +78,25 @@ def _measure(words_per_sender, payload_count, crash_delay_ns, dwell_ns):
     }
 
 
-def _measure_homecrash(crash_at=400_000, dwell_ns=120_000):
-    """The DSM home-crash scale: crash home node 1 mid-run, let the
-    directory rebuild + lease replay recover it, verify the shared
-    bytes against the closed form, and measure the rebuild window."""
-    from repro.faults.recovery import spawn_crash_restore_cycle
-    from repro.sim.instrument import Instrumentation
-    from repro.workload.dsm_apps import DsmWorkload
-
-    w = DsmWorkload(kind="homecrash", width=4, height=4,
-                    iterations=2).start()
-    hub = Instrumentation.of(w.system.sim)
+def _measure_homecrash():
+    """The DSM home-crash scale: the ``dsm_homecrash`` scenario crashes
+    home node 1 mid-run and the directory rebuild + lease replay
+    recover it; verify the shared bytes against the closed form, and
+    measure the rebuild window."""
+    w = homecrash_workload()
+    hub = w.system.instrumentation
     hub.enable_events(only_kinds={
         "dsm.rebuild_start", "dsm.rebuild_done",
         "fault.node_crash", "fault.node_restore",
     })
-    outcome = {}
-    spawn_crash_restore_cycle(
-        w.system, 1, crash_at, dwell_ns, w.runtime.mappings,
-        channels=list(w.runtime.channels()) + [w.runtime],
-        outcome=outcome,
-    )
     w.run()
 
-    assert "restored_at" in outcome, "recovery never completed"
+    crash = [e for e in hub.events() if e.kind == "fault.node_crash"]
+    restore = [e for e in hub.events() if e.kind == "fault.node_restore"]
+    assert len(crash) == len(restore) == 1, "recovery never completed"
     assert w.final_shared_bytes() == w.expected_homecrash(), (
         "recovered shared bytes diverge from the closed form"
     )
-    crash = [e for e in hub.events() if e.kind == "fault.node_crash"]
-    restore = [e for e in hub.events() if e.kind == "fault.node_restore"]
     starts = [e for e in hub.events() if e.kind == "dsm.rebuild_start"
               and e.fields["node"] == 1]
     dones = [e for e in hub.events() if e.kind == "dsm.rebuild_done"

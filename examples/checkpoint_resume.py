@@ -20,8 +20,8 @@ import tempfile
 
 from repro.ckpt.divergence import diff_fingerprints, fingerprint
 from repro.ckpt.safepoint import seek_safepoint
-from repro.ckpt.scenarios import build_ping_pong
 from repro.ckpt.system import SystemCheckpoint
+from repro.scenarios import build_ping_pong
 
 
 def resume_child(path):

@@ -2,8 +2,9 @@
 
 Commands:
 
-- ``save <scenario> <path>``    run a named scenario up to ``--until``,
-  advance to the next safepoint, and write a checkpoint file.
+- ``save <key> <path>``         run a :data:`~repro.scenarios.CHECKPOINTABLE`
+  scenario, named by its pin key (``ping_pong@rounds=4``), up to
+  ``--until``, advance to the next safepoint, and write a checkpoint.
 - ``resume <path>``             restore a checkpoint and run it to
   completion; prints the final clock and key counters.
 - ``diff <a> <b>``              structural diff of two checkpoint files'
@@ -13,9 +14,9 @@ Commands:
   byte-identical re-captured state.  Exit 1 on divergence.
 - ``info <path>``               header and shape of a checkpoint file.
 
-Usage errors exit with status 2 (argparse convention); checkpoint errors
-(corruption, version mismatch, unsafe instants) print the ``CkptError``
-message and exit 1.
+Usage errors, a bad key among them, exit with status 2 (argparse
+convention); checkpoint errors (corruption, version mismatch, unsafe
+instants) print the ``CkptError`` message and exit 1.
 """
 
 import argparse
@@ -27,25 +28,26 @@ from repro.ckpt import fmt
 from repro.ckpt.divergence import diff_states, fingerprint, verify_replay
 from repro.ckpt.protocol import CkptError
 from repro.ckpt.safepoint import seek_safepoint
-from repro.ckpt.scenarios import SCENARIOS
 from repro.ckpt.system import SystemCheckpoint
+from repro.scenarios import CHECKPOINTABLE, build_key, parse_key
 
 
 def _cmd_save(args):
-    builder = SCENARIOS[args.scenario]
-    kwargs = {}
-    if args.rounds is not None:
-        if args.scenario != "ping_pong":
-            raise CkptError("--rounds only applies to ping_pong")
-        kwargs["rounds"] = args.rounds
-    system = builder(config=args.config, **kwargs)
+    try:
+        if parse_key(args.key)[0] not in CHECKPOINTABLE:
+            raise ValueError("%r cannot be checkpointed; choose from %s"
+                             % (args.key, ", ".join(CHECKPOINTABLE)))
+        system = build_key(args.key)
+    except ValueError as exc:
+        print("usage error: %s" % exc, file=sys.stderr)
+        return 2
     if args.until:
         system.run(until=args.until)
     stepped = seek_safepoint(system, max_events=args.max_events)
     nbytes = SystemCheckpoint.save(system, args.path)
     print(
         "saved %s: scenario=%s t=%d ns (+%d events to safepoint), %d bytes"
-        % (args.path, args.scenario, system.sim.now, stepped, nbytes)
+        % (args.path, args.key, system.sim.now, stepped, nbytes)
     )
     return 0
 
@@ -119,14 +121,12 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_save = sub.add_parser("save", help="run a scenario and checkpoint it")
-    p_save.add_argument("scenario", choices=sorted(SCENARIOS))
+    p_save.add_argument("key", help="scenario pin key, e.g. "
+                        "ping_pong@rounds=4 (scenarios: %s)"
+                        % ", ".join(CHECKPOINTABLE))
     p_save.add_argument("path")
     p_save.add_argument("--until", type=int, default=0,
                         help="simulated ns to run before checkpointing")
-    p_save.add_argument("--rounds", type=int, default=None,
-                        help="ping_pong round trips (default 8)")
-    p_save.add_argument("--config", default="eisa-prototype",
-                        help="named hardware config (default eisa-prototype)")
     p_save.add_argument("--max-events", type=int, default=1_000_000,
                         help="safepoint-seek event budget (default 1000000)")
     p_save.set_defaults(fn=_cmd_save)

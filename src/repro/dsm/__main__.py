@@ -65,12 +65,7 @@ def main(argv=None):
         requests=args.requests,
     ).start()
     if crash:
-        from repro.faults.recovery import spawn_crash_restore_cycle
-
-        spawn_crash_restore_cycle(
-            workload.system, args.crash_home, args.crash_at, args.dwell_ns,
-            workload.runtime.mappings,
-            channels=workload.runtime.channels() + [workload.runtime])
+        workload.crash_restore(args.crash_home, args.crash_at, args.dwell_ns)
     workload.run()
     instr = Instrumentation.of(workload.system.sim)
 

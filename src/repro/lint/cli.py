@@ -7,9 +7,10 @@ Usage::
 Defaults to linting ``src`` and ``tests``: the tree is parsed once into
 a :class:`~repro.lint.project.ProjectGraph` and every rule runs on it.
 
-``--sanitize SCENARIO`` is the runtime companion: instead of linting
-source, it arms the happens-before checker over one ``repro.scenarios``
-scenario run and fails on any ordering violation
+``--sanitize KEY`` is the runtime companion: instead of linting source,
+it arms the happens-before checker over one ``repro.scenarios`` run,
+named by its pin key (``dsm``, ``dsm@seed=2``), and fails on any
+ordering violation
 (:mod:`repro.lint.sanitize`).
 
 Exit codes: 0 -- no findings; 1 -- at least one finding or a sanitizer
@@ -52,9 +53,9 @@ def _parser():
         help="print a rule's full documentation, then exit",
     )
     parser.add_argument(
-        "--sanitize", metavar="SCENARIO",
-        help="run SCENARIO (a repro.scenarios name) with the "
-        "happens-before sanitizer armed instead of linting source",
+        "--sanitize", metavar="KEY",
+        help="run the repro.scenarios pin KEY (e.g. dsm or dsm@seed=2) "
+        "with the happens-before sanitizer armed instead of linting source",
     )
     return parser
 

@@ -24,8 +24,9 @@ deliberately small:
   Several codes: ``ignore[SL104,SL201]``; bare ``# simlint: ignore``
   suppresses every code.  ``# simlint: ignore-file[SLnnn]`` in the first
   20 lines suppresses for the whole file.  Suppressions are the only
-  exception mechanism: the gate is zero findings, and a coded
-  suppression must carry its justification in the same comment.
+  exception mechanism: the gate is zero findings, a coded suppression
+  must carry its justification in the same comment, and a suppression
+  that suppresses nothing is itself a finding.
 """
 
 import ast
@@ -136,8 +137,9 @@ class ParsedModule:
         self.path = path  # posix-style, as given on the command line
         self.tree = ast.parse(source, filename=path)
         self.nodes = list(ast.walk(self.tree))  # every rule walks these
-        self.suppressions = {}  # line -> set of codes, or {"*"}
-        self.file_suppressions = set()
+        # (pragma line, anchor line or None for ignore-file, codes or {"*"})
+        self.pragmas = []
+        self.used_pragmas = set()  # pragma lines that suppressed a finding
         self.unjustified = []   # (pragma line, sorted codes) missing a reason
         self.scope = self._infer_scope(path)
         if "simlint:" in source:
@@ -185,17 +187,18 @@ class ParsedModule:
         for line_number, comment in comments:
             match = _SUPPRESS_FILE_RE.search(comment)
             if match and line_number <= 20:
-                self.file_suppressions.update(_codes(match.group(1)))
+                codes = _codes(match.group(1))
+                self.pragmas.append((line_number, None, codes))
                 if not match.group(2).strip():
                     self.unjustified.append(
-                        (line_number, ",".join(sorted(_codes(match.group(1)))))
+                        (line_number, ",".join(sorted(codes)))
                     )
                 continue
             match = _SUPPRESS_RE.search(comment)
             if match:
                 codes = _codes(match.group(1)) if match.group(1) else {"*"}
                 anchor = self._anchor_line(lines, line_number)
-                self.suppressions.setdefault(anchor, set()).update(codes)
+                self.pragmas.append((line_number, anchor, codes))
                 # A *coded* suppression is a claim ("this specific rule
                 # does not apply here") and must say why; a bare ignore
                 # is already flagged by review convention.
@@ -224,10 +227,13 @@ class ParsedModule:
         return line_number
 
     def is_suppressed(self, finding):
-        if finding.code in self.file_suppressions:
-            return True
-        codes = self.suppressions.get(finding.line)
-        return bool(codes) and ("*" in codes or finding.code in codes)
+        """Whether a pragma covers ``finding``; marks that pragma used."""
+        for line, anchor, codes in self.pragmas:
+            if anchor in (None, finding.line) and (
+                    "*" in codes or finding.code in codes):
+                self.used_pragmas.add(line)
+                return True
+        return False
 
 
 def _codes(spec):
@@ -256,6 +262,10 @@ UNJUSTIFIED_MESSAGE = (
     "the same comment (the reason is the documentation the next reader "
     "needs)"
 )
+UNUSED_MESSAGE = (
+    "suppression ignore[%s] suppresses no finding; delete it (the code "
+    "it excused is gone, or the rule never flagged that line)"
+)
 
 
 def run_rules(paths, rules, selected_codes=None):
@@ -264,10 +274,12 @@ def run_rules(paths, rules, selected_codes=None):
     Findings are sorted by (path, line, col, code); suppressed findings
     are dropped and only counted.  Unparseable files produce an ``SL000``
     finding instead of crashing the run (a syntax error is a finding);
-    a coded suppression with no justification produces an ``SL001``.
+    a coded suppression with no justification produces an ``SL001``,
+    and a suppression that suppressed no finding an ``SL002`` -- judged
+    only when every code it names ran.
     """
     if selected_codes:
-        known = {rule.code for rule in rules} | {"SL000", "SL001"}
+        known = {rule.code for rule in rules} | {"SL000", "SL001", "SL002"}
         unknown = set(selected_codes) - known
         if unknown:
             raise LintUsageError(
@@ -302,5 +314,16 @@ def run_rules(paths, rules, selected_codes=None):
                 findings.append(Finding(
                     "SL001", module.path, line, 0, UNJUSTIFIED_MESSAGE % codes,
                 ))
+    if selected_codes is None or "SL002" in selected_codes:
+        ran = {rule.code for rule in rules}
+        for module in modules:
+            for line, _anchor, codes in module.pragmas:
+                judged = selected_codes is None or (
+                    "*" not in codes and codes <= ran)
+                if judged and line not in module.used_pragmas:
+                    findings.append(Finding(
+                        "SL002", module.path, line, 0,
+                        UNUSED_MESSAGE % ",".join(sorted(codes)),
+                    ))
     findings.sort(key=Finding.sort_key)
     return findings, suppressed

@@ -2,9 +2,9 @@
 
 The static rules certify the *source* orders its protocol actions; this
 module certifies one actual *run* did.  ``python -m repro.lint
---sanitize SCENARIO`` builds a :mod:`repro.scenarios` scenario,
-subscribes a :class:`HappensBeforeSanitizer` to the instrumentation
-bus, runs the scenario to completion and exits non-zero
+--sanitize KEY`` builds the :mod:`repro.scenarios` run that pin key
+``KEY`` names, subscribes a :class:`HappensBeforeSanitizer` to the
+instrumentation bus, runs the scenario to completion and exits non-zero
 if any ordering edge the DSM protocol promises was violated:
 
 - a ``dsm.grant`` must carry the token of the latest ``dsm.fault`` on
@@ -244,21 +244,20 @@ class HappensBeforeSanitizer:
 # -- the CLI entry ------------------------------------------------------------
 
 
-def run_sanitized(scenario, out, **kwargs):
-    """Run ``scenario`` with the sanitizer armed.
+def run_sanitized(key, out):
+    """Run the scenario pin ``key`` names (``dsm``, ``dsm@seed=2``; see
+    :func:`repro.scenarios.build_key`) with the sanitizer armed.
 
     Returns the process exit code: 0 on a clean run, 1 on any
-    happens-before violation.  Unknown scenario names raise
+    happens-before violation.  A key that names no scenario run raises
     :class:`~repro.lint.engine.LintUsageError` (CLI exit 2).
     """
-    from repro.scenarios import SCENARIOS, build
+    from repro.scenarios import build_key
 
-    if scenario not in SCENARIOS:
-        raise LintUsageError(
-            "unknown scenario %r for --sanitize; known: %s"
-            % (scenario, ", ".join(sorted(SCENARIOS)))
-        )
-    system = build(scenario, **kwargs)
+    try:
+        system = build_key(key)
+    except ValueError as exc:
+        raise LintUsageError("--sanitize: %s" % exc) from None
     sanitizer = HappensBeforeSanitizer(system.instrumentation)
     system.run()
     sanitizer.detach()
@@ -267,7 +266,7 @@ def run_sanitized(scenario, out, **kwargs):
     print(
         "sanitize[%s]: %d violation(s); %d grant(s) and %d deposit(s) "
         "checked over %d ns"
-        % (scenario, len(sanitizer.violations), sanitizer.checked_grants,
+        % (key, len(sanitizer.violations), sanitizer.checked_grants,
            sanitizer.checked_deposits, system.sim.now),
         file=out,
     )

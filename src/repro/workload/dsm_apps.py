@@ -340,6 +340,22 @@ class DsmWorkload:
         self.system.run(until=until)
         return self
 
+    def crash_restore(self, node_id, crash_at, dwell_ns):
+        """Crash ``node_id`` at ``crash_at`` and restore it ``dwell_ns``
+        later (:func:`~repro.faults.recovery.crash_restore_cycle`).  The
+        runtime goes after its channels, so channel replay state is reset
+        before the directory rebuild starts.  Returns the outcome dict
+        the restore fills in."""
+        # Imported here so a crash-free run never loads the ckpt package.
+        from repro.faults.recovery import spawn_crash_restore_cycle
+
+        outcome = {}
+        runtime = self.runtime
+        spawn_crash_restore_cycle(
+            self.system, node_id, crash_at, dwell_ns, runtime.mappings,
+            channels=runtime.channels() + [runtime], outcome=outcome)
+        return outcome
+
     # -- results ---------------------------------------------------------------
 
     def final_shared_bytes(self):

@@ -23,13 +23,13 @@ from repro.ckpt import fmt
 from repro.ckpt.codec import decode_context, decode_program, encode_context, encode_program
 from repro.ckpt.divergence import diff_fingerprints, fingerprint, verify_replay
 from repro.ckpt.safepoint import check_safepoint, seek_safepoint
-from repro.ckpt.scenarios import (
+from repro.ckpt.system import SystemCheckpoint
+from repro.cpu import Asm, Context, Mem
+from repro.scenarios import (
     build_blocked_stream,
     build_contention,
     build_ping_pong,
 )
-from repro.ckpt.system import SystemCheckpoint
-from repro.cpu import Asm, Context, Mem
 from repro.sim.process import Process, Timeout
 
 from tests.test_golden_trace import GOLDEN
@@ -342,6 +342,30 @@ def test_cli_save_info_resume_verify(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "repro-ckpt v1" in out
     assert "bit-for-bit identical" in out
+
+
+def test_cli_save_takes_a_pin_key(tmp_path, capsys):
+    from repro.ckpt.__main__ import main
+
+    path = str(tmp_path / "pp2.ckpt")
+    assert main(["save", "ping_pong@rounds=2", path]) == 0
+    assert "scenario=ping_pong@rounds=2" in capsys.readouterr().out
+    assert main(["resume", path]) == 0
+
+
+@pytest.mark.parametrize("key,message", [
+    ("dsm", "cannot be checkpointed"),
+    ("ping_pong@rounds", "malformed scenario key"),
+    ("ping_pong@bogus=1", "unexpected keyword"),
+])
+def test_cli_save_rejects_a_bad_key_as_a_usage_error(tmp_path, capsys, key,
+                                                     message):
+    from repro.ckpt.__main__ import main
+
+    path = tmp_path / "bad.ckpt"
+    assert main(["save", key, str(path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_cli_diff_localizes_changes(tmp_path, capsys):

@@ -48,7 +48,6 @@ from repro.faults.recovery import (
     crash_node,
     invalidate_node_mappings,
     recover_node,
-    spawn_crash_restore_cycle,
 )
 from repro.machine import ShrimpSystem
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE, page_number
@@ -581,12 +580,7 @@ def _under_home_crash(kind, fault_seed, crash_at=30_000, dwell=8_000):
         flaps_per_link=1,
     )
     FaultController(w.system, plan).arm()
-    outcome = {}
-    spawn_crash_restore_cycle(
-        w.system, 1, crash_at, dwell, w.runtime.mappings,
-        channels=list(w.runtime.channels()) + [w.runtime],
-        outcome=outcome,
-    )
+    outcome = w.crash_restore(1, crash_at, dwell)
     w.run()
     assert "restored_at" in outcome, "recovery never completed"
     return w.final_shared_bytes()
@@ -614,12 +608,7 @@ class TestHomeCrashRecovery:
         pages) survives its lock home + data home dying mid-run."""
         w = DsmWorkload(kind="homecrash", width=4, height=1,
                         iterations=2).start()
-        outcome = {}
-        spawn_crash_restore_cycle(
-            w.system, 1, 400_000, 120_000, w.runtime.mappings,
-            channels=list(w.runtime.channels()) + [w.runtime],
-            outcome=outcome,
-        )
+        outcome = w.crash_restore(1, 400_000, 120_000)
         w.run()
         assert "restored_at" in outcome
         assert w.final_shared_bytes() == w.expected_homecrash()

@@ -32,11 +32,12 @@ ALL_CODES = [
     "SL1001", "SL1002",
 ]
 
-# Code -> (fixture stem, the codes its bad fixture must trigger).  The
-# SL1101/SL1102 pairs split the checkpoint triple between a base class
-# and a subclass; those codes are folded into SL201-SL203, which resolve
-# methods along the MRO, so their fixtures fire under the merged codes.
-CORPUS = {code: (code.lower(), {code}) for code in ALL_CODES}
+# Code -> (fixture stem, the codes its bad fixture must trigger).  SL002
+# is the engine's own unused-suppression check.  The SL1101/SL1102 pairs
+# split the checkpoint triple between a base class and a subclass; those
+# codes are folded into SL201-SL203, which resolve methods along the
+# MRO, so their fixtures fire under the merged codes.
+CORPUS = {code: (code.lower(), {code}) for code in ALL_CODES + ["SL002"]}
 CORPUS["SL1101"] = ("sl201_mro", {"SL201"})
 CORPUS["SL1102"] = ("sl202_mro", {"SL202", "SL203"})
 
@@ -171,11 +172,22 @@ def test_bare_ignore_suppresses_every_code(tmp_path):
 
 
 def test_ignore_with_wrong_code_does_not_suppress(tmp_path):
+    """The finding stands, and the idle suppression is an SL002."""
     path = tmp_path / "mod.py"
     path.write_text(_one_liner_violation().format(
         trailing="  # simlint: ignore[SL102] deliberately wrong code"))
     findings, suppressed = lint_paths(path)
-    assert [f.code for f in findings] == ["SL101"] and suppressed == 0
+    assert [f.code for f in findings] == ["SL002", "SL101"]
+    assert suppressed == 0
+
+
+def test_unused_suppression_is_judged_only_when_its_codes_ran(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("x = 1  # simlint: ignore[SL101] nothing to excuse\n")
+    assert [f.code for f in lint_paths(path)[0]] == ["SL002"]
+    assert lint_paths(path, select={"SL002", "SL102"})[0] == []
+    assert [f.code for f in lint_paths(path, select={"SL002", "SL101"})[0]] \
+        == ["SL002"]
 
 
 def test_reasonless_coded_ignore_is_flagged(tmp_path):

@@ -12,6 +12,8 @@ import io
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.vocabulary import EVENT_KINDS
 from repro.lint import all_rules, run_rules
 from repro.lint.cli import main
@@ -19,6 +21,7 @@ from repro.lint.engine import ParsedModule
 from repro.lint.project import ProjectGraph
 from repro.lint.sanitize import HappensBeforeSanitizer, run_sanitized
 from repro.memsys.address import PAGE_SIZE
+from repro.scenarios import pin_keys
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 PROJPKG = FIXTURES / "projpkg"
@@ -164,6 +167,17 @@ def test_cli_explain_unknown_code_lists_known_codes(capsys):
 def test_cli_sanitize_unknown_scenario(capsys):
     assert main(["--sanitize", "no_such_scenario"]) == 2
     assert "unknown scenario" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["dsm@seed", "dsm@bogus=1"])
+def test_cli_sanitize_bad_key_is_a_usage_error(key, capsys):
+    assert main(["--sanitize", key]) == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_cli_sanitize_takes_a_pin_key(capsys):
+    assert main(["--sanitize", "dsm@seed=2"]) == 0
+    assert "sanitize[dsm@seed=2]: 0 violation(s)" in capsys.readouterr().out
 
 
 # -- the happens-before sanitizer ---------------------------------------------
@@ -312,20 +326,15 @@ def test_sanitizer_flags_a_grant_answering_a_mid_rebuild_fault():
     assert "deferred until dsm.rebuild_done" in checker.violations[0]
 
 
-def test_sanitize_run_is_clean_on_the_dsm_scenario():
-    """End-to-end smoke: the shipped protocol upholds its own contract."""
+@pytest.mark.parametrize("key", pin_keys())
+def test_sanitize_run_is_clean(key):
+    """End to end, on every pinned run: the shipped protocol upholds its
+    own happens-before contract, through the home crash, directory
+    rebuild and replays of ``dsm_homecrash`` too."""
     out = io.StringIO()
-    assert run_sanitized("dsm", out=out) == 0
+    assert run_sanitized(key, out=out) == 0
     summary = out.getvalue()
     assert "0 violation(s)" in summary
-    match = re.search(r"(\d+) grant\(s\)", summary)
-    assert match and int(match.group(1)) > 0
-
-
-def test_sanitize_run_is_clean_on_the_homecrash_scenario():
-    """The crash-recovery arc (home crash, directory rebuild, replays)
-    upholds the happens-before contract end to end."""
-    out = io.StringIO()
-    assert run_sanitized("dsm_homecrash", out=out) == 0
-    summary = out.getvalue()
-    assert "0 violation(s)" in summary
+    if key.startswith("dsm"):
+        match = re.search(r"(\d+) grant\(s\)", summary)
+        assert match and int(match.group(1)) > 0

@@ -13,10 +13,10 @@ from repro.faults.recovery import (
     recover_node,
     spawn_crash,
 )
-from repro.faults.scenario import run_crash_recovery, run_fault_free
 from repro.machine import ShrimpSystem, mapping
 from repro.memsys.address import PAGE_SIZE
 from repro.nic.nipt import MappingMode
+from repro.scenarios import build_ping_pong, run_crash_recovery, run_fault_free
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Process
 
@@ -161,8 +161,6 @@ class TestCrashMidFold:
     boundary: capturable per node, killable, and re-parked on restore."""
 
     def _parked_ponger(self):
-        from repro.ckpt.scenarios import build_ping_pong
-
         system = build_ping_pong()
         system.run(until=20_000)
         worker = system.ckpt_workers[1]
@@ -244,7 +242,6 @@ class TestCrashMidPoll:
     ])
     def test_crash_kills_parked_polls_cleanly(self, monkeypatch, victim,
                                               crash_at, parked):
-        from repro.faults.recovery import spawn_crash_restore_cycle
         from repro.sim.poll import Poll
         from repro.workload.dsm_apps import DsmWorkload
 
@@ -273,10 +270,7 @@ class TestCrashMidPoll:
 
         monkeypatch.setattr(Process, "kill", recording_kill)
         monkeypatch.setattr(runtime, "node_crashed", checked_node_crashed)
-        outcome = {}
-        spawn_crash_restore_cycle(
-            w.system, victim, crash_at, 120_000, runtime.mappings,
-            channels=list(runtime.channels()) + [runtime], outcome=outcome)
+        outcome = w.crash_restore(victim, crash_at, 120_000)
         w.run()
         assert parked <= killed
         assert after_crash == [({}, (), [])]

@@ -16,8 +16,12 @@ from pathlib import Path
 import pytest
 
 from repro.ckpt.divergence import diff_fingerprints, fingerprint
-from repro.scenarios import (SCENARIOS, build, parse_key, pin_keys,
-                             pinned_fingerprint, variant_key)
+from repro.ckpt.protocol import CkptError
+from repro.ckpt.safepoint import seek_safepoint
+from repro.ckpt.system import SystemCheckpoint
+from repro.scenarios import (CHECKPOINTABLE, SCENARIOS, build, build_key,
+                             parse_key, pin_keys, pinned_fingerprint,
+                             variant_key)
 
 PINS = Path(__file__).with_name("fingerprints.json")
 
@@ -50,3 +54,40 @@ def test_scenario_matches_pinned_fingerprint(key):
     pinned = json.loads(PINS.read_text())[key]
     assert diff_fingerprints(pinned, pinned_fingerprint(key),
                              "pinned", key) == []
+
+
+@pytest.mark.parametrize("key", ["dsm@seed", "dsm@seed=x", "dsm@=2"])
+def test_malformed_key_names_itself(key):
+    with pytest.raises(ValueError, match="malformed scenario key %r" % key):
+        parse_key(key)
+
+
+@pytest.mark.parametrize("key,message", [
+    ("no_such@seed=1", "unknown scenario 'no_such'"),
+    ("ping_pong@bogus=1", "scenario key 'ping_pong@bogus=1'"),
+    ("dsm@bogus=1", "scenario key 'dsm@bogus=1'"),
+])
+def test_build_key_reports_unknown_names_and_keywords(key, message):
+    with pytest.raises(ValueError, match=message):
+        build_key(key)
+
+
+# seek_safepoint on ``dsm`` steps ~160k events (~5 s); the other DSM
+# scenario keeps the configuration-mismatch case in the fast lane.
+@pytest.mark.parametrize("name", [
+    pytest.param(name, marks=pytest.mark.slow) if name == "dsm" else name
+    for name in sorted(SCENARIOS)
+])
+def test_checkpointable_names_exactly_the_scenarios_that_restore(name):
+    """A mid-run whole-system checkpoint restores exactly for the names in
+    ``CHECKPOINTABLE`` -- the ckpt CLI's choices cannot drift from what
+    works.  The others fail with a configuration mismatch."""
+    system = build(name)
+    system.run(until=5_000)
+    seek_safepoint(system)
+    state = SystemCheckpoint.capture(system)
+    if name in CHECKPOINTABLE:
+        SystemCheckpoint.restore(state)
+    else:
+        with pytest.raises(CkptError, match="configuration mismatch"):
+            SystemCheckpoint.restore(state)
