@@ -8,7 +8,13 @@ over the directory protocol and records the ``dsm.*`` namespace:
   traffic (each fetch is one page-sized deliberate-update push);
 - ``fetch_p50_ns``/``fetch_p99_ns``     -- read-fault resolution time;
 - ``upgrade_p50_ns``/``upgrade_p99_ns`` -- write-fault resolution time,
-  including the section 4.4 invalidation walk over every reader copy.
+  including the section 4.4 invalidation walk over every reader copy;
+- ``retransmits``     -- frames resent, summed over the runtime's
+  reliable channels;
+- ``lease_expirations`` -- leases the failure detector saw lapse.
+
+No fault is injected, so the last two count wasted work: both should
+read 0, and both are guarded so they cannot grow unnoticed.
 
 Every stencil/bfs run is verified against its closed-form expectation
 first, so the numbers are the cost of a run that provably computed the
@@ -30,6 +36,7 @@ from repro.workload.dsm_apps import DsmWorkload
 #: Keys whose growth beyond 25% refuses the write.
 GUARDS = {key: (0.25, "lower") for key in (
     "end_ns", "fetches", "fetch_p99_ns", "upgrade_p99_ns",
+    "retransmits", "lease_expirations",
 )}
 
 
@@ -60,6 +67,9 @@ def _measure(**kwargs):
         "fetch_p99_ns": fetch["p99"],
         "upgrade_p50_ns": upgrade["p50"],
         "upgrade_p99_ns": upgrade["p99"],
+        "retransmits": sum(
+            channel.retransmits.value for channel in runtime.channels()),
+        "lease_expirations": runtime.lease_expirations.value,
     }
 
 

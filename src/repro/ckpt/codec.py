@@ -7,8 +7,8 @@ the checkpoint and is reconstructed instruction by instruction here.
 
 The encoding is positional JSON: an operand is ``["reg", name]``,
 ``["imm", value]`` or ``["mem", base_or_null, disp]``; an instruction is a
-dict with an ``"op"`` key naming its class plus its constructor fields.
-Jump targets keep both the label and the assembler-resolved
+dict with an ``"op"`` key named after its mnemonic plus its constructor
+fields.  Jump targets keep both the label and the assembler-resolved
 ``target_index`` so a decoded program executes identically without
 re-running label resolution.
 """
@@ -47,129 +47,79 @@ def decode_operand(encoded):
 
 # -- instructions -------------------------------------------------------------
 
-_TWO_OP = {
-    "mov": isa.Mov,
-    "add": isa.Add,
-    "sub": isa.Sub,
-    "and": isa.And,
-    "or": isa.Or,
-    "xor": isa.Xor,
-    "shl": isa.Shl,
-    "shr": isa.Shr,
-    "cmp": isa.Cmp,
-    "test": isa.Test,
+_OPERAND_FIELDS = ("dst", "src")
+
+# Each op of the encoding: the instruction class and the fields encoded
+# after ``"op"``, constructor arguments first (a branch's
+# ``target_index`` is set after construction).
+_OPS = {
+    "mov": (isa.Mov, ("dst", "src")),
+    "add": (isa.Add, ("dst", "src")),
+    "sub": (isa.Sub, ("dst", "src")),
+    "and": (isa.And, ("dst", "src")),
+    "or": (isa.Or, ("dst", "src")),
+    "xor": (isa.Xor, ("dst", "src")),
+    "shl": (isa.Shl, ("dst", "src")),
+    "shr": (isa.Shr, ("dst", "src")),
+    "cmp": (isa.Cmp, ("dst", "src")),
+    "test": (isa.Test, ("dst", "src")),
+    "inc": (isa.Inc, ("dst",)),
+    "dec": (isa.Dec, ("dst",)),
+    "jmp": (isa.Jmp, ("target", "target_index")),
+    "jz": (isa.Jz, ("target", "target_index")),
+    "jnz": (isa.Jnz, ("target", "target_index")),
+    "jl": (isa.Jl, ("target", "target_index")),
+    "jge": (isa.Jge, ("target", "target_index")),
+    "jle": (isa.Jle, ("target", "target_index")),
+    "jg": (isa.Jg, ("target", "target_index")),
+    "ret": (isa.Ret, ()),
+    "rep_movs": (isa.RepMovs, ()),
+    "nop": (isa.Nop, ()),
+    "halt": (isa.Halt, ()),
+    "lea": (isa.Lea, ("dst", "src")),
+    "cmpxchg": (isa.Cmpxchg, ("dst", "src")),
+    "push": (isa.Push, ("src",)),
+    "pop": (isa.Pop, ("dst",)),
+    "call": (isa.Call, ("target", "target_index")),
+    "syscall": (isa.Syscall, ("number",)),
+    "region": (isa.RegionMarker, ("name", "begin")),
 }
 
-_ONE_OP = {
-    "inc": isa.Inc,
-    "dec": isa.Dec,
+# The op of each mnemonic that is not its own op name.
+_OP_OF_MNEMONIC = {
+    "lock cmpxchg": "cmpxchg",
+    "rep movs": "rep_movs",
+    ".region_begin": "region",
+    ".region_end": "region",
 }
-
-_JUMPS = {
-    "jmp": isa.Jmp,
-    "jz": isa.Jz,
-    "jnz": isa.Jnz,
-    "jl": isa.Jl,
-    "jge": isa.Jge,
-    "jle": isa.Jle,
-    "jg": isa.Jg,
-}
-
-_BARE = {
-    "ret": isa.Ret,
-    "rep_movs": isa.RepMovs,
-    "nop": isa.Nop,
-    "halt": isa.Halt,
-}
-
-_TWO_OP_CLASSES = {cls: op for op, cls in _TWO_OP.items()}
-_ONE_OP_CLASSES = {cls: op for op, cls in _ONE_OP.items()}
-_JUMP_CLASSES = {cls: op for op, cls in _JUMPS.items()}
-_BARE_CLASSES = {cls: op for op, cls in _BARE.items()}
 
 
 def encode_instruction(instr):
-    cls = type(instr)
-    if cls in _TWO_OP_CLASSES:
-        return {
-            "op": _TWO_OP_CLASSES[cls],
-            "dst": encode_operand(instr.dst),
-            "src": encode_operand(instr.src),
-        }
-    if cls in _ONE_OP_CLASSES:
-        return {"op": _ONE_OP_CLASSES[cls], "dst": encode_operand(instr.dst)}
-    if cls in _JUMP_CLASSES:
-        return {
-            "op": _JUMP_CLASSES[cls],
-            "target": instr.target,
-            "target_index": instr.target_index,
-        }
-    if cls in _BARE_CLASSES:
-        return {"op": _BARE_CLASSES[cls]}
-    if cls is isa.Lea:
-        return {
-            "op": "lea",
-            "dst": encode_operand(instr.dst),
-            "src": encode_operand(instr.src),
-        }
-    if cls is isa.Cmpxchg:
-        return {
-            "op": "cmpxchg",
-            "dst": encode_operand(instr.dst),
-            "src": encode_operand(instr.src),
-        }
-    if cls is isa.Push:
-        return {"op": "push", "src": encode_operand(instr.src)}
-    if cls is isa.Pop:
-        return {"op": "pop", "dst": encode_operand(instr.dst)}
-    if cls is isa.Call:
-        return {
-            "op": "call",
-            "target": instr.target,
-            "target_index": instr.target_index,
-        }
-    if cls is isa.Syscall:
-        return {"op": "syscall", "number": instr.number}
-    if cls is isa.RegionMarker:
-        return {"op": "region", "name": instr.name, "begin": instr.begin}
-    raise CkptFormatError("cannot encode instruction %r" % (instr,))
+    op = _OP_OF_MNEMONIC.get(instr.mnemonic, instr.mnemonic)
+    if op not in _OPS or not isinstance(instr, _OPS[op][0]):
+        raise CkptFormatError("cannot encode instruction %r" % (instr,))
+    encoded = {"op": op}
+    for field in _OPS[op][1]:
+        value = getattr(instr, field)
+        encoded[field] = (
+            encode_operand(value) if field in _OPERAND_FIELDS else value)
+    return encoded
 
 
 def decode_instruction(encoded):
     op = encoded.get("op")
-    if op in _TWO_OP:
-        return _TWO_OP[op](
-            decode_operand(encoded["dst"]), decode_operand(encoded["src"])
-        )
-    if op in _ONE_OP:
-        return _ONE_OP[op](decode_operand(encoded["dst"]))
-    if op in _JUMPS:
-        instr = _JUMPS[op](encoded["target"])
+    if op not in _OPS:
+        raise CkptFormatError("unknown instruction op %r" % (op,))
+    cls, fields = _OPS[op]
+    args = [
+        decode_operand(encoded[field]) if field in _OPERAND_FIELDS
+        else encoded[field]
+        for field in fields if field != "target_index"
+    ]
+    instr = cls(*args)
+    if "target_index" in fields:
         instr.target_index = encoded["target_index"]
-        return instr
-    if op in _BARE:
-        return _BARE[op]()
-    if op == "lea":
-        return isa.Lea(
-            decode_operand(encoded["dst"]), decode_operand(encoded["src"])
-        )
-    if op == "cmpxchg":
-        return isa.Cmpxchg(
-            decode_operand(encoded["dst"]), decode_operand(encoded["src"])
-        )
-    if op == "push":
-        return isa.Push(decode_operand(encoded["src"]))
-    if op == "pop":
-        return isa.Pop(decode_operand(encoded["dst"]))
-    if op == "call":
-        instr = isa.Call(encoded["target"])
-        instr.target_index = encoded["target_index"]
-        return instr
-    if op == "syscall":
-        return isa.Syscall(encoded["number"])
-    if op == "region":
-        return isa.RegionMarker(encoded["name"], encoded["begin"])
-    raise CkptFormatError("unknown instruction op %r" % (op,))
+    return instr
 
 
 # -- programs -----------------------------------------------------------------

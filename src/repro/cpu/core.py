@@ -412,9 +412,9 @@ class Cpu:
     # -- memory access ----------------------------------------------------------
 
     def mem_read(self, vaddr):
-        # The hottest instruction executes inline this translate + cache
-        # pair (see repro.cpu.isa) to shorten their generator chain; keep
-        # the two in sync.
+        # Instruction operand reads do this translate + cache pair in
+        # repro.cpu.isa's ``_load``, with the cache hit as a plain call;
+        # keep the two in sync.
         paddr, policy = self.mmu.translate(vaddr, "read")
         value = yield from self.cache.read(paddr, policy)
         return value

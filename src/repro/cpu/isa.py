@@ -7,10 +7,10 @@ as used by the deliberate-update initiation protocol (paper section 4.3),
 and ``rep movs`` string copy (one instruction plus per-word costs, which is
 how the paper excludes "per-byte copying costs" from primitive overhead).
 
-Instruction ``execute`` methods are generators run by the CPU core; all
-memory traffic goes through the MMU, cache and bus.  The hottest executes
-inline the core's ``mem_read``/``mem_write`` helpers (an MMU translate
-plus a cache access) to keep the per-event generator chain short; the
+Instruction ``execute`` methods are run by the CPU core; all memory
+traffic goes through the MMU, cache and bus.  Operand reads and stores
+do the core's ``mem_read``/``mem_write`` work (an MMU translate plus a
+cache access) themselves, with the cache-hit read as a plain call; the
 helpers remain the API for kernels, devices and the rarer instructions.
 """
 
@@ -55,7 +55,7 @@ class Reg:
         return hash(self.name)
 
 
-R0, R1, R2, R3, R4, R5, SP = (Reg(n) for n in Reg.NAMES)
+R0, R1, R2, R3, R4, R5, SP = _REGS = tuple(Reg(n) for n in Reg.NAMES)
 
 
 class Imm:
@@ -87,61 +87,63 @@ class Mem:
         return "[%s%+d]" % (self.base.name, self.disp)
 
 
-def _as_operand(value):
-    """Accept ints as immediates for assembler convenience."""
-    if isinstance(value, int):
-        return Imm(value)
-    if isinstance(value, (Reg, Imm, Mem)):
-        return value
-    raise IsaError("cannot use %r as an operand" % (value,))
-
-
 def _signed(value):
     return value - (1 << 32) if value & 0x80000000 else value
 
 
-# -- operand access, decoded once at assembly time ---------------------------
+# -- operands as plain fields, decoded once at assembly time -----------------
 #
-# Instructions cache closures for their operands when they are constructed
-# (i.e. when the program is assembled), so the per-execution work for
-# register and immediate operands is a single call with no isinstance
-# dispatch and -- crucially -- no generator trampoline.  Memory operands
-# charge simulated cache/bus time; the hot executes below translate and
-# call the cache directly (inlining ``cpu.mem_read``/``mem_write``) so the
-# access costs one nested generator instead of two.
+# An instruction holds no operand objects.  Building it decodes each
+# operand into one field: a register index, an immediate word, or a
+# memory displacement, with the memory operand's base register index in
+# ``_base`` (None for an absolute address, whose displacement is stored
+# masked to a word).  The operand kinds -- the instruction's *form*, such
+# as "MI" for ``mov [m], imm`` -- pick its class: each mnemonic has one
+# slotted class per form it accepts, whose ``execute`` reads the fields
+# with no dispatch on kind.  Register-only forms execute as plain calls
+# that return _NO_YIELDS, so the interpreter builds no generator for
+# them.  Memory reads go through ``_load``, whose cache hit costs no
+# nested cache generator; a ``mov`` store returns the cache's write
+# generator itself.  ``dst`` and ``src`` rebuild operand objects for
+# listings, spin_role and the checkpoint codec.  One ``mov [abs], imm``
+# is one GC-tracked object (tests/test_host_footprint.py).
 
 
-def _fast_reader(operand):
-    """Zero-sim-time reader closure for a Reg/Imm operand; None for Mem."""
+def _decode(operand):
+    """``(kind, value, base)``: how an instruction stores ``operand``."""
+    if isinstance(operand, Reg):
+        return "R", operand.index, None
+    if isinstance(operand, Mem):
+        if operand.base is None:
+            return "M", operand.disp & WORD_MASK, None
+        return "M", operand.disp, operand.base.index
+    if isinstance(operand, int):
+        return "I", operand & WORD_MASK, None
     if isinstance(operand, Imm):
-        value = operand.value
-        return lambda cpu: value
-    if isinstance(operand, Reg):
-        index = operand.index
-        return lambda cpu: cpu.context.reg_values[index]
-    return None
+        return "I", operand.value, None
+    raise IsaError("cannot use %r as an operand" % (operand,))
 
 
-def _fast_writer(operand):
-    """Zero-sim-time writer closure for a Reg operand; None for Mem."""
-    if isinstance(operand, Reg):
-        index = operand.index
-
-        def write(cpu, value):
-            cpu.context.reg_values[index] = value & WORD_MASK
-
-        return write
-    return None
+def _rebuild(kind, value, base):
+    """The operand that :func:`_decode` stored as ``kind``/``value``/``base``."""
+    if kind == "R":
+        return _REGS[value]
+    if kind == "I":
+        return Imm(value)
+    return Mem(None if base is None else _REGS[base], value)
 
 
-def _addr_of(operand):
-    """Effective-address closure for a Mem operand (decoded once)."""
-    if operand.base is None:
-        addr = operand.disp & WORD_MASK
-        return lambda cpu: addr
-    index = operand.base.index
-    disp = operand.disp
-    return lambda cpu: (cpu.context.reg_values[index] + disp) & WORD_MASK
+def _load(cpu, addr):
+    """Generator: the word at virtual ``addr`` (``cpu.mem_read`` with the
+    cache-hit path inline)."""
+    paddr, policy = cpu.mmu.translate(addr, "read")
+    cache = cpu.cache
+    value = cache.read_hit(paddr, policy)
+    if value is CACHE_MISS:
+        value = yield from cache.read(paddr, policy)
+    else:
+        yield cache.hit_timeout
+    return value
 
 
 _NO_YIELDS = ()  # sentinel iterable: ``yield from _NO_YIELDS`` is free
@@ -154,13 +156,15 @@ REG_ONLY = "reg"
 class Instruction:
     """Base class.  ``cycles`` is the non-memory execution cost."""
 
+    __slots__ = ()
     cycles = 1
     mnemonic = "?"
     counts = True  # region markers set this False
 
     def execute(self, cpu):
+        """Run the instruction: a generator for the core to ``yield
+        from``, or :data:`_NO_YIELDS` when it takes no simulated time."""
         raise NotImplementedError
-        yield  # pragma: no cover
 
     def spin_role(self):
         """What this instruction may do inside a foldable spin loop body.
@@ -181,140 +185,187 @@ class Instruction:
         return self.mnemonic + ((" " + ops) if ops else "")
 
 
-class _TwoOp(Instruction):
-    """Shared plumbing for dst/src instructions.
+class _Decoded(Instruction):
+    """An instruction whose operands are decoded into fields.
 
-    Operand access is decoded once at construction: ``_src_get``/``_dst_get``
-    and ``_dst_set`` are closures for register/immediate operands (or None
-    for memory), ``_src_addr``/``_dst_addr`` are effective-address closures
-    for memory operands.  Subclasses whose operands turn out to be
-    register-only swap in a plain-function ``execute`` so the interpreter
-    never builds a generator for them.
+    ``OPERANDS`` names the fields in constructor order; ``FORMS`` lists
+    the operand kinds the mnemonic accepts, one string per form ("R"
+    register, "I" immediate, "M" memory).  Each mnemonic class gets one
+    subclass per form (``MovMI`` for ``Mov``'s "MI"), whose ``execute``
+    is the mnemonic's ``_execute_<form>``; constructing the mnemonic
+    returns an instance of the subclass for its operands' form.
     """
 
-    def __init__(self, dst, src):
-        self.dst = _as_operand(dst)
-        self.src = _as_operand(src)
-        if isinstance(self.dst, Imm):
-            raise IsaError("%s: destination cannot be an immediate" % self.mnemonic)
-        if isinstance(self.dst, Mem) and isinstance(self.src, Mem):
-            raise IsaError("%s: memory-to-memory is not encodable" % self.mnemonic)
-        self._src_get = _fast_reader(self.src)
-        self._src_addr = None if self._src_get else _addr_of(self.src)
-        self._dst_get = _fast_reader(self.dst)
-        self._dst_set = _fast_writer(self.dst)
-        self._dst_addr = None if self._dst_set else _addr_of(self.dst)
-        if self._src_get is not None and self._dst_set is not None:
-            self.execute = self._execute_reg
+    __slots__ = ("_dst", "_src", "_base")
+    OPERANDS = ("_dst", "_src")
+    FORMS = ()
+    form = None
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "mnemonic" in vars(cls):
+            cls._by_form = {
+                form: type(cls.__name__ + form, (cls,), {
+                    "__slots__": (),
+                    "form": form,
+                    "execute": getattr(cls, "_execute_" + form),
+                })
+                for form in cls.FORMS
+            }
+
+    def __new__(cls, *operands):
+        decoded = [_decode(operand) for operand in operands]
+        form = "".join(kind for kind, _, _ in decoded)
+        if form not in cls._by_form:
+            raise IsaError("%s %s: not an encodable operand form" % (
+                cls.mnemonic, ", ".join(map(repr, operands))))
+        self = object.__new__(cls._by_form[form])
+        self._base = None
+        for name, (kind, value, base) in zip(cls.OPERANDS, decoded):
+            setattr(self, name, value)
+            if kind == "M":
+                self._base = base
+        return self
+
+    def _operand(self, name):
+        if name not in self.OPERANDS:
+            raise AttributeError(name[1:])
+        kind = self.form[self.OPERANDS.index(name)]
+        return _rebuild(kind, getattr(self, name), self._base)
+
+    @property
+    def dst(self):
+        return self._operand("_dst")
+
+    @property
+    def src(self):
+        return self._operand("_src")
+
+    def _addr(self, cpu, disp):
+        """Effective address of the memory operand with displacement
+        ``disp``."""
+        base = self._base
+        if base is None:
+            return disp
+        return (cpu.context.reg_values[base] + disp) & WORD_MASK
 
     def _fmt_ops(self):
-        return "%r, %r" % (self.dst, self.src)
-
-    def spin_role(self):
-        if isinstance(self.dst, Mem):
-            return None  # a store
-        return self.src if isinstance(self.src, Mem) else REG_ONLY
-
-    def _execute_reg(self, cpu):  # pragma: no cover -- overridden where used
-        raise NotImplementedError
+        return ", ".join(repr(self._operand(name)) for name in self.OPERANDS)
 
 
-class Mov(_TwoOp):
+def _dst_role(instr):
+    """``spin_role`` of an instruction that writes its destination."""
+    if instr.form[0] == "M":
+        return None  # a store
+    return instr.src if instr.form[1] == "M" else REG_ONLY
+
+
+def _flags_only_role(instr):
+    """``spin_role`` of cmp/test: they write only flags, so a memory
+    operand on either side is a read."""
+    if instr.form[0] == "M":
+        return instr.dst
+    return instr.src if instr.form[1] == "M" else REG_ONLY
+
+
+class Mov(_Decoded):
     """``mov dst, src``: move a word."""
 
+    __slots__ = ()
     mnemonic = "mov"
+    FORMS = ("RR", "RI", "RM", "MR", "MI")
+    spin_role = _dst_role
 
-    def _execute_reg(self, cpu):
-        self._dst_set(cpu, self._src_get(cpu))
+    def _execute_RR(self, cpu):
+        regs = cpu.context.reg_values
+        regs[self._dst] = regs[self._src] & WORD_MASK
         return _NO_YIELDS
 
-    def execute(self, cpu):
-        if self._src_get is not None:
-            value = self._src_get(cpu)
-        else:
-            paddr, policy = cpu.mmu.translate(self._src_addr(cpu), "read")
-            cache = cpu.cache
-            value = cache.read_hit(paddr, policy)
-            if value is CACHE_MISS:
-                value = yield from cache.read(paddr, policy)
-            else:
-                yield cache.hit_timeout
-        if self._dst_set is not None:
-            self._dst_set(cpu, value)
-        else:
-            paddr, policy = cpu.mmu.translate(self._dst_addr(cpu), "write")
-            yield from cpu.cache.write(paddr, value & WORD_MASK, policy)
+    def _execute_RI(self, cpu):
+        cpu.context.reg_values[self._dst] = self._src
+        return _NO_YIELDS
+
+    def _execute_RM(self, cpu):
+        value = yield from _load(cpu, self._addr(cpu, self._src))
+        cpu.context.reg_values[self._dst] = value & WORD_MASK
+
+    def _execute_MR(self, cpu):
+        value = cpu.context.reg_values[self._src] & WORD_MASK
+        paddr, policy = cpu.mmu.translate(self._addr(cpu, self._dst), "write")
+        return cpu.cache.write(paddr, value, policy)
+
+    def _execute_MI(self, cpu):
+        paddr, policy = cpu.mmu.translate(self._addr(cpu, self._dst), "write")
+        return cpu.cache.write(paddr, self._src, policy)
 
 
-class Lea(Instruction):
+class Lea(_Decoded):
     """Load effective address: ``lea reg, [base+disp]``."""
 
+    __slots__ = ()
     mnemonic = "lea"
-
-    def __init__(self, dst, src):
-        if not isinstance(dst, Reg) or not isinstance(src, Mem):
-            raise IsaError("lea needs a register destination and memory source")
-        self.dst = dst
-        self.src = src
-        self._src_addr = _addr_of(src)
-        self._dst_index = dst.index
-
-    def _fmt_ops(self):
-        return "%r, %r" % (self.dst, self.src)
+    FORMS = ("RM",)
 
     def spin_role(self):
         return REG_ONLY
 
-    def execute(self, cpu):
-        cpu.context.reg_values[self._dst_index] = self._src_addr(cpu)
+    def _execute_RM(self, cpu):
+        cpu.context.reg_values[self._dst] = self._addr(cpu, self._src)
         return _NO_YIELDS
 
 
-class _Alu(_TwoOp):
+class _Alu(_Decoded):
     """Arithmetic/logic with flag updates."""
+
+    __slots__ = ()
+    FORMS = ("RR", "RI", "RM", "MR", "MI")
+    spin_role = _dst_role
 
     def _op(self, a, b):
         raise NotImplementedError
 
-    def _execute_reg(self, cpu):
-        result = self._op(self._dst_get(cpu), self._src_get(cpu)) & WORD_MASK
+    def _execute_RR(self, cpu):
+        regs = cpu.context.reg_values
+        result = self._op(regs[self._dst], regs[self._src]) & WORD_MASK
         cpu.set_flags(result)
-        self._dst_set(cpu, result)
+        regs[self._dst] = result
         return _NO_YIELDS
 
-    def execute(self, cpu):
-        if self._dst_get is not None:
-            a = self._dst_get(cpu)
-        else:
-            paddr, policy = cpu.mmu.translate(self._dst_addr(cpu), "read")
-            cache = cpu.cache
-            a = cache.read_hit(paddr, policy)
-            if a is CACHE_MISS:
-                a = yield from cache.read(paddr, policy)
-            else:
-                yield cache.hit_timeout
-        if self._src_get is not None:
-            b = self._src_get(cpu)
-        else:
-            paddr, policy = cpu.mmu.translate(self._src_addr(cpu), "read")
-            cache = cpu.cache
-            b = cache.read_hit(paddr, policy)
-            if b is CACHE_MISS:
-                b = yield from cache.read(paddr, policy)
-            else:
-                yield cache.hit_timeout
+    def _execute_RI(self, cpu):
+        regs = cpu.context.reg_values
+        result = self._op(regs[self._dst], self._src) & WORD_MASK
+        cpu.set_flags(result)
+        regs[self._dst] = result
+        return _NO_YIELDS
+
+    def _execute_RM(self, cpu):
+        a = cpu.context.reg_values[self._dst]
+        b = yield from _load(cpu, self._addr(cpu, self._src))
         result = self._op(a, b) & WORD_MASK
         cpu.set_flags(result)
-        if self._dst_set is not None:
-            self._dst_set(cpu, result)
-        else:
-            paddr, policy = cpu.mmu.translate(self._dst_addr(cpu), "write")
-            yield from cpu.cache.write(paddr, result, policy)
+        cpu.context.reg_values[self._dst] = result
+
+    def _execute_MR(self, cpu):
+        addr = self._addr(cpu, self._dst)
+        a = yield from _load(cpu, addr)
+        result = self._op(a, cpu.context.reg_values[self._src]) & WORD_MASK
+        cpu.set_flags(result)
+        paddr, policy = cpu.mmu.translate(addr, "write")
+        yield from cpu.cache.write(paddr, result, policy)
+
+    def _execute_MI(self, cpu):
+        addr = self._addr(cpu, self._dst)
+        a = yield from _load(cpu, addr)
+        result = self._op(a, self._src) & WORD_MASK
+        cpu.set_flags(result)
+        paddr, policy = cpu.mmu.translate(addr, "write")
+        yield from cpu.cache.write(paddr, result, policy)
 
 
 class Add(_Alu):
     """``add dst, src``: dst += src, sets flags."""
 
+    __slots__ = ()
     mnemonic = "add"
 
     def _op(self, a, b):
@@ -324,6 +375,7 @@ class Add(_Alu):
 class Sub(_Alu):
     """``sub dst, src``: dst -= src, sets flags."""
 
+    __slots__ = ()
     mnemonic = "sub"
 
     def _op(self, a, b):
@@ -333,6 +385,7 @@ class Sub(_Alu):
 class And(_Alu):
     """``and dst, src``: bitwise AND, sets flags."""
 
+    __slots__ = ()
     mnemonic = "and"
 
     def _op(self, a, b):
@@ -342,6 +395,7 @@ class And(_Alu):
 class Or(_Alu):
     """``or dst, src``: bitwise OR, sets flags."""
 
+    __slots__ = ()
     mnemonic = "or"
 
     def _op(self, a, b):
@@ -351,6 +405,7 @@ class Or(_Alu):
 class Xor(_Alu):
     """``xor dst, src``: bitwise XOR, sets flags (xor r, r zeroes)."""
 
+    __slots__ = ()
     mnemonic = "xor"
 
     def _op(self, a, b):
@@ -360,6 +415,7 @@ class Xor(_Alu):
 class Shl(_Alu):
     """``shl dst, n``: left shift (count masked to 31), sets flags."""
 
+    __slots__ = ()
     mnemonic = "shl"
 
     def _op(self, a, b):
@@ -369,46 +425,32 @@ class Shl(_Alu):
 class Shr(_Alu):
     """``shr dst, n``: logical right shift, sets flags (ZF on zero)."""
 
+    __slots__ = ()
     mnemonic = "shr"
 
     def _op(self, a, b):
         return a >> (b & 31)
 
 
-class _IncDec(Instruction):
+class _IncDec(_Decoded):
+    __slots__ = ()
+    OPERANDS = ("_dst",)
+    FORMS = ("R", "M")
     delta = 0
 
-    def __init__(self, dst):
-        self.dst = _as_operand(dst)
-        if isinstance(self.dst, Imm):
-            raise IsaError("%s needs a writable destination" % self.mnemonic)
-        self._dst_get = _fast_reader(self.dst)
-        self._dst_set = _fast_writer(self.dst)
-        self._dst_addr = None if self._dst_set else _addr_of(self.dst)
-        if self._dst_set is not None:
-            self.execute = self._execute_reg
-
-    def _fmt_ops(self):
-        return repr(self.dst)
-
     def spin_role(self):
-        return REG_ONLY if self._dst_set is not None else None
+        return REG_ONLY if self.form == "R" else None
 
-    def _execute_reg(self, cpu):
-        result = (self._dst_get(cpu) + self.delta) & WORD_MASK
+    def _execute_R(self, cpu):
+        regs = cpu.context.reg_values
+        result = (regs[self._dst] + self.delta) & WORD_MASK
         cpu.set_flags(result)
-        self._dst_set(cpu, result)
+        regs[self._dst] = result
         return _NO_YIELDS
 
-    def execute(self, cpu):
-        addr = self._dst_addr(cpu)
-        paddr, policy = cpu.mmu.translate(addr, "read")
-        cache = cpu.cache
-        value = cache.read_hit(paddr, policy)
-        if value is CACHE_MISS:
-            value = yield from cache.read(paddr, policy)
-        else:
-            yield cache.hit_timeout
+    def _execute_M(self, cpu):
+        addr = self._addr(cpu, self._dst)
+        value = yield from _load(cpu, addr)
         result = (value + self.delta) & WORD_MASK
         cpu.set_flags(result)
         paddr, policy = cpu.mmu.translate(addr, "write")
@@ -418,6 +460,7 @@ class _IncDec(Instruction):
 class Inc(_IncDec):
     """``inc dst``: dst += 1, sets flags."""
 
+    __slots__ = ()
     mnemonic = "inc"
     delta = 1
 
@@ -425,107 +468,68 @@ class Inc(_IncDec):
 class Dec(_IncDec):
     """``dec dst``: dst -= 1, sets flags."""
 
+    __slots__ = ()
     mnemonic = "dec"
     delta = -1
 
 
-def _flags_only_role(instr):
-    """``spin_role`` of cmp/test: they write only flags, so a memory
-    operand on either side is a read."""
-    for operand in (instr.dst, instr.src):
-        if isinstance(operand, Mem):
-            return operand
-    return REG_ONLY
+class _Compare(_Decoded):
+    """Sets flags from both operands and writes nothing."""
+
+    __slots__ = ()
+    FORMS = ("RR", "RI", "RM", "MR", "MI")
+    spin_role = _flags_only_role
+
+    def _flags(self, cpu, a, b):
+        raise NotImplementedError
+
+    def _execute_RR(self, cpu):
+        regs = cpu.context.reg_values
+        self._flags(cpu, regs[self._dst], regs[self._src])
+        return _NO_YIELDS
+
+    def _execute_RI(self, cpu):
+        self._flags(cpu, cpu.context.reg_values[self._dst], self._src)
+        return _NO_YIELDS
+
+    def _execute_RM(self, cpu):
+        a = cpu.context.reg_values[self._dst]
+        b = yield from _load(cpu, self._addr(cpu, self._src))
+        self._flags(cpu, a, b)
+
+    def _execute_MR(self, cpu):
+        a = yield from _load(cpu, self._addr(cpu, self._dst))
+        self._flags(cpu, a, cpu.context.reg_values[self._src])
+
+    def _execute_MI(self, cpu):
+        a = yield from _load(cpu, self._addr(cpu, self._dst))
+        self._flags(cpu, a, self._src)
 
 
-class Cmp(_TwoOp):
+class Cmp(_Compare):
     """Compare: sets flags from dst - src, writes nothing."""
 
+    __slots__ = ()
     mnemonic = "cmp"
 
-    def __init__(self, dst, src):
-        # Flags-only, so the fast path needs readable operands, not a
-        # writable destination.
-        super().__init__(dst, src)
-        if self._dst_get is not None and self._src_get is not None:
-            self.execute = self._execute_reg
-
-    spin_role = _flags_only_role
-
-    def _execute_reg(self, cpu):
-        a = self._dst_get(cpu)
-        b = self._src_get(cpu)
+    def _flags(self, cpu, a, b):
         cpu.set_flags((a - b) & WORD_MASK, signed_pair=(_signed(a), _signed(b)))
-        return _NO_YIELDS
-
-    def execute(self, cpu):
-        if self._dst_get is not None:
-            a = self._dst_get(cpu)
-        else:
-            paddr, policy = cpu.mmu.translate(self._dst_addr(cpu), "read")
-            cache = cpu.cache
-            a = cache.read_hit(paddr, policy)
-            if a is CACHE_MISS:
-                a = yield from cache.read(paddr, policy)
-            else:
-                yield cache.hit_timeout
-        if self._src_get is not None:
-            b = self._src_get(cpu)
-        else:
-            paddr, policy = cpu.mmu.translate(self._src_addr(cpu), "read")
-            cache = cpu.cache
-            b = cache.read_hit(paddr, policy)
-            if b is CACHE_MISS:
-                b = yield from cache.read(paddr, policy)
-            else:
-                yield cache.hit_timeout
-        result = (a - b) & WORD_MASK
-        cpu.set_flags(result, signed_pair=(_signed(a), _signed(b)))
 
 
-class Test(_TwoOp):
+class Test(_Compare):
     """Bitwise-AND flags only."""
 
+    __slots__ = ()
     mnemonic = "test"
 
-    def __init__(self, dst, src):
-        super().__init__(dst, src)
-        if self._dst_get is not None and self._src_get is not None:
-            self.execute = self._execute_reg
-
-    spin_role = _flags_only_role
-
-    def _execute_reg(self, cpu):
-        cpu.set_flags((self._dst_get(cpu) & self._src_get(cpu)) & WORD_MASK)
-        return _NO_YIELDS
-
-    def execute(self, cpu):
-        if self._dst_get is not None:
-            a = self._dst_get(cpu)
-        else:
-            paddr, policy = cpu.mmu.translate(self._dst_addr(cpu), "read")
-            cache = cpu.cache
-            a = cache.read_hit(paddr, policy)
-            if a is CACHE_MISS:
-                a = yield from cache.read(paddr, policy)
-            else:
-                yield cache.hit_timeout
-        if self._src_get is not None:
-            b = self._src_get(cpu)
-        else:
-            paddr, policy = cpu.mmu.translate(self._src_addr(cpu), "read")
-            cache = cpu.cache
-            b = cache.read_hit(paddr, policy)
-            if b is CACHE_MISS:
-                b = yield from cache.read(paddr, policy)
-            else:
-                yield cache.hit_timeout
+    def _flags(self, cpu, a, b):
         cpu.set_flags((a & b) & WORD_MASK)
 
 
 class Jmp(Instruction):
     """``jmp label``: unconditional branch (base of the Jcc family)."""
 
+    __slots__ = ("target", "target_index")
     mnemonic = "jmp"
     condition = None  # unconditional
 
@@ -548,6 +552,7 @@ class Jmp(Instruction):
 class Jz(Jmp):
     """``jz/je label``: branch if ZF."""
 
+    __slots__ = ()
     mnemonic = "jz"
 
     def taken(self, cpu):
@@ -557,6 +562,7 @@ class Jz(Jmp):
 class Jnz(Jmp):
     """``jnz/jne label``: branch if not ZF."""
 
+    __slots__ = ()
     mnemonic = "jnz"
 
     def taken(self, cpu):
@@ -566,6 +572,7 @@ class Jnz(Jmp):
 class Jl(Jmp):
     """``jl label``: branch if signed less (SF after cmp)."""
 
+    __slots__ = ()
     mnemonic = "jl"
 
     def taken(self, cpu):
@@ -575,6 +582,7 @@ class Jl(Jmp):
 class Jge(Jmp):
     """``jge label``: branch if signed greater-or-equal."""
 
+    __slots__ = ()
     mnemonic = "jge"
 
     def taken(self, cpu):
@@ -584,6 +592,7 @@ class Jge(Jmp):
 class Jle(Jmp):
     """``jle label``: branch if signed less-or-equal."""
 
+    __slots__ = ()
     mnemonic = "jle"
 
     def taken(self, cpu):
@@ -593,13 +602,14 @@ class Jle(Jmp):
 class Jg(Jmp):
     """``jg label``: branch if signed greater."""
 
+    __slots__ = ()
     mnemonic = "jg"
 
     def taken(self, cpu):
         return not cpu.flags["sf"] and not cpu.flags["zf"]
 
 
-class Cmpxchg(Instruction):
+class Cmpxchg(_Decoded):
     """Locked compare-and-exchange against the accumulator (r0).
 
     ``cmpxchg [mem], reg``: one atomic bus tenure performs a read cycle
@@ -609,22 +619,15 @@ class Cmpxchg(Instruction):
     section 4.3).
     """
 
+    __slots__ = ()
     mnemonic = "lock cmpxchg"
     cycles = 3  # locked RMW is slower than a plain ALU op
+    FORMS = ("MR",)
 
-    def __init__(self, dst, src):
-        if not isinstance(dst, Mem) or not isinstance(src, Reg):
-            raise IsaError("cmpxchg needs a memory destination and register source")
-        self.dst = dst
-        self.src = src
-
-    def _fmt_ops(self):
-        return "%r, %r" % (self.dst, self.src)
-
-    def execute(self, cpu):
-        addr = cpu.effective_addr(self.dst)
+    def _execute_MR(self, cpu):
+        addr = self._addr(cpu, self._dst)
         expected = cpu.get_reg(R0)
-        new_value = cpu.get_reg(self.src)
+        new_value = cpu.context.reg_values[self._src]
         old_value, swapped = yield from cpu.mem_cmpxchg(addr, expected, new_value)
         if swapped:
             cpu.flags["zf"] = True
@@ -634,51 +637,45 @@ class Cmpxchg(Instruction):
         cpu.flags["sf"] = False
 
 
-class Push(Instruction):
+class Push(_Decoded):
     """``push src``: decrement sp and store a register or immediate."""
 
+    __slots__ = ()
     mnemonic = "push"
+    OPERANDS = ("_src",)
+    FORMS = ("R", "I")
 
-    def __init__(self, src):
-        self.src = _as_operand(src)
-        if isinstance(self.src, Mem):
-            raise IsaError("push from memory not supported in this subset")
+    def _execute_R(self, cpu):
+        return self._push(cpu, cpu.context.reg_values[self._src])
 
-    def _fmt_ops(self):
-        return repr(self.src)
+    def _execute_I(self, cpu):
+        return self._push(cpu, self._src)
 
-    def execute(self, cpu):
-        value = (
-            self.src.value if isinstance(self.src, Imm) else cpu.get_reg(self.src)
-        )
+    def _push(self, cpu, value):
         sp = (cpu.get_reg(SP) - 4) & WORD_MASK
         cpu.set_reg(SP, sp)
-        yield from cpu.mem_write(sp, value)
+        return cpu.mem_write(sp, value)
 
 
-class Pop(Instruction):
+class Pop(_Decoded):
     """``pop reg``: load from [sp] and increment sp."""
 
+    __slots__ = ()
     mnemonic = "pop"
+    OPERANDS = ("_dst",)
+    FORMS = ("R",)
 
-    def __init__(self, dst):
-        if not isinstance(dst, Reg):
-            raise IsaError("pop needs a register destination")
-        self.dst = dst
-
-    def _fmt_ops(self):
-        return repr(self.dst)
-
-    def execute(self, cpu):
+    def _execute_R(self, cpu):
         sp = cpu.get_reg(SP)
         value = yield from cpu.mem_read(sp)
         cpu.set_reg(SP, (sp + 4) & WORD_MASK)
-        cpu.set_reg(self.dst, value)
+        cpu.context.reg_values[self._dst] = value & WORD_MASK
 
 
 class Call(Instruction):
     """``call label``: push the return index and branch."""
 
+    __slots__ = ("target", "target_index")
     mnemonic = "call"
     cycles = 2
 
@@ -699,6 +696,7 @@ class Call(Instruction):
 class Ret(Instruction):
     """``ret``: pop the return index and branch to it."""
 
+    __slots__ = ()
     mnemonic = "ret"
     cycles = 2
 
@@ -718,6 +716,7 @@ class RepMovs(Instruction):
     costs" but only constant instruction overhead.
     """
 
+    __slots__ = ()
     mnemonic = "rep movs"
 
     def execute(self, cpu):
@@ -742,6 +741,7 @@ class RepMovs(Instruction):
 class Nop(Instruction):
     """``nop``: retire one instruction doing nothing."""
 
+    __slots__ = ()
     mnemonic = "nop"
 
     def spin_role(self):
@@ -754,6 +754,7 @@ class Nop(Instruction):
 class Halt(Instruction):
     """``halt``: stop the program (context.halted)."""
 
+    __slots__ = ()
     mnemonic = "halt"
 
     def execute(self, cpu):
@@ -765,6 +766,7 @@ class Syscall(Instruction):
     """Trap into the kernel.  The syscall number is an immediate; arguments
     follow the kernel's register convention (r1..r5)."""
 
+    __slots__ = ("number",)
     mnemonic = "syscall"
     cycles = 10  # trap overhead on top of the kernel's own work
 
@@ -781,6 +783,7 @@ class Syscall(Instruction):
 class RegionMarker(Instruction):
     """Zero-cost bracket for instruction-count accounting regions."""
 
+    __slots__ = ("name", "begin")
     counts = False
     cycles = 0
 

@@ -343,9 +343,16 @@ class DsmWorkload:
     def crash_restore(self, node_id, crash_at, dwell_ns):
         """Crash ``node_id`` at ``crash_at`` and restore it ``dwell_ns``
         later (:func:`~repro.faults.recovery.crash_restore_cycle`).  The
-        runtime goes after its channels, so channel replay state is reset
-        before the directory rebuild starts.  Returns the outcome dict
-        the restore fills in."""
+        runtime goes after its channels in the crash's channel list.
+        Each channel's ``node_crashed`` kills its parked polls and
+        unregisters their ``Poll.settle`` from the node's memory, so when
+        the runtime's own ``node_crashed`` runs, no poll of the dead node
+        is left registered and channel replay state is already reset for
+        the directory rebuild.  With the runtime first, a channel's
+        parked ``Poll.settle`` is still registered at that point, and
+        ``TestCrashMidPoll.test_crash_kills_parked_polls_cleanly`` in
+        ``tests/test_recovery.py`` fails.  Returns the outcome dict the
+        restore fills in."""
         # Imported here so a crash-free run never loads the ckpt package.
         from repro.faults.recovery import spawn_crash_restore_cycle
 

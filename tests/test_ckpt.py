@@ -20,11 +20,18 @@ from repro.ckpt import (
     SafepointError,
 )
 from repro.ckpt import fmt
-from repro.ckpt.codec import decode_context, decode_program, encode_context, encode_program
+from repro.ckpt.codec import (
+    decode_context,
+    decode_instruction,
+    decode_program,
+    encode_context,
+    encode_instruction,
+    encode_program,
+)
 from repro.ckpt.divergence import diff_fingerprints, fingerprint, verify_replay
 from repro.ckpt.safepoint import check_safepoint, seek_safepoint
 from repro.ckpt.system import SystemCheckpoint
-from repro.cpu import Asm, Context, Mem
+from repro.cpu import Asm, Context, Mem, R1, R2
 from repro.scenarios import (
     build_blocked_stream,
     build_contention,
@@ -403,6 +410,59 @@ def test_program_codec_is_identity():
         encoded = encode_program(worker.program)
         decoded = decode_program(json.loads(json.dumps(encoded)))
         assert encode_program(decoded) == encoded
+
+
+# One operand of each shape the ISA decodes.
+_SHAPES = {
+    "reg": R1,
+    "imm": 0x12345678,
+    "absolute": Mem(disp=0x2000),
+    "indexed": Mem(base=R2, disp=-8),
+}
+_MEM = ("absolute", "indexed")
+
+
+def _every_instruction_form():
+    """``(id, Asm method name, operands)`` for every mnemonic and every
+    operand shape it accepts."""
+    cases = []
+    two_op = ("mov", "add", "sub", "and_", "or_", "xor", "shl", "shr",
+              "cmp", "test")
+    for name in two_op:
+        for dst in ("reg",) + _MEM:
+            for src in _SHAPES:
+                if not (dst in _MEM and src in _MEM):
+                    cases.append((name, (dst, src)))
+    for name in ("inc", "dec"):
+        cases += [(name, (dst,)) for dst in ("reg",) + _MEM]
+    cases += [("lea", ("reg", src)) for src in _MEM]
+    cases += [("cmpxchg", (dst, "reg")) for dst in _MEM]
+    cases += [("push", ("reg",)), ("push", ("imm",)), ("pop", ("reg",))]
+    labelled = ("jmp", "jz", "jnz", "jl", "jge", "jle", "jg", "call")
+    bare = ("ret", "rep_movs", "nop", "halt")
+    return (
+        [pytest.param(name, [_SHAPES[s] for s in shapes],
+                      id="%s-%s" % (name, ",".join(shapes)))
+         for name, shapes in cases]
+        + [pytest.param(name, ["top"], id=name) for name in labelled]
+        + [pytest.param(name, [], id=name) for name in bare]
+        + [pytest.param("syscall", [3], id="syscall"),
+           pytest.param("region_begin", ["r"], id="region_begin"),
+           pytest.param("region_end", ["r"], id="region_end")]
+    )
+
+
+@pytest.mark.parametrize("method, operands", _every_instruction_form())
+def test_instruction_codec_round_trips_every_form(method, operands):
+    asm = Asm().label("top")
+    getattr(asm, method)(*operands)
+    instr = asm.build().code[0]
+    encoded = encode_instruction(instr)
+    decoded = decode_instruction(json.loads(json.dumps(encoded)))
+    assert encode_instruction(decoded) == encoded
+    assert decoded.mnemonic == instr.mnemonic
+    assert type(decoded) is type(instr)  # the same operand-form class
+    assert repr(decoded) == repr(instr)
 
 
 @given(
