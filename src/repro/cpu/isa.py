@@ -638,7 +638,8 @@ class Cmpxchg(_Decoded):
 
 
 class Push(_Decoded):
-    """``push src``: decrement sp and store a register or immediate."""
+    """``push src``: store a register or immediate below sp, then
+    decrement sp."""
 
     __slots__ = ()
     mnemonic = "push"
@@ -652,9 +653,11 @@ class Push(_Decoded):
         return self._push(cpu, self._src)
 
     def _push(self, cpu, value):
+        # sp moves only once the store is translated and written: a
+        # page fault restarts the instruction with sp untouched.
         sp = (cpu.get_reg(SP) - 4) & WORD_MASK
+        yield from cpu.mem_write(sp, value)
         cpu.set_reg(SP, sp)
-        return cpu.mem_write(sp, value)
 
 
 class Pop(_Decoded):
@@ -687,9 +690,10 @@ class Call(Instruction):
         return str(self.target)
 
     def execute(self, cpu):
+        # As in Push: sp moves after the store, so a fault restarts cleanly.
         sp = (cpu.get_reg(SP) - 4) & WORD_MASK
-        cpu.set_reg(SP, sp)
         yield from cpu.mem_write(sp, cpu.next_pc())
+        cpu.set_reg(SP, sp)
         cpu.jump_to(self.target_index)
 
 

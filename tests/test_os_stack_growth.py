@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cpu import Asm, R1
+from repro.cpu import Asm, R1, R3, R4, R5
 from repro.machine import ShrimpSystem
 from repro.machine.cluster import Cluster
 from repro.msg import nx2
@@ -21,6 +21,14 @@ def deep_push_program(pushes):
     return asm.build()
 
 
+def _mapped_stack_pages(process):
+    return sum(
+        1
+        for vpage in process.page_table.mapped_vpages()
+        if vpage >= (OsProcess.STACK_TOP // 4096) - OsProcess.MAX_STACK_PAGES
+    )
+
+
 def test_stack_grows_on_demand():
     cluster = Cluster(2, 1)
     kernel = cluster.kernel(0)
@@ -31,12 +39,74 @@ def test_stack_grows_on_demand():
     cluster.run()
     assert process.state == "finished"
     assert process.exit_context.registers["r1"] == 0xAB
-    mapped_stack_pages = sum(
-        1
-        for vpage in process.page_table.mapped_vpages()
-        if vpage >= (OsProcess.STACK_TOP // 4096) - OsProcess.MAX_STACK_PAGES
-    )
-    assert mapped_stack_pages > OsProcess.STACK_PAGES
+    assert _mapped_stack_pages(process) > OsProcess.STACK_PAGES
+
+
+def distinct_push_program(pushes):
+    """Push 1..pushes, then pop them all; r3 ORs in every popped value's
+    difference from the one expected, so r3 == 0 iff order held."""
+    asm = Asm("distinct")
+    asm.mov(R3, 0)
+    for value in range(1, pushes + 1):
+        asm.push(value)
+    for value in range(pushes, 0, -1):
+        asm.pop(R1)
+        asm.sub(R1, value)
+        asm.or_(R3, R1)
+    asm.syscall(Syscall.EXIT)
+    return asm.build()
+
+
+def test_faulting_push_restarts_without_losing_a_slot():
+    """A push that faults on a not-yet-mapped stack page restarts with
+    sp untouched: every value pops back in order, and sp ends where it
+    started."""
+    cluster = Cluster(2, 1)
+    # 10 words into the second page past the eagerly-mapped ones: two
+    # on-demand stack faults.
+    pushes = (OsProcess.STACK_PAGES + 1) * 1024 + 10
+    process = cluster.spawn(0, "distinct", distinct_push_program(pushes))
+    cluster.start()
+    cluster.run()
+    assert process.state == "finished"
+    registers = process.exit_context.registers
+    assert registers["r3"] == 0
+    assert registers["sp"] == OsProcess.STACK_TOP
+    assert _mapped_stack_pages(process) == OsProcess.STACK_PAGES + 2
+
+
+def test_faulting_call_restarts_without_losing_a_slot():
+    """A call chain that crosses into an unmapped stack page: the
+    faulting call restarts with sp untouched, so every ret finds its own
+    return index.  Index 0 is reached once; a ret that popped a skipped
+    (zero) slot would land there again and exit with r5 = 0xBAD."""
+    depth = OsProcess.STACK_PAGES * 1024 + 10
+    asm = Asm("chain")
+    asm.cmp(R4, 0)
+    asm.jnz("bad")
+    asm.mov(R4, 1)
+    asm.mov(R1, depth)
+    asm.call("down")
+    asm.syscall(Syscall.EXIT)
+    asm.label("down")
+    asm.dec(R1)
+    asm.jz("bottom")
+    asm.call("down")
+    asm.label("bottom")
+    asm.ret()
+    asm.label("bad")
+    asm.mov(R5, 0xBAD)
+    asm.syscall(Syscall.EXIT)
+    cluster = Cluster(2, 1)
+    process = cluster.spawn(0, "chain", asm.build())
+    cluster.start()
+    cluster.run()
+    assert process.state == "finished"
+    registers = process.exit_context.registers
+    assert registers["r5"] == 0
+    assert registers["r1"] == 0
+    assert registers["sp"] == OsProcess.STACK_TOP
+    assert _mapped_stack_pages(process) == OsProcess.STACK_PAGES + 1
 
 
 def test_runaway_stack_still_faults():
