@@ -29,10 +29,19 @@ from repro.ckpt.codec import (
     encode_program,
 )
 from repro.ckpt.divergence import diff_fingerprints, fingerprint, verify_replay
-from repro.ckpt.safepoint import check_safepoint, seek_safepoint
+from repro.ckpt.safepoint import (
+    check_node_quiescent,
+    check_safepoint,
+    classify_entries,
+    classify_node_entries,
+    live_entries,
+    seek_safepoint,
+)
 from repro.ckpt.system import SystemCheckpoint
 from repro.cpu import Asm, Context, Mem, R1, R2
 from repro.scenarios import (
+    CHECKPOINTABLE,
+    build,
     build_blocked_stream,
     build_contention,
     build_ping_pong,
@@ -212,6 +221,66 @@ def test_mid_transaction_instant_is_not_a_safepoint():
     assert reasons  # at least one instant between t=2000 and the first
     # safepoint was rejected, with a human-readable reason
     assert all(isinstance(reason, str) and reason for reason in reasons)
+
+
+def _entry_seqs(system):
+    """Descriptor key -> queue sequence number, for every worker resume
+    and merge flush timer in the queue."""
+    callbacks = {}
+    for index, worker in enumerate(system.ckpt_workers):
+        if worker.process is not None and not worker.process.finished:
+            callbacks[worker.process._resume] = ("worker", index)
+    flushes = {id(node.nic._merge.flush_event): ("merge", node.node_id)
+               for node in system.nodes if node.nic._merge is not None}
+    seqs = {}
+    for entry in live_entries(system.sim):
+        key = callbacks.get(entry[2]) or flushes.get(id(entry))
+        if key is not None:
+            seqs[key] = entry[1]
+    return seqs
+
+
+def _merged_node_descriptors(system):
+    """Every node's own descriptors merged in queue order; the workers
+    parked in a folded spin own no entry and follow, by worker index."""
+    seqs = _entry_seqs(system)
+    queued, folded = [], []
+    for node in system.nodes:
+        descriptors, reason = classify_node_entries(system, node.node_id)
+        assert reason is None
+        for descriptor in descriptors:
+            key = (descriptor["kind"],
+                   descriptor.get("index", descriptor.get("node")))
+            if key in seqs:
+                queued.append((seqs[key], descriptor))
+            else:
+                folded.append((descriptor["index"], descriptor))
+    def in_order(pairs):
+        return [descriptor for _, descriptor in
+                sorted(pairs, key=lambda pair: pair[0])]
+    return in_order(queued) + in_order(folded)
+
+
+@pytest.mark.parametrize("name", CHECKPOINTABLE)
+def test_a_safepoint_is_every_node_quiescent(name):
+    """At every instant of each checkpointable run, a whole-machine
+    safepoint is also a per-node quiescent instant on every node, and its
+    descriptors are the per-node descriptors merged in queue order, with
+    the folded spins last; none is due before now."""
+    system = build(name)
+    safepoints = 0
+    while True:
+        if check_safepoint(system) is None:
+            safepoints += 1
+            for node in system.nodes:
+                assert check_node_quiescent(system, node.node_id) is None
+            descriptors, reason = classify_entries(system)
+            assert reason is None
+            assert descriptors == _merged_node_descriptors(system)
+            assert all(d["due"] >= system.sim.now for d in descriptors)
+        if not system.sim.step():
+            break
+    assert safepoints >= 1
 
 
 def test_capture_refuses_outside_safepoint():
