@@ -1,26 +1,37 @@
-"""The safepoint predicate: when is the whole machine checkpointable?
+"""The safepoint predicate: when is a node, or the whole machine,
+checkpointable?
 
-A *safepoint* is an instant at which every pending simulator event is a
-re-schedulable **descriptor** and every device datapath is quiescent.
-Concretely:
+One node is *quiescent* (:func:`check_node_quiescent`, the per-node
+checkpoints of crash recovery) when everything it owns can be described
+without a generator continuation:
 
-- every live event in the queue is either a :class:`CpuWorker` resume
-  (the per-instruction timeout of ``Cpu.run_slice``, or the not-yet-fired
-  start event of an unprimed worker) or the flush timer of an open
-  blocked-write merge window;
-- every started, unfinished worker owns exactly one such event (a worker
-  parked on a signal -- mid memory transaction, blocked on a FIFO -- owns
-  none and is *not* at a boundary), or is parked in a folded spin loop
-  (``Cpu.spin_state``), which owns none but sits at an instruction
-  boundary by construction: its descriptor's due time is the spin's next
-  step, and the CPU's capture carries the spin's timeline;
-- every suspended worker generator sits at ``run_slice``'s leading
+- each of its pending simulator events is a re-schedulable
+  **descriptor**: a :class:`CpuWorker` resume (the per-instruction
+  timeout of ``Cpu.run_slice``, or the not-yet-fired start event of an
+  unprimed worker) or the flush timer of its NIC's open blocked-write
+  merge window; events of other nodes are not its business;
+- each of its started, unfinished workers owns exactly one such event (a
+  worker parked on a signal -- mid memory transaction, blocked on a FIFO
+  -- owns none and is *not* at a boundary), or is parked in a folded
+  spin loop (``Cpu.spin_state``), which owns none but sits at an
+  instruction boundary by construction: its descriptor's due time is the
+  spin's next step, and the CPU's capture carries the spin's timeline;
+- each suspended worker generator sits at ``run_slice``'s leading
   per-instruction ``yield`` (its innermost frame is ``run_slice`` itself;
   every other suspension is a ``yield from`` delegation whose innermost
   frame belongs to the cache, bus or NIC);
-- the devices are idle: DMA engines disarmed, NIC FIFOs and kernel
-  inboxes empty, bus/EISA arbiters and router output ports unlocked, no
-  flits on any link, no pending CPU interrupts.
+- its devices are idle: DMA engine disarmed, NIC FIFOs and kernel inbox
+  empty, bus/EISA arbiters unlocked, injection port free, injection and
+  ejection links empty, NIC datapath loops parked on their signals, no
+  pending CPU interrupts.
+
+A whole-machine *safepoint* (:func:`check_safepoint`, for save, resume
+and replay) is every worker started, every node quiescent, no queue
+entry that no node owns, and an idle mesh: no flits on any link and no
+router output port held.  Its descriptors are the per-node descriptors
+merged in sequence order, with the folded spins last; one classifier
+(:func:`classify_entries`, :func:`classify_node_entries`) and one seek
+loop serve both granularities.
 
 At such an instant the machine is fully described by functional state
 (memory, caches, NIPTs, counters) plus a short list of ``(due, kind)``
@@ -30,7 +41,7 @@ instruction issue and the next device activity, most instants qualify.
 
 ``check_safepoint`` returns ``None`` or a human-readable *reason* the
 instant does not qualify; ``seek_safepoint`` single-steps the engine until
-one is reached.
+one is reached (``seek_node_quiescence`` for one node).
 """
 
 import inspect
@@ -65,24 +76,6 @@ def _callback_name(callback):
     return getattr(callback, "__qualname__", None) or repr(callback)
 
 
-def _fold_descriptors(system, node_id=None):
-    """Descriptors of the workers parked in a folded spin.  They own no
-    queue entry, so they follow the sorted entries (re-parking schedules
-    nothing)."""
-    descriptors = []
-    for index, worker in enumerate(system.ckpt_workers):
-        if node_id is not None and worker.node_id != node_id:
-            continue
-        process = worker.process
-        if process is None or process.finished:
-            continue
-        cpu = system.nodes[worker.node_id].cpu
-        if cpu.spin_state(process) == "parked":
-            descriptors.append(
-                {"kind": "worker", "index": index, "due": cpu.fold_due()})
-    return descriptors
-
-
 def _boundary_reason(system, worker, owned):
     """Why ``worker`` is not parked at an instruction boundary, or None."""
     process = worker.process
@@ -112,25 +105,27 @@ def _boundary_reason(system, worker, owned):
     return None
 
 
-def classify_entries(system):
-    """Classify every live queue entry, or explain why one resists.
-
-    Returns ``(descriptors, reason)`` where exactly one side is ``None``.
-    Each descriptor is a JSON-safe dict -- ``{"kind": "worker", "index":
-    i, "due": t}`` or ``{"kind": "merge", "node": n, "due": t}`` -- and the
-    list is sorted by the entries' original sequence numbers, so replaying
-    ``schedule`` calls in list order reproduces the original (time, seq)
-    relative order exactly.  Workers parked in a folded spin come last.
+def _classify(system, node_id):
+    """The one entry classifier behind :func:`classify_entries` (``node_id``
+    None: every node, and an entry no node owns refuses) and
+    :func:`classify_node_entries` (one node; foreign entries are ignored).
     """
-    workers = system.ckpt_workers
     resume_owner = {}
-    for index, worker in enumerate(workers):
+    folded = []  # parked in a folded spin: no queue entry, so they go last
+    for index, worker in enumerate(system.ckpt_workers):
+        if node_id is not None and worker.node_id != node_id:
+            continue
         process = worker.process
-        if process is not None and not process.finished:
-            resume_owner[process._resume] = index
+        if process is None or process.finished:
+            continue
+        resume_owner[process._resume] = index
+        cpu = system.nodes[worker.node_id].cpu
+        if cpu.spin_state(process) == "parked":
+            folded.append(
+                {"kind": "worker", "index": index, "due": cpu.fold_due()})
 
     flush_nodes = {}
-    for node in system.nodes:
+    for node in system.nodes if node_id is None else (system.nodes[node_id],):
         merge = node.nic._merge
         if merge is None:
             continue
@@ -150,142 +145,69 @@ def classify_entries(system):
                 (entry[1], {"kind": "worker", "index": index, "due": entry[0]})
             )
             continue
-        node_id = flush_nodes.get(id(entry))
-        if node_id is not None:
+        owner = flush_nodes.get(id(entry))
+        if owner is not None:
             ordered.append(
-                (entry[1], {"kind": "merge", "node": node_id, "due": entry[0]})
+                (entry[1], {"kind": "merge", "node": owner, "due": entry[0]})
             )
             continue
-        return None, (
-            "pending event at t=%d (%s) is neither a worker resume nor a "
-            "merge flush" % (entry[0], _callback_name(callback or entry[3]))
-        )
+        if node_id is None:
+            return None, (
+                "pending event at t=%d (%s) is neither a worker resume nor a "
+                "merge flush" % (entry[0], _callback_name(callback or entry[3]))
+            )
     ordered.sort()
-    descriptors = [descriptor for _, descriptor in ordered]
-    return descriptors + _fold_descriptors(system), None
+    return [descriptor for _, descriptor in ordered] + folded, None
 
 
-def check_safepoint(system):
-    """Return ``None`` if the system is checkpointable now, else a reason."""
-    descriptors, reason = classify_entries(system)
-    if reason is not None:
-        return reason
+def classify_entries(system):
+    """Classify every live queue entry, or explain why one resists.
 
-    owned = {}
-    for descriptor in descriptors:
-        if descriptor["kind"] == "worker":
-            index = descriptor["index"]
-            owned[index] = owned.get(index, 0) + 1
-
-    for index, worker in enumerate(system.ckpt_workers):
-        process = worker.process
-        if process is None:
-            return "worker %s has never been started" % worker.name
-        if process.finished:
-            continue
-        reason = _boundary_reason(system, worker, owned.get(index, 0))
-        if reason is not None:
-            return reason
-
-    for node in system.nodes:
-        if node.kernel is not None:
-            return (
-                "node %s has an OS kernel installed (live OS runs are not "
-                "checkpointable yet; see ROADMAP)" % node.name
-            )
-        nic = node.nic
-        if nic.dma_engine.busy:
-            return "%s DMA engine has a transfer in flight" % nic.name
-        if len(nic.outgoing_fifo):
-            return "%s outgoing FIFO holds %d packets" % (
-                nic.name, len(nic.outgoing_fifo))
-        if len(nic.incoming_fifo):
-            return "%s incoming FIFO holds %d packets" % (
-                nic.name, len(nic.incoming_fifo))
-        if len(nic.kernel_inbox):
-            return "%s kernel inbox holds %d messages" % (
-                nic.name, len(nic.kernel_inbox))
-        if node.bus._mutex.locked:
-            return "%s has a bus transaction in flight" % node.name
-        if node.eisa._mutex.locked:
-            return "%s has an EISA burst in flight" % node.name
-        if node.cpu._pending_interrupts:
-            return "%s has %d pending CPU interrupts" % (
-                node.name, len(node.cpu._pending_interrupts))
-        if node.cpu._preempt:
-            return "%s CPU has a pending preemption" % node.name
-
-    backplane = system.backplane
-    for link in backplane.iter_links():
-        if not link.ckpt_idle():
-            return "mesh link %s is not idle" % link.name
-    for node_id, lock in backplane._injection_locks.items():
-        if lock.locked:
-            return "injection port of node %d is held by a worm" % node_id
-    for coords, router in backplane.routers.items():
-        for output in router.outputs.values():
-            if output.mutex.locked:
-                return "router (%d,%d) output %s is held by a worm" % (
-                    coords[0], coords[1], output.name)
-    return None
+    Returns ``(descriptors, reason)`` where exactly one side is ``None``.
+    Each descriptor is a JSON-safe dict -- ``{"kind": "worker", "index":
+    i, "due": t}`` or ``{"kind": "merge", "node": n, "due": t}`` -- and the
+    list is sorted by the entries' original sequence numbers, so replaying
+    ``schedule`` calls in list order reproduces the original (time, seq)
+    relative order exactly.  Workers parked in a folded spin come last.
+    These are every node's :func:`classify_node_entries` merged in
+    sequence order; an entry that no node owns refuses.
+    """
+    return _classify(system, None)
 
 
 def classify_node_entries(system, node_id):
     """Classify ``node_id``'s own live queue entries; ignore foreign ones.
 
-    The node-granular sibling of :func:`classify_entries`: only events
-    owned by this node's workers (plus its NIC's merge-flush timer) are
-    described -- the rest of the machine keeps its events and keeps
-    running.  Returns ``(descriptors, reason)`` with exactly one side
-    ``None``; descriptor ``index`` values index ``system.ckpt_workers``
-    globally, as in the whole-machine format.
+    Only events owned by this node's workers (plus its NIC's merge-flush
+    timer) are described -- the rest of the machine keeps its events and
+    keeps running.  Same return shape as :func:`classify_entries`;
+    descriptor ``index`` values index ``system.ckpt_workers`` globally,
+    as in the whole-machine format.
     """
-    resume_owner = {}
-    for index, worker in enumerate(system.ckpt_workers):
-        if worker.node_id != node_id:
-            continue
-        process = worker.process
-        if process is not None and not process.finished:
-            resume_owner[process._resume] = index
-
-    node = system.nodes[node_id]
-    flush_event_id = None
-    merge = node.nic._merge
-    if merge is not None:
-        if merge.flush_event is None or merge.flush_event.cancelled:
-            return None, (
-                "%s has an open merge window with no pending flush timer"
-                % node.nic.name
-            )
-        flush_event_id = id(merge.flush_event)
-
-    ordered = []
-    for entry in live_entries(system.sim):
-        index = resume_owner.get(entry[2])
-        if index is not None:
-            ordered.append(
-                (entry[1], {"kind": "worker", "index": index, "due": entry[0]})
-            )
-        elif flush_event_id is not None and id(entry) == flush_event_id:
-            ordered.append(
-                (entry[1], {"kind": "merge", "node": node_id, "due": entry[0]})
-            )
-    ordered.sort()
-    descriptors = [descriptor for _, descriptor in ordered]
-    return descriptors + _fold_descriptors(system, node_id), None
+    return _classify(system, node_id)
 
 
-def check_node_quiescent(system, node_id):
-    """Return ``None`` when one node's slice of the machine is capturable.
+def _owned(descriptors):
+    """Worker index -> how many of ``descriptors`` it owns."""
+    owned = {}
+    for descriptor in descriptors:
+        if descriptor["kind"] == "worker":
+            index = descriptor["index"]
+            owned[index] = owned.get(index, 0) + 1
+    return owned
 
-    The per-node analogue of :func:`check_safepoint`, for crash/restore
-    granularity (repro.faults): only this node's workers, NIC datapath,
-    bus/EISA fabric and mesh access ports must be quiescent -- the other
-    fifteen nodes may be mid-storm.  The NIC's three datapath processes
-    prove their idleness by *which signal they are parked on*: the inject
-    and delivery loops on their FIFOs' change signals, the accept loop on
-    the ejection link's not-empty signal (anywhere else means a packet is
-    mid-pipeline or flow control is asserted).
+
+def _node_reason(system, node_id, owned):
+    """Why node ``node_id`` is not quiescent, or None; ``owned`` counts
+    the pending resume events of each worker (see :func:`_owned`).
+
+    The node's workers sit at instruction boundaries, its NIC datapath,
+    bus/EISA fabric and mesh access ports are idle.  The NIC's three
+    datapath processes prove their idleness by *which signal they are
+    parked on*: the inject and delivery loops on their FIFOs' change
+    signals, the accept loop on the ejection link's not-empty signal
+    (anywhere else means a packet is mid-pipeline or flow control is
+    asserted).
     """
     node = system.nodes[node_id]
     if node.kernel is not None:
@@ -294,24 +216,13 @@ def check_node_quiescent(system, node_id):
             "checkpointable yet; see ROADMAP)" % node.name
         )
 
-    descriptors, reason = classify_node_entries(system, node_id)
-    if reason is not None:
-        return reason
-    owned = {}
-    for descriptor in descriptors:
-        if descriptor["kind"] == "worker":
-            index = descriptor["index"]
-            owned[index] = owned.get(index, 0) + 1
-
     for index, worker in enumerate(system.ckpt_workers):
         if worker.node_id != node_id:
             continue
         process = worker.process
-        if process is None:
-            # Unscheduled: either never started or crashed -- nothing to
+        if process is None or process.finished:
+            # Unscheduled (never started or crashed) or done: nothing to
             # describe, and restore can rebuild it either way.
-            continue
-        if process.finished:
             continue
         reason = _boundary_reason(system, worker, owned.get(index, 0))
         if reason is not None:
@@ -360,6 +271,77 @@ def check_node_quiescent(system, node_id):
     return None
 
 
+def check_node_quiescent(system, node_id):
+    """Return ``None`` when one node's slice of the machine is capturable.
+
+    The per-node predicate, for crash/restore granularity (repro.faults):
+    only this node's queue entries, workers, NIC datapath, bus/EISA
+    fabric and mesh access ports must be quiescent -- the other fifteen
+    nodes may be mid-storm.
+    """
+    descriptors, reason = classify_node_entries(system, node_id)
+    if reason is not None:
+        return reason
+    return _node_reason(system, node_id, _owned(descriptors))
+
+
+def check_safepoint(system):
+    """Return ``None`` if the system is checkpointable now, else a reason.
+
+    A safepoint is every worker started, every node quiescent (the node
+    predicate of :func:`check_node_quiescent`), no queue entry that no
+    node owns, and an idle mesh: no flits on any link and no router
+    output held (each node's injection port is part of its predicate).
+    """
+    descriptors, reason = classify_entries(system)
+    if reason is not None:
+        return reason
+    for worker in system.ckpt_workers:
+        if worker.process is None:
+            return "worker %s has never been started" % worker.name
+    owned = _owned(descriptors)
+    for node in system.nodes:
+        reason = _node_reason(system, node.node_id, owned)
+        if reason is not None:
+            return reason
+
+    backplane = system.backplane
+    for link in backplane.iter_links():
+        if not link.ckpt_idle():
+            return "mesh link %s is not idle" % link.name
+    for coords, router in backplane.routers.items():
+        for output in router.outputs.values():
+            if output.mutex.locked:
+                return "router (%d,%d) output %s is held by a worm" % (
+                    coords[0], coords[1], output.name)
+    return None
+
+
+def _seek(system, check, max_events, exhausted, drained):
+    """Single-step the engine until ``check()`` returns None; the error
+    formats take ``(max_events, now, reason)`` and ``(now, reason)``."""
+    sim = system.sim
+    stepped = 0
+    while True:
+        reason = check()
+        if reason is None:
+            return stepped
+        if stepped >= max_events:
+            raise SafepointError(
+                exhausted % (max_events, sim.now, reason),
+                obstacle=reason, sim_time=sim.now, stepped=stepped,
+            )
+        if not sim.step():
+            reason = check()
+            if reason is None:
+                return stepped
+            raise SafepointError(
+                drained % (sim.now, reason),
+                obstacle=reason, sim_time=sim.now, stepped=stepped,
+            )
+        stepped += 1
+
+
 def seek_node_quiescence(system, node_id, max_events=1_000_000):
     """Single-step the engine until one node's slice is quiescent.
 
@@ -367,27 +349,13 @@ def seek_node_quiescence(system, node_id, max_events=1_000_000):
     stay arbitrarily busy.  Returns the number of events stepped.  Raises
     :class:`SafepointError` on budget exhaustion or a drained queue.
     """
-    stepped = 0
-    while True:
-        reason = check_node_quiescent(system, node_id)
-        if reason is None:
-            return stepped
-        if stepped >= max_events:
-            raise SafepointError(
-                "node %d not quiescent within %d events (reached t=%d ns; "
-                "blocking: %s)" % (node_id, max_events, system.sim.now, reason),
-                obstacle=reason, sim_time=system.sim.now, stepped=stepped,
-            )
-        if not system.sim.step():
-            reason = check_node_quiescent(system, node_id)
-            if reason is None:
-                return stepped
-            raise SafepointError(
-                "event queue drained at t=%d ns without node %d quiescing: %s"
-                % (system.sim.now, node_id, reason),
-                obstacle=reason, sim_time=system.sim.now, stepped=stepped,
-            )
-        stepped += 1
+    return _seek(
+        system, lambda: check_node_quiescent(system, node_id), max_events,
+        "node %d not quiescent within %%d events (reached t=%%d ns; "
+        "blocking: %%s)" % node_id,
+        "event queue drained at t=%%d ns without node %d quiescing: %%s"
+        % node_id,
+    )
 
 
 def seek_safepoint(system, max_events=1_000_000):
@@ -397,24 +365,8 @@ def seek_safepoint(system, max_events=1_000_000):
     Raises :class:`SafepointError` if the event budget runs out or the
     queue drains while the machine still fails the predicate.
     """
-    stepped = 0
-    while True:
-        reason = check_safepoint(system)
-        if reason is None:
-            return stepped
-        if stepped >= max_events:
-            raise SafepointError(
-                "no safepoint within %d events (reached t=%d ns; blocking: %s)"
-                % (max_events, system.sim.now, reason),
-                obstacle=reason, sim_time=system.sim.now, stepped=stepped,
-            )
-        if not system.sim.step():
-            reason = check_safepoint(system)
-            if reason is None:
-                return stepped
-            raise SafepointError(
-                "event queue drained at t=%d ns without reaching a "
-                "safepoint: %s" % (system.sim.now, reason),
-                obstacle=reason, sim_time=system.sim.now, stepped=stepped,
-            )
-        stepped += 1
+    return _seek(
+        system, lambda: check_safepoint(system), max_events,
+        "no safepoint within %d events (reached t=%d ns; blocking: %s)",
+        "event queue drained at t=%d ns without reaching a safepoint: %s",
+    )

@@ -17,11 +17,11 @@ The restore protocol, in required order:
    functional state;
 4. workers are re-created (:meth:`CpuWorker.ckpt_restore_create`) and the
    captured event **descriptors** are re-armed in ascending original
-   sequence order -- same-instant ties land in the same-time bucket in
-   creation order, so the resumed run pops events in exactly the captured
-   (time, seq) order and the continuation is bit-for-bit identical to the
-   uninterrupted run (``tests/test_ckpt.py`` pins this against the golden
-   traces).
+   sequence order, by the re-arm :class:`NodeCheckpoint` shares --
+   same-instant ties land in the same-time bucket in creation order, so
+   the resumed run pops events in exactly the captured (time, seq) order
+   and the continuation is bit-for-bit identical to the uninterrupted run
+   (``tests/test_ckpt.py`` pins this against the golden traces).
 """
 
 from repro.ckpt import fmt
@@ -47,6 +47,28 @@ def _config_name(factory):
     )
 
 
+def _rearm(system, descriptors):
+    """Re-arm captured descriptors in list order, none before now.
+
+    A whole-machine restore rewinds the clock to the capture instant, so
+    every due time stands; a live node restored after its checkpoint
+    re-arms a due time that has passed at the current instant.
+    """
+    sim = system.sim
+    now = sim.now
+    for descriptor in descriptors:
+        due = max(descriptor["due"], now)
+        kind = descriptor.get("kind")
+        if kind == "worker":
+            system.ckpt_workers[descriptor["index"]].ckpt_schedule(due)
+        elif kind == "merge":
+            nic = system.nodes[descriptor["node"]].nic
+            nic.ckpt_attach_flush(
+                sim.schedule_at(due, nic._merge_timer_fired, nic._merge))
+        else:
+            raise CkptError("unknown descriptor kind %r" % (kind,))
+
+
 class SystemCheckpoint:
     """Capture/restore a whole simulated SHRIMP machine."""
 
@@ -63,9 +85,7 @@ class SystemCheckpoint:
             raise SafepointError(reason)
         for node in system.nodes:
             node.cpu.fold_settle()  # before the hub captures the counters
-        descriptors, reason = classify_entries(system)
-        if reason is not None:  # unreachable after the check, kept defensive
-            raise SafepointError(reason)
+        descriptors, _ = classify_entries(system)
         return {
             "config": _config_name(system.params_factory),
             "width": system.width,
@@ -94,22 +114,9 @@ class SystemCheckpoint:
         system.sim.ckpt_restore(state["sim"])
         system.instrumentation.ckpt_restore(state["instrumentation"])
         system.ckpt_restore(state["system"])
-        workers = [
+        for worker_state in state["workers"]:
             CpuWorker.ckpt_restore_create(system, worker_state)
-            for worker_state in state["workers"]
-        ]
-        for descriptor in state["descriptors"]:
-            kind = descriptor.get("kind")
-            if kind == "worker":
-                workers[descriptor["index"]].ckpt_schedule(descriptor["due"])
-            elif kind == "merge":
-                nic = system.nodes[descriptor["node"]].nic
-                event = system.sim.schedule_at(
-                    descriptor["due"], nic._merge_timer_fired, nic._merge
-                )
-                nic.ckpt_attach_flush(event)
-            else:
-                raise CkptError("unknown descriptor kind %r" % (kind,))
+        _rearm(system, state["descriptors"])
         return system
 
     @classmethod
@@ -147,14 +154,13 @@ class NodeCheckpoint:
     :mod:`repro.faults.recovery`: kill a node mid-storm, then bring it
     back from its last snapshot.
 
-    Two deliberate deviations from the whole-machine protocol:
-
-    - instrumentation metrics are **not** captured or restored -- counters
-      are an observer's log of what happened, and what happened (including
-      the crash) stays happened;
-    - a descriptor whose due time has passed by restore time is re-armed
-      at the current instant (the whole-machine restore rewinds the clock
-      instead; a live system cannot).
+    One deliberate deviation from the whole-machine protocol:
+    instrumentation metrics are **not** captured or restored -- counters
+    are an observer's log of what happened, and what happened (including
+    the crash) stays happened.  A descriptor whose due time has passed by
+    restore time is re-armed at the current instant, by the shared
+    ``max(due, now)`` re-arm that a whole-machine restore also uses (its
+    rewound clock makes the clamp a no-op there).
     """
 
     @classmethod
@@ -163,9 +169,7 @@ class NodeCheckpoint:
         reason = check_node_quiescent(system, node_id)
         if reason is not None:
             raise SafepointError(reason)
-        descriptors, reason = classify_node_entries(system, node_id)
-        if reason is not None:  # unreachable after the check, kept defensive
-            raise SafepointError(reason)
+        descriptors, _ = classify_node_entries(system, node_id)
         return {
             "node_id": node_id,
             "time": system.sim.now,
@@ -193,20 +197,5 @@ class NodeCheckpoint:
         workers = system.ckpt_workers
         for index, worker_state in state["workers"]:
             workers[index].ckpt_restore_inplace(worker_state)
-        now = system.sim.now
-        for descriptor in state["descriptors"]:
-            due = descriptor["due"]
-            if due < now:
-                due = now
-            kind = descriptor.get("kind")
-            if kind == "worker":
-                workers[descriptor["index"]].ckpt_schedule(due)
-            elif kind == "merge":
-                nic = node.nic
-                event = system.sim.schedule_at(
-                    due, nic._merge_timer_fired, nic._merge
-                )
-                nic.ckpt_attach_flush(event)
-            else:
-                raise CkptError("unknown descriptor kind %r" % (kind,))
+        _rearm(system, state["descriptors"])
         return node

@@ -122,38 +122,25 @@ class CpuWorker:
 
     @classmethod
     def ckpt_restore_create(cls, system, state):
-        """Re-create a captured worker on a freshly restored system.
+        """Re-create a captured worker on a freshly restored system:
+        construct it, then :meth:`ckpt_restore_inplace`.
 
-        A finished worker gets an inert Process shell carrying its result,
-        so joins and ``finished`` checks behave as on the original.  A
-        live worker is left unscheduled; the caller re-arms its pending
+        A live worker is left unscheduled; the caller re-arms its pending
         resume with :meth:`ckpt_schedule` (in global descriptor order).
         """
-        worker = cls(
-            system,
-            state["node_id"],
-            decode_program(state["program"]),
-            context=decode_context(state["context"]),
-            name=state["name"],
-        )
-        worker._primed = state["primed"]
-        if state["finished"]:
-            shell = Process(system.sim, _finished_shell(), worker.name)
-            shell.started = True
-            shell.finished = True
-            shell.result = worker.context
-            worker.process = shell
+        worker = cls(system, state["node_id"], None, name=state["name"])
+        worker.ckpt_restore_inplace(state)
         return worker
 
     def ckpt_restore_inplace(self, state):
-        """Reset this worker to a captured state, in a *live* system.
+        """Reset this worker to a captured state.
 
-        The in-place counterpart of :meth:`ckpt_restore_create`, used by
-        per-node restore (repro.faults): the rest of the system keeps
-        running, so the worker object must stay the one registered in
-        ``system.ckpt_workers``.  The worker must be unscheduled (crashed
-        via :meth:`kill`, or never started).  A finished worker gets the
-        same inert shell the fresh-restore path builds.
+        Per-node restore (repro.faults) calls this in a *live* system: the
+        rest of the system keeps running, so the worker object must stay
+        the one registered in ``system.ckpt_workers``.  The worker must be
+        unscheduled (crashed via :meth:`kill`, or never started).  A
+        finished worker gets an inert Process shell carrying its result,
+        so joins and ``finished`` checks behave as on the original.
         """
         if self.process is not None and not self.process.finished:
             raise RuntimeError(

@@ -34,11 +34,9 @@ event; ``faults.node_crash``/``faults.node_restore`` counters are
 registered lazily so fault-free runs keep a pristine metrics snapshot.
 """
 
-import inspect
-
-from repro.ckpt.safepoint import _innermost, check_node_quiescent
+from repro.ckpt.safepoint import (_boundary_reason, check_node_quiescent,
+                                  live_entries)
 from repro.ckpt.system import NodeCheckpoint
-from repro.cpu.core import Cpu
 from repro.machine.mapping import establish, tear_down
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Process, Timeout
@@ -57,26 +55,17 @@ def _worker_killable(worker):
     """True when ``worker`` can be killed without wedging the simulator.
 
     A worker is killable while it holds no simulation resource: never
-    started, already finished/killed, or parked at ``Cpu.run_slice``'s
-    per-instruction timeout or inside a folded spin loop (the same
-    boundaries the safepoint machinery accepts) -- not mid bus
+    started, already finished/killed, or at the instruction boundary the
+    safepoint predicate accepts (parked at ``Cpu.run_slice``'s
+    per-instruction timeout or inside a folded spin loop) -- not mid bus
     transaction or inside a mutex.
     """
     process = worker.process
     if process is None or process.finished:
         return True
-    state = inspect.getgeneratorstate(process._generator)
-    if state == inspect.GEN_CREATED:
-        return True
-    if state != inspect.GEN_SUSPENDED:
-        return False
-    spin = worker.system.nodes[worker.node_id].cpu.spin_state(process)
-    if spin is not None:
-        return spin == "parked"  # a folded spin holds nothing
-    if process._pending_resume is None:
-        return False  # waiting on a signal (mutex, queue): holds a ticket
-    inner = _innermost(process._generator)
-    return getattr(inner, "gi_code", None) is Cpu.run_slice.__code__
+    resume = process._resume
+    owned = sum(entry[2] == resume for entry in live_entries(worker.system.sim))
+    return _boundary_reason(worker.system, worker, owned) is None
 
 
 def node_workers(system, node_id):

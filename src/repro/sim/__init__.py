@@ -13,8 +13,8 @@ on.  It provides:
   its wake sources (one helper for every runtime wait).
 - :mod:`~repro.sim.resources` -- mutexes and bounded FIFO queues built from
   the primitives.
-- :mod:`~repro.sim.trace` -- lightweight event tracing and counters used by
-  the measurement harness.
+- :mod:`~repro.sim.trace` -- the counters and time series the
+  instrumentation hub hands out.
 - :mod:`~repro.sim.instrument` -- the per-simulator instrumentation hub:
   a namespaced metrics registry plus a structured event bus that every
   hardware layer registers with (see ``docs/observability.md``).
@@ -27,7 +27,7 @@ from repro.sim.engine import Simulator, SimulationError, ScheduledEvent
 from repro.sim.instrument import Event, Histogram, Instrumentation, MetricError
 from repro.sim.process import Process, Signal, Timeout, Wait, Interrupt
 from repro.sim.resources import Mutex, BoundedQueue, QueueClosed
-from repro.sim.trace import Tracer, Counter, TimeSeries
+from repro.sim.trace import Counter, TimeSeries
 
 __all__ = [
     "Instrumentation",
@@ -45,7 +45,6 @@ __all__ = [
     "Mutex",
     "BoundedQueue",
     "QueueClosed",
-    "Tracer",
     "Counter",
     "TimeSeries",
 ]

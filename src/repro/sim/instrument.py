@@ -15,9 +15,9 @@ counters, and emit *typed* events through it instead of ad-hoc callbacks:
   metric by name, decoupled from component attribute layouts.
 
 - **Event bus** -- records with the stable schema ``(time, source, kind,
-  fields)`` where ``fields`` is a flat dict of named values (replacing the
-  stringly ``TraceRecord.detail``).  Consumers either *collect* records
-  (with optional kind filter and limit) or *subscribe* live callbacks.
+  fields)`` where ``fields`` is a flat dict of named values.  Consumers
+  either *collect* records (with optional kind filter and limit) or
+  *subscribe* live callbacks.
   Emission is strictly zero-cost when off: producers guard every emit with
   a single attribute check (``if hub.active: hub.emit(...)``), and
   ``active`` only becomes true once someone enables collection or
@@ -438,11 +438,6 @@ class Instrumentation:
 
     def event_kinds(self):
         return sorted(self._by_kind)
-
-    def clear_events(self):
-        self._records = []
-        self._by_kind = {}
-        self.dropped = 0
 
     def events_jsonl(self, kind=None):
         """One JSON line per collected event, in emission order."""

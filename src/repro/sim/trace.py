@@ -1,68 +1,8 @@
-"""Lightweight tracing and measurement utilities.
+"""Counters and time series, the metric primitives.
 
-The measurement harness (``repro.analysis``) builds on these: hardware
-models emit trace records and bump counters; benches read them back.
-Tracing is off by default and costs one attribute check per event.
+The instrumentation hub (``repro.sim.instrument``) owns and hands out
+these; hardware models bump them, and benches read them back.
 """
-
-
-class TraceRecord:
-    """One timestamped trace event."""
-
-    __slots__ = ("time", "source", "kind", "detail")
-
-    def __init__(self, time, source, kind, detail):
-        self.time = time
-        self.source = source
-        self.kind = kind
-        self.detail = detail
-
-    def __repr__(self):
-        return "[{:>10d}ns] {:<20s} {:<18s} {}".format(
-            self.time, self.source, self.kind, self.detail
-        )
-
-
-class Tracer:
-    """Collects :class:`TraceRecord` objects when enabled.
-
-    ``only_kinds`` restricts collection to a set of event kinds, which keeps
-    long simulations cheap while still recording e.g. every packet delivery.
-    """
-
-    def __init__(self, sim, enabled=False, only_kinds=None, limit=None):
-        self.sim = sim
-        self.enabled = enabled
-        self.only_kinds = set(only_kinds) if only_kinds else None
-        self.limit = limit
-        self.records = []
-        self.dropped = 0
-        self._by_kind = {}  # kind -> [TraceRecord], same objects as records
-
-    def emit(self, source, kind, detail=None):
-        if not self.enabled:
-            return
-        if self.only_kinds is not None and kind not in self.only_kinds:
-            return
-        if self.limit is not None and len(self.records) >= self.limit:
-            self.dropped += 1
-            return
-        record = TraceRecord(self.sim.now, source, kind, detail)
-        self.records.append(record)
-        by_kind = self._by_kind.get(kind)
-        if by_kind is None:
-            by_kind = self._by_kind[kind] = []
-        by_kind.append(record)
-
-    def of_kind(self, kind):
-        """Records of one kind, via a per-kind index maintained by
-        :meth:`emit` -- O(matches), not a scan of the whole trace."""
-        return list(self._by_kind.get(kind, ()))
-
-    def clear(self):
-        self.records = []
-        self.dropped = 0
-        self._by_kind = {}
 
 
 class Counter:

@@ -1,76 +1,8 @@
-"""Unit tests for tracing, counters and time series."""
+"""Unit tests for counters and time series."""
 
 import pytest
 
-from repro.sim import Simulator, Tracer, Counter, TimeSeries
-
-
-class TestTracer:
-    def test_disabled_by_default(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-        tracer.emit("nic", "packet_sent", {"n": 1})
-        assert tracer.records == []
-
-    def test_records_time_and_fields(self):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=True)
-        sim.schedule(42, tracer.emit, "nic", "packet_sent", {"n": 1})
-        sim.run()
-        assert len(tracer.records) == 1
-        rec = tracer.records[0]
-        assert rec.time == 42
-        assert rec.source == "nic"
-        assert rec.kind == "packet_sent"
-        assert rec.detail == {"n": 1}
-
-    def test_kind_filter(self):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=True, only_kinds={"keep"})
-        tracer.emit("a", "keep")
-        tracer.emit("a", "drop")
-        assert [r.kind for r in tracer.records] == ["keep"]
-
-    def test_limit_counts_drops(self):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=True, limit=2)
-        for _ in range(5):
-            tracer.emit("a", "k")
-        assert len(tracer.records) == 2
-        assert tracer.dropped == 3
-
-    def test_of_kind_and_clear(self):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=True)
-        tracer.emit("a", "x")
-        tracer.emit("a", "y")
-        assert len(tracer.of_kind("x")) == 1
-        tracer.clear()
-        assert tracer.records == []
-
-    def test_of_kind_uses_index_not_scan(self):
-        """of_kind is served by the per-kind index maintained in emit."""
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=True)
-        for i in range(50):
-            tracer.emit("a", "x" if i % 2 else "y", i)
-        xs = tracer.of_kind("x")
-        assert len(xs) == 25
-        assert all(rec.kind == "x" for rec in xs)
-        # The index returns the same record objects, in emission order.
-        assert xs == [rec for rec in tracer.records if rec.kind == "x"]
-        assert tracer.of_kind("absent") == []
-        tracer.clear()
-        assert tracer.of_kind("x") == []
-        # The index keeps tracking after a clear.
-        tracer.emit("a", "x")
-        assert len(tracer.of_kind("x")) == 1
-
-    def test_repr_is_readable(self):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=True)
-        tracer.emit("bus", "write", "0x1000")
-        assert "bus" in repr(tracer.records[0])
+from repro.sim import Counter, TimeSeries
 
 
 class TestCounter:
