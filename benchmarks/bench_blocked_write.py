@@ -81,7 +81,6 @@ def test_merge_window_sweep(run_once):
     merge sparser store streams into fewer packets, at the cost of
     holding the last packet longer."""
     from repro.machine.config import eisa_prototype
-    from repro.sim import Timeout
 
     windows = [100, 500, 2000]
     gap_ns = 700  # time between consecutive stores
@@ -101,7 +100,7 @@ def test_merge_window_sweep(run_once):
         def paced_writer():
             for i in range(16):
                 yield from a.cpu.cache.write(SRC + 4 * i, i + 1, "WT")
-                yield Timeout(gap_ns)
+                yield gap_ns
 
         Process(system.sim, paced_writer(), "w").start()
         system.run()

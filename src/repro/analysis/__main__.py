@@ -19,7 +19,7 @@ from repro.analysis.bandwidth import bandwidth_sweep
 from repro.analysis.breakdown import measure_latency_breakdown
 from repro.analysis.latency import measure_latency_vs_hops, measure_store_latency
 from repro.analysis.report import Table
-from repro.analysis.table1 import run_table1
+from repro.analysis.table1 import measure_csend_crecv, run_table1
 from repro.machine.config import eisa_prototype, next_generation
 
 
@@ -89,11 +89,13 @@ def show_comparison():
     from repro.msg.nx2_baseline import BaselineParams
 
     params = BaselineParams()
+    shrimp = measure_csend_crecv()
     table = Table(
         ["implementation", "csend", "crecv", "total"],
         title="Section 5.2: SHRIMP vs kernel-DMA NX/2 (instructions)",
     )
-    table.add("SHRIMP user-level", 73, 78, 151)
+    table.add("SHRIMP user-level", shrimp.measured_send, shrimp.measured_recv,
+              shrimp.measured_send + shrimp.measured_recv)
     table.add("iPSC/2 NX/2 fast path", params.csend_instructions,
               params.crecv_instructions,
               params.csend_instructions + params.crecv_instructions)

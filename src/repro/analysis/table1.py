@@ -13,7 +13,7 @@ from repro.machine.config import pram_testbed
 from repro.msg import deliberate, double_buffer, nx2, single_buffer
 from repro.msg.layout import MessagingPair, PairLayout as L
 from repro.nic.nipt import MappingMode
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 
 Table1Row = namedtuple(
     "Table1Row",
@@ -53,7 +53,7 @@ def _run(system, node, asm, at_ns=0, context=None):
 
     def runner():
         if at_ns:
-            yield Timeout(at_ns)
+            yield at_ns
         yield from node.cpu.run_to_halt(asm.build(), ctx)
 
     Process(system.sim, runner(), node.name + ".bench").start()

@@ -107,7 +107,6 @@ METRIC_LEAVES = {
     "rpcs": "inter-node RPCs sent",
     "evictions": "page mappings evicted",
     "page_ins": "page mappings paged back in",
-    "dsm_faults": "DSM faults routed through the kernel hook",
     "frames_sent": "reliable-channel frames sent",
     "retransmits": "reliable-channel retransmissions",
     "acks_written": "reliable-channel acks written",

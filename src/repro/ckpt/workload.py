@@ -167,8 +167,8 @@ class CpuWorker:
 
         Priming executes no simulation events and makes no ``schedule``
         calls: ``run_slice`` runs straight to the leading per-instruction
-        ``yield timeout`` for the instruction at the restored ``pc``.  The
-        yielded Timeout request is discarded -- the recreated event below
+        cycle delay for the instruction at the restored ``pc``.  The
+        yielded delay is discarded -- the recreated event below
         stands in for the one the original ``Process._resume`` scheduled.
         A worker captured inside a folded spin loop instead re-parks on
         its CPU's line watch, with the spin's next step moved to ``due``.
@@ -183,7 +183,7 @@ class CpuWorker:
         self.process = process
         if self._primed:
             request = generator.send(None)
-            if request is node.cpu.fold_request:
+            if request is node.cpu.fold_signal:
                 # Captured inside a folded spin: priming re-parked it.
                 node.cpu.fold_rebase(due)
                 process._park(request)

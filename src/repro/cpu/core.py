@@ -43,7 +43,7 @@ from bisect import bisect_left
 from repro.cpu.isa import Reg, WORD_MASK, _NO_YIELDS
 from repro.memsys.cache import CachePolicy
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Signal, Timeout, Wait
+from repro.sim.process import Signal
 
 
 class PageFault(Exception):
@@ -350,13 +350,10 @@ class Cpu:
         self.syscall_handler = None  # set by the kernel
         self.fault_handler = None  # set by the kernel
         self._preempt = False
-        self._timeouts = {}  # cycles -> reusable Timeout (immutable requests)
         # The parked spin, if any (captured by ckpt_capture when parked).
         self._fold = None
-        # Wiring: the signal a folded spin parks on, and the request that
-        # parks on it.
-        self._fold_signal = _FoldSignal(self)
-        self.fold_request = Wait(self._fold_signal)
+        # Wiring: the signal a folded spin parks on.
+        self.fold_signal = _FoldSignal(self)
         # simlint: ignore[SL201] derived from programs and params on demand
         self._spin_timings = {}  # SpinLoop -> SpinTiming on this CPU
         self.instr = Instrumentation.of(sim)
@@ -492,7 +489,6 @@ class Cpu:
         code = program.code
         code_len = len(code)
         clock_ns = self.params.cpu_clock_ns
-        timeouts = self._timeouts
         spins = program.spins
         counts = self.counts
         # ``probe`` watches one spin iteration for a steady state;
@@ -529,7 +525,7 @@ class Cpu:
                     probe = None
             if fold is not None:
                 try:
-                    kind = yield self.fold_request
+                    kind = yield self.fold_signal
                 finally:
                     self._fold_release(fold)
                 pc = context.pc
@@ -548,10 +544,7 @@ class Cpu:
                 # A cycle wait ended: execute the instruction at pc.
                 spin = spins.get(pc)
             elif cycles:
-                timeout = timeouts.get(cycles)
-                if timeout is None:
-                    timeout = timeouts[cycles] = Timeout(cycles * clock_ns)
-                yield timeout
+                yield cycles * clock_ns
             if spin is not None:
                 probe = _Probe(spin, self)
             try:
@@ -719,7 +712,7 @@ class Cpu:
         self._fold_charge(fold, step)
         self._fold_detach(fold)
         fold.waking = fold.kind(step)
-        self._fold_signal.fire_one(fold.waking, fold.time(step) - now)
+        self.fold_signal.fire_one(fold.waking, fold.time(step) - now)
 
     def _fold_pause(self):
         """``Simulator.run`` returned: every step up to now happened."""

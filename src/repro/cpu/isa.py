@@ -142,7 +142,7 @@ def _load(cpu, addr):
     if value is CACHE_MISS:
         value = yield from cache.read(paddr, policy)
     else:
-        yield cache.hit_timeout
+        yield cache.params.cache_hit_ns
     return value
 
 

@@ -69,7 +69,7 @@ from repro.nic.command import CommandOp, encode_command
 from repro.nic.nipt import MappingMode, OutgoingHalf
 from repro.sim.instrument import Instrumentation
 from repro.sim.poll import poll
-from repro.sim.process import Process, Signal, Timeout, Wait
+from repro.sim.process import Process, Signal
 from repro.sim.resources import Mutex
 from repro.workload.arena import NodeArena
 
@@ -367,9 +367,9 @@ class DsmRuntime:
         signal = self._agent_signals[node_id]
         while True:
             if not self._lock_held[node_id]:
-                yield Wait(signal)
+                yield signal
                 continue
-            yield Timeout(period)
+            yield period
             for page in sorted(self._lock_held[node_id]):
                 self._send(node_id, self.layout.home_of(page), LOCK_RENEW,
                            page, 0)
@@ -436,7 +436,7 @@ class DsmRuntime:
                 message = inbox.popleft()
                 yield from self._dispatch(node_id, message)
                 continue
-            yield Wait(signal)
+            yield signal
 
     def _dispatch(self, node_id, message):
         kind, page, src, arg = message

@@ -22,7 +22,6 @@ write guard (:class:`~repro.dsm.state.DsmError`).
 
 from repro.dsm.state import READ, WRITE, DsmError
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE
-from repro.sim.process import Timeout
 
 
 class DsmSegment:
@@ -52,7 +51,7 @@ class DsmSegment:
         page, addr = self._local_addr(gaddr)
         if not self._resident(page, READ):
             yield from self.runtime.fault(self.node_id, page, write=False)
-        yield Timeout(self.runtime.access_ns)
+        yield self.runtime.access_ns
         return self.node.memory.read_word(addr)
 
     def store_word(self, gaddr, value):
@@ -60,7 +59,7 @@ class DsmSegment:
         page, addr = self._local_addr(gaddr)
         if not self._resident(page, WRITE):
             yield from self.runtime.fault(self.node_id, page, write=True)
-        yield Timeout(self.runtime.access_ns)
+        yield self.runtime.access_ns
         self.node.memory.write_word(addr, value)
 
     # -- test/verification access (zero simulated time) -----------------------

@@ -39,7 +39,7 @@ from repro.ckpt.safepoint import (_boundary_reason, check_node_quiescent,
 from repro.ckpt.system import NodeCheckpoint
 from repro.machine.mapping import establish, tear_down
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 
 #: Default polling cadence for the crash/recovery wait loops, in ns.
 POLL_NS = 200
@@ -90,7 +90,7 @@ def crash_node(system, node_id, channels=(), poll_ns=POLL_NS):
                 and not nic.dma_engine.busy
                 and all(ch.killable(node_id) for ch in channels)):
             break
-        yield Timeout(poll_ns)
+        yield poll_ns
     for worker in workers:
         if not worker.finished:
             worker.kill()
@@ -222,7 +222,7 @@ def recover_node(system, state, mappings=(), channels=(), poll_ns=POLL_NS):
     """
     node_id = state["node_id"]
     while check_node_quiescent(system, node_id) is not None:
-        yield Timeout(poll_ns)
+        yield poll_ns
     return restore_node(system, state, mappings=mappings, channels=channels)
 
 
@@ -249,15 +249,15 @@ def crash_restore_cycle(system, node_id, crash_at, dwell_ns, mappings,
     """
     sim = system.sim
     if sim.now < crash_at:
-        yield Timeout(crash_at - sim.now)
+        yield crash_at - sim.now
     while check_node_quiescent(system, node_id) is not None:
-        yield Timeout(poll_ns)
+        yield poll_ns
     state = NodeCheckpoint.capture(system, node_id)
     yield from crash_node(system, node_id, channels=channels,
                           poll_ns=poll_ns)
     invalidated = invalidate_node_mappings(system, node_id, mappings)
     if dwell_ns:
-        yield Timeout(dwell_ns)
+        yield dwell_ns
     result = yield from recover_node(system, state, mappings=invalidated,
                                      channels=channels, poll_ns=poll_ns)
     if outcome is not None:

@@ -5,7 +5,6 @@ A :class:`Cluster` is a :class:`~repro.machine.system.ShrimpSystem` with a
 configuration every OS-level test, example and benchmark starts from.
 """
 
-from repro.machine.addrmap import make_addr_map
 from repro.machine.config import eisa_prototype
 from repro.machine.system import ShrimpSystem
 from repro.os.kernel import Kernel
@@ -14,31 +13,16 @@ from repro.os.scheduler import RoundRobinScheduler
 
 
 class Cluster:
-    """A booted SHRIMP multicomputer.
-
-    ``addr_map`` names the machine-wide placement policy ("blocked" or
-    "strided", see :mod:`repro.machine.addrmap`) or passes a constructed
-    :class:`~repro.machine.addrmap.AddrMap`; it is installed on every
-    kernel so any node resolves a global service address to the same
-    owner.
-    """
+    """A booted SHRIMP multicomputer."""
 
     def __init__(self, width, height, params_factory=eisa_prototype,
-                 os_params=None, addr_map="blocked", tiles_per_node=1):
+                 os_params=None):
         self.system = ShrimpSystem(width, height, params_factory)
         self.topology = self.system.topology
         self.sim = self.system.sim
-        if isinstance(addr_map, str):
-            addr_map = make_addr_map(
-                addr_map, self.topology.node_count,
-                tiles_per_node=tiles_per_node,
-            )
-        self.addr_map = addr_map
         self.kernels = [
             Kernel(node, os_params or OsParams()) for node in self.system.nodes
         ]
-        for kernel in self.kernels:
-            kernel.set_addr_map(self.addr_map)
         self.schedulers = [
             RoundRobinScheduler(kernel) for kernel in self.kernels
         ]
@@ -47,10 +31,6 @@ class Cluster:
     @property
     def nodes(self):
         return self.system.nodes
-
-    def home_node(self, global_addr):
-        """Owning node id of a global service address (placement policy)."""
-        return self.addr_map.node_of(global_addr)
 
     def kernel(self, node_id):
         return self.kernels[node_id]

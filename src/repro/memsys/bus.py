@@ -12,7 +12,6 @@ DMA-invalidation are both snoopers.
 """
 
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Timeout
 from repro.sim.resources import Mutex
 
 
@@ -181,7 +180,7 @@ class XpressBus:
         device = self._decode(addr, nwords)
         yield from self._mutex.acquire(originator)
         try:
-            yield Timeout(self._charge(nwords, device))
+            yield self._charge(nwords, device)
             data = device.bus_read(addr, nwords)
         finally:
             self._mutex.release()
@@ -195,7 +194,7 @@ class XpressBus:
         device = self._decode(addr, len(words))
         yield from self._mutex.acquire(originator)
         try:
-            yield Timeout(self._charge(len(words), device))
+            yield self._charge(len(words), device)
             device.bus_write(addr, words)
         finally:
             self._mutex.release()
@@ -216,7 +215,7 @@ class XpressBus:
         device = self._decode(addr, 1)
         yield from self._mutex.acquire(originator)
         try:
-            yield Timeout(self._charge(1, device))
+            yield self._charge(1, device)
             old_value = device.bus_read(addr, 1)[0]
             read_txn = Transaction(
                 Transaction.READ, addr, 1, [old_value], originator, locked=True
@@ -224,7 +223,7 @@ class XpressBus:
             swapped = old_value == expected
             write_txn = None
             if swapped:
-                yield Timeout(self._charge(1, device))
+                yield self._charge(1, device)
                 device.bus_write(addr, [new_value])
                 write_txn = Transaction(
                     Transaction.WRITE, addr, 1, [new_value], originator, locked=True

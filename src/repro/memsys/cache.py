@@ -19,7 +19,6 @@ watched line (a snoop invalidation, a write, an eviction, ``flush_page``,
 """
 
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Timeout
 
 
 class CachePolicy:
@@ -91,9 +90,6 @@ class Cache:
         self.snoop_invalidations = self.instr.counter(
             name + ".snoop_invalidations"
         )
-        # Timeout requests are immutable, so every hit can yield this one
-        # instance instead of allocating a fresh object per access.
-        self.hit_timeout = Timeout(params.cache_hit_ns)
         bus.add_snooper(self._snoop)
 
     # -- geometry -------------------------------------------------------------
@@ -192,7 +188,7 @@ class Cache:
         Returns :data:`CACHE_MISS` when the access cannot be served from
         the cache (miss, or an uncached page) and must take the
         :meth:`read` generator.  On a hit the caller owes the simulated
-        hit latency: it must ``yield self.hit_timeout``.  The hot
+        hit latency: it must ``yield params.cache_hit_ns``.  The hot
         instruction executes use this to skip a generator frame on the
         overwhelmingly common hit.
         """
@@ -216,7 +212,7 @@ class Cache:
         if line is not None:
             self.hits.bump()
             self._touch(line)
-            yield self.hit_timeout
+            yield self.params.cache_hit_ns
             return line.data[self._word_in_line(addr)]
         self.misses.bump()
         line = yield from self._fill(addr)
@@ -250,7 +246,7 @@ class Cache:
                 self._watch.fold_settle()
             self.hits.bump()
             self._touch(line)
-            yield self.hit_timeout
+            yield self.params.cache_hit_ns
             self._changing(line)
         line.data[self._word_in_line(addr)] = value
         line.dirty = True

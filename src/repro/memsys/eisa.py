@@ -12,7 +12,6 @@ them, keeping the caches consistent).
 """
 
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Timeout
 from repro.sim.resources import Mutex
 
 
@@ -56,13 +55,13 @@ class EisaBus:
         """
         yield from self._mutex.acquire(self.name)
         try:
-            yield Timeout(self.params.eisa_setup_ns)
+            yield self.params.eisa_setup_ns
             burst_start = self.sim.now
             yield from self.xpress_bus.write(addr, words, self.name)
             bus_elapsed = self.sim.now - burst_start
             eisa_time = len(words) * self.params.eisa_word_ns
             if eisa_time > bus_elapsed:
-                yield Timeout(eisa_time - bus_elapsed)
+                yield eisa_time - bus_elapsed
             self.busy_ns += self.sim.now - burst_start + self.params.eisa_setup_ns
         finally:
             self._mutex.release()

@@ -4,7 +4,6 @@ from repro.mesh.link import Link
 from repro.mesh.router import Router, LOCAL
 from repro.mesh.topology import MeshTopology
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Timeout
 from repro.sim.resources import Mutex
 
 
@@ -198,7 +197,7 @@ class Backplane:
                     "interleaved worms at node %d" % node_id) from None
             wait = last - self.sim._now
             if wait > 0:
-                yield Timeout(wait)
+                yield wait
         self.packets_delivered.bump()
         hub = self.instr
         if hub.active:

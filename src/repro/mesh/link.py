@@ -6,7 +6,7 @@ link_flit_ns`` (setting the link bandwidth) and a bounded receive
 buffer: a full buffer blocks the sender, which is how wormhole
 backpressure propagates hop by hop all the way back to a sending NIC.
 
-The per-flit reference behaviour is ``Timeout(f)`` then a blocking put
+The per-flit reference behaviour is a sleep of ``f`` then a blocking put
 for every flit, and a reader that pops each flit once it has arrived.
 This link computes the same schedule arithmetically, one *run* at a time
 instead of one flit at a time:
@@ -54,7 +54,7 @@ empty list costs a fraction of an empty deque on a 1024-node mesh.
 """
 
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Signal, Timeout, Wait
+from repro.sim.process import Signal
 
 
 class Link:
@@ -73,10 +73,6 @@ class Link:
         self._not_before = 0  # the parked reader resumes no earlier than this
         self._not_full = Signal(sim, name + ".not_full")
         self._not_empty = Signal(sim, name + ".not_empty")
-        # Wait requests are immutable; reuse one per signal instead of
-        # allocating a fresh one for every park on the hot path.
-        self._wait_not_full = Wait(self._not_full)
-        self._wait_not_empty = Wait(self._not_empty)
         # Fault-injection hook (repro.faults): a downed link admits no new
         # transfers; already-deposited flits remain readable (they arrived
         # before the cable was pulled).  Orchestration state owned by the
@@ -220,7 +216,7 @@ class Link:
         """Generator: block until :meth:`claimable` is non-zero (the writer
         need not sleep to a consumed-ahead slot's maturity itself)."""
         while not self.claimable():
-            yield self._wait_not_full
+            yield self._not_full
 
     # -- fault-injection hook (see repro.faults) -------------------------------
 
@@ -266,7 +262,7 @@ class Link:
             if self._not_empty._waiters:
                 self._filled()
         if done > sim._now:
-            yield Timeout(done - sim._now)
+            yield done - sim._now
 
     def put(self, packet, count, index, earliest):
         """Place flit ``index`` of the ``count``-flit worm ``packet`` at
@@ -417,9 +413,9 @@ class Link:
                 now = self.sim._now
                 if ready_at <= now:
                     return
-                yield Timeout(ready_at - now)
+                yield ready_at - now
             else:
-                yield self._wait_not_empty
+                yield self._not_empty
 
     def wait_filled(self, not_before):
         """Generator: block until a flit is buffered, resuming no earlier
@@ -433,11 +429,11 @@ class Link:
         if self.runs:
             wait = not_before - self.sim._now
             if wait > 0:
-                yield Timeout(wait)
+                yield wait
             return
         self._not_before = not_before
         while not self.runs:
-            yield self._wait_not_empty
+            yield self._not_empty
 
     def take(self, done):
         """Consume the oldest buffered flit as a reader that is busy until

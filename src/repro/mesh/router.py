@@ -23,7 +23,7 @@ stall -- is made for that instant, so flit timing is unchanged.
 
 from repro.mesh.topology import NORTH, SOUTH, EAST, WEST, LOCAL, route_port
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Process, Signal, Timeout, Wait
+from repro.sim.process import Process, Signal
 from repro.sim.resources import Mutex
 
 
@@ -69,7 +69,6 @@ class Router:
         # stall; fault plans inject a handful.
         self._stalls = []
         self._resume_signal = Signal(sim, self.name + ".resume")
-        self._wait_resume = Wait(self._resume_signal)
 
     # -- wiring (used by the backplane) ---------------------------------------
 
@@ -131,7 +130,7 @@ class Router:
                 continue
             if end is None:
                 while self._stalled:
-                    yield self._wait_resume
+                    yield self._resume_signal
                 return self.sim._now
             return end if end > at else None
         return None
@@ -191,10 +190,10 @@ class Router:
                     % (self.name, out_name, packet)
                 )
             while self._stalled:
-                yield self._wait_resume
+                yield self._resume_signal
                 read = sim._now
             # Head arrival plus routing decision latency, in one sleep.
-            yield Timeout(read + hop_ns - sim._now)
+            yield read + hop_ns - sim._now
             yield from output.mutex.acquire(owner=packet)
             ref = sim._now
             try:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.mesh.packet import Packet
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Process, Signal, Timeout, Wait
+from repro.sim.process import Process, Signal
 
 
 @dataclass
@@ -74,7 +74,7 @@ class BaselineNic:
 
     def _charge(self, instructions):
         self.instructions_charged.bump(instructions)
-        yield Timeout(instructions * self.clock)
+        yield instructions * self.clock
 
     # -- the kernel send path ------------------------------------------------------
 
@@ -85,8 +85,8 @@ class BaselineNic:
         yield from self._charge(params.syscall_instructions)
         yield from self._charge(params.csend_instructions)
         # Copy across the user/kernel boundary (the cost SHRIMP avoids).
-        yield Timeout(len(payload_words) * params.copy_word_ns)
-        yield Timeout(params.dma_setup_ns)
+        yield len(payload_words) * params.copy_word_ns
+        yield params.dma_setup_ns
         # DMA the message onto the wire in bounded packets.
         header = [msg_type, len(payload_words) * 4]
         remaining = list(payload_words)
@@ -119,9 +119,9 @@ class BaselineNic:
         yield from self._charge(params.syscall_instructions)
         yield from self._charge(params.crecv_instructions)
         while not self._queues.get(msg_type):
-            yield Wait(self._arrival)
+            yield self._arrival
         words = self._queues[msg_type].pop(0)
-        yield Timeout(len(words) * params.copy_word_ns)
+        yield len(words) * params.copy_word_ns
         self.messages_received.bump()
         return words
 

@@ -42,7 +42,7 @@ from repro.nic.interface import WaitDeposit
 from repro.nic.nipt import MappingMode
 from repro.sim.instrument import Instrumentation
 from repro.sim.poll import poll
-from repro.sim.process import Process, Signal, Wait
+from repro.sim.process import Process, Signal
 
 ACK_VALUE_BITS = 20
 ACK_VALUE_MASK = (1 << ACK_VALUE_BITS) - 1
@@ -413,7 +413,7 @@ class ReliableChannel:
             # still open -- parks on the doorbell until send()/close().
             if (not self.closed and self.base >= self.next_seq
                     and self.next_seq >= len(self.outbox)):
-                yield Wait(self._doorbell)
+                yield self._doorbell
                 last_send = sim.now
                 continue
             # Frames are unacked here (base < next_seq): poll the ack word
@@ -476,7 +476,7 @@ class ReliableChannel:
             ring = self.layout.dest_ring
             arrival = WaitDeposit(signal, ring, ring + self.ring_bytes)
         else:
-            arrival = Wait(signal)
+            arrival = signal
         while True:
             self._scan_slots()
             yield from self._write_ack()

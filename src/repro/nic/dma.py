@@ -22,7 +22,7 @@ from repro.memsys.address import PAGE_SIZE, page_number, page_offset
 from repro.mesh.packet import Packet
 from repro.nic.nipt import MappingMode
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Process, Signal, Timeout, Wait
+from repro.sim.process import Process, Signal
 
 
 class DmaEngine:
@@ -132,7 +132,7 @@ class DmaEngine:
 
     def _transfer(self, base_addr, nwords, half):
         params = self.nic.params
-        yield Timeout(params.dma_setup_ns)
+        yield params.dma_setup_ns
         addr = base_addr
         remaining = nwords
         while remaining:
@@ -149,7 +149,7 @@ class DmaEngine:
             elapsed = self.sim.now - burst_start
             floor = burst * params.dma_word_ns
             if elapsed < floor:
-                yield Timeout(floor - elapsed)
+                yield floor - elapsed
             offset = page_offset(addr)
             packet = Packet(
                 self.nic.coords,
@@ -174,4 +174,4 @@ class DmaEngine:
     def wait_idle(self):
         """Generator: block until the engine is free (test/bench helper)."""
         while self.busy:
-            yield Wait(self.idle_signal)
+            yield self.idle_signal

@@ -19,7 +19,7 @@ cannot overflow".
 from collections import deque
 
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Signal, Wait
+from repro.sim.process import Signal
 
 
 class FifoOverflow(Exception):
@@ -114,7 +114,7 @@ class PacketFifo:
         """
         size = packet.size_bytes
         while self.occupancy_bytes + self.reserved_bytes + size > self.capacity_bytes:
-            yield Wait(self._changed)
+            yield self._changed
         self.put_functional(packet)
 
     # -- fault-injection hooks (see repro.faults) ------------------------------
@@ -185,7 +185,7 @@ class PacketFifo:
     def get(self):
         """Generator: dequeue the next packet, blocking while empty."""
         while not self._packets:
-            yield Wait(self._changed)
+            yield self._changed
         packet = self._packets.popleft()
         self.occupancy_bytes -= packet.size_bytes
         self.gets.bump()
@@ -241,4 +241,4 @@ class PacketFifo:
         CPU parks here until the FIFO drains (paper section 4).
         """
         while self.above_threshold:
-            yield Wait(self._changed)
+            yield self._changed

@@ -27,7 +27,7 @@ from repro.nic.dma import DmaEngine
 from repro.nic.fifo import PacketFifo
 from repro.nic.nipt import Nipt, MappingMode
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Process, Signal, Timeout, Wait
+from repro.sim.process import Process, Signal
 from repro.sim.resources import BoundedQueue
 
 
@@ -45,17 +45,22 @@ _STAGE_EVENT_KINDS = {
 }
 
 
-class WaitDeposit(Wait):
+class WaitDeposit:
     """Yieldable request: block on an :class:`ArrivalSignal` until a
     packet is deposited into ``[start, end)`` (or the signal fires with
     no packet)."""
 
-    __slots__ = ("start", "end")
+    __slots__ = ("signal", "start", "end")
 
     def __init__(self, signal, start, end):
-        super().__init__(signal)
+        self.signal = signal
         self.start = start
         self.end = end
+
+    def park(self, process):
+        """Park ``process`` on the signal with this deposit filter."""
+        process._waiting_on = self.signal
+        self.signal._add_waiter(process, self)
 
 
 class ArrivalSignal(Signal):
@@ -478,7 +483,7 @@ class NetworkInterface:
     def _injection_loop(self):
         while True:
             packet = yield from self.outgoing_fifo.get()
-            yield Timeout(self.params.snoop_ns + self.params.packetize_ns)
+            yield self.params.snoop_ns + self.params.packetize_ns
             yield from self.backplane.inject(self.node_id, packet)
             self.packets_injected.bump()
             self._stage("injected", packet)
@@ -496,7 +501,7 @@ class NetworkInterface:
     def _delivery_loop(self):
         while True:
             packet = yield from self.incoming_fifo.get()
-            yield Timeout(self.params.fifo_stage_ns)
+            yield self.params.fifo_stage_ns
             try:
                 packet.verify(self.coords)
             except PacketError:
@@ -564,7 +569,7 @@ class NetworkInterface:
         if self.params.incoming_via_eisa:
             yield from self.eisa.dma_write(packet.dest_addr, packet.payload)
         else:
-            yield Timeout(self.params.incoming_setup_ns)
+            yield self.params.incoming_setup_ns
             yield from self.bus.write(
                 packet.dest_addr, packet.payload, self.name + ".in"
             )

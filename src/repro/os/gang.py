@@ -15,7 +15,7 @@ member's node), joins them all, then rotates to the next gang.
 """
 
 from repro.os.process import ProcessState
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 
 
 class GangError(Exception):
@@ -102,7 +102,7 @@ class GangScheduler:
                     yield member_slice  # join
                 self.slot_log.append((gang.name, start, self.sim.now))
                 # A small gap models the coordinated switch.
-                yield Timeout(1_000)
+                yield 1_000
 
     @property
     def finished(self):

@@ -29,7 +29,7 @@ from repro.os.syscalls import Errno, MapArgs, Syscall, SyscallError
 from repro.os.vm import plan_mapping
 from repro.cpu.isa import R0, R1
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Process, Signal, Timeout, Wait
+from repro.sim.process import Process, Signal
 from repro.sim.resources import QueueClosed
 
 
@@ -126,59 +126,10 @@ class Kernel:
         self.instr.probe(
             prefix + ".instructions", lambda: self.kernel_instructions
         )
-        self.dsm_faults = self.instr.counter(prefix + ".dsm_faults")
         node.cpu.syscall_handler = self._syscall_handler
         node.cpu.fault_handler = self._fault_handler
-        # Fetch-on-fault DSM (repro.dsm): an optional hook consulted
-        # before the kernel's own fault resolution, plus the OS-visible
-        # page-state table the hook maintains (vpage -> repro.dsm state).
-        # simlint: ignore[SL201] wiring, not state: the hook is re-registered
-        # by the DSM layer after a restore rebuilds the runtime
-        self._dsm_hook = None
-        self.dsm_page_states = {}
-        # Machine-wide placement policy (repro.machine.addrmap), installed
-        # by Cluster at boot; None on a bare kernel.
-        # simlint: ignore[SL201] immutable policy object installed at
-        # boot, a pure function of the cluster construction arguments --
-        # restore rebuilds the cluster with the same arguments
-        self.addr_map = None
         # simlint: ignore[SL201] start-once latch (wiring, not state)
         self._started = False
-
-    # -- placement (shared service address space) -------------------------------
-
-    def set_addr_map(self, addr_map):
-        """Install the machine-wide :class:`~repro.machine.addrmap.AddrMap`.
-
-        Every kernel of a cluster shares one map, so any node resolves a
-        global service address to the same owner -- the placement
-        primitive the workload generator and future DSM ownership build
-        on.
-        """
-        self.addr_map = addr_map
-
-    def home_node(self, global_addr):
-        """Owning node id of a global service address.
-
-        This is a pure policy lookup (no charged kernel instructions):
-        placement decisions happen at mapping-establishment time, whose
-        cost is already modelled by the ``sys_map`` path.
-        """
-        if self.addr_map is None:
-            raise KernelError(
-                "%s: no address map installed (bare kernel; boot via "
-                "Cluster or call set_addr_map)" % self.node.name
-            )
-        return self.addr_map.node_of(global_addr)
-
-    def home_slice(self, global_addr):
-        """``(node id, local byte offset)`` of a global service address."""
-        if self.addr_map is None:
-            raise KernelError(
-                "%s: no address map installed (bare kernel; boot via "
-                "Cluster or call set_addr_map)" % self.node.name
-            )
-        return self.addr_map.locate(global_addr)
 
     # -- identifiers ------------------------------------------------------------
 
@@ -201,7 +152,7 @@ class Kernel:
 
     def _charge(self, instructions):
         self.kernel_instructions += instructions
-        yield Timeout(instructions * self.node.params.memsys.cpu_clock_ns)
+        yield instructions * self.node.params.memsys.cpu_clock_ns
 
     # -- physical memory management ------------------------------------------------------
 
@@ -495,7 +446,7 @@ class Kernel:
         self._pending_rpcs[seq] = pending
         yield from self.node.nic.send_kernel_message(dest_node, words)
         while pending[1] is None:
-            yield Wait(pending[0])
+            yield pending[0]
         del self._pending_rpcs[seq]
         return pending[1]
 
@@ -796,10 +747,6 @@ class Kernel:
             "swap": swap,
             "kernel_instructions": self.kernel_instructions,
         }
-        # Sparse: only kernels the DSM layer touched carry the table, so
-        # existing checkpoints (and their fingerprints) are unchanged.
-        if self.dsm_page_states:
-            state["dsm_pages"] = pairs(self.dsm_page_states)
         return state
 
     @staticmethod
@@ -886,7 +833,6 @@ class Kernel:
                 raise CkptError("swap slot references unknown pid %d" % pid)
             self._swap[(process.page_table, vpage)] = bytes.fromhex(hexdata)
         self.kernel_instructions = state["kernel_instructions"]
-        self.dsm_page_states = dict(state.get("dsm_pages", ()))
 
     def _relink_half(self, record, src_vpage, half_state):
         """Recover the NIPT's half object for an installed mapping half.
@@ -925,33 +871,6 @@ class Kernel:
             )
         return OutgoingHalf(*fields)
 
-    # -- fetch-on-fault DSM (repro.dsm) ----------------------------------------
-
-    def register_dsm_hook(self, hook):
-        """Install (or clear, with ``None``) the DSM fault hook.
-
-        ``hook(process, fault)`` is a generator run from the fault
-        handler *before* the kernel's own resolution; a truthy return
-        means the access was a shared-page fault the DSM layer resolved
-        (fetched and installed), and the faulting instruction restarts.
-        Falsy falls through to demand paging / stack growth / the wild
-        access raise, so a hook never masks a genuine protection bug.
-        """
-        self._dsm_hook = hook
-
-    def dsm_page_state(self, vpage):
-        """The OS-visible DSM state of ``vpage`` (repro.dsm constants);
-        INVALID (0) for pages the DSM layer never touched."""
-        return self.dsm_page_states.get(vpage, 0)
-
-    def set_dsm_page_state(self, vpage, state):
-        """Record ``vpage``'s DSM state; INVALID (0) drops the entry so
-        an untouched kernel checkpoints exactly as before."""
-        if state:
-            self.dsm_page_states[vpage] = state
-        else:
-            self.dsm_page_states.pop(vpage, None)
-
     # -- fault handling --------------------------------------------------------------------------------------------------------
 
     def _fault_handler(self, cpu, fault):
@@ -965,11 +884,6 @@ class Kernel:
         if process is None:
             raise fault
         vpage = page_number(fault.vaddr)
-        if self._dsm_hook is not None:
-            handled = yield from self._dsm_hook(process, fault)
-            if handled:
-                self.dsm_faults.bump()
-                return
         pte = process.page_table.entry(vpage)
         if pte is None:
             if self._grow_stack(process, vpage):

@@ -12,7 +12,7 @@ are between physical pages (section 3.1, figure 3).
 
 from collections import deque
 
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 from repro.os.process import ProcessState
 
 
@@ -50,7 +50,7 @@ class RoundRobinScheduler:
             # Context switch: install the address space.  Note what is
             # *absent*: no NIC state is saved or restored.
             self.context_switches += 1
-            yield Timeout(
+            yield (
                 self.kernel.params.context_switch_instructions
                 * self.node.params.memsys.cpu_clock_ns
             )

@@ -52,7 +52,7 @@ from repro.msg import deliberate
 from repro.msg.layout import MessagingPair, PairLayout as L
 from repro.msg.reliable import ReliableChannel
 from repro.nic.nipt import MappingMode
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 from repro.workload.dsm_apps import DsmWorkload
 from repro.workload.generator import DatacenterWorkload
 from repro.workload.traffic import WorkloadParams
@@ -273,7 +273,7 @@ def run_crash_recovery(words_per_sender=24, payloads=None, capture_at=6_000,
     def orchestrate():
         crash = yield from crash_node(system, VICTIM, channels=(channel,))
         invalidated = invalidate_node_mappings(system, VICTIM, mappings)
-        yield Timeout(dwell_ns)
+        yield dwell_ns
         restore = yield from recover_node(
             system, state, mappings=invalidated, channels=(channel,)
         )

@@ -7,8 +7,9 @@ on.  It provides:
   integer-nanosecond timestamps.
 - :class:`~repro.sim.process.Process` -- generator-based cooperative
   processes (CPUs, DMA engines, routers are all processes).
-- :class:`~repro.sim.process.Signal`, :class:`~repro.sim.process.Timeout` --
-  the two primitive blocking operations processes can yield.
+- :class:`~repro.sim.process.Signal` -- the broadcast wake-up a process
+  waits on by yielding it; a process sleeps by yielding an ``int`` of
+  nanoseconds.
 - :func:`~repro.sim.poll.poll` -- a fixed-period flag poll folded onto
   its wake sources (one helper for every runtime wait).
 - :mod:`~repro.sim.resources` -- mutexes and bounded FIFO queues built from
@@ -25,7 +26,7 @@ simulation exactly reproducible (no floating-point drift in event ordering).
 
 from repro.sim.engine import Simulator, SimulationError, ScheduledEvent
 from repro.sim.instrument import Event, Histogram, Instrumentation, MetricError
-from repro.sim.process import Process, Signal, Timeout, Wait, Interrupt
+from repro.sim.process import Process, Signal, Interrupt
 from repro.sim.resources import Mutex, BoundedQueue, QueueClosed
 from repro.sim.trace import Counter, TimeSeries
 
@@ -39,8 +40,6 @@ __all__ = [
     "ScheduledEvent",
     "Process",
     "Signal",
-    "Timeout",
-    "Wait",
     "Interrupt",
     "Mutex",
     "BoundedQueue",

@@ -34,7 +34,7 @@ A folded poll (:mod:`repro.sim.poll`) keeps one *tick marker* in the
 heap: a bare ``[time, seq, None, poll]`` entry.  Popping it runs no
 callback and counts no event; :meth:`~repro.sim.poll.Poll.tick` either
 re-keys it to the next tick -- taking the sequence number the unfolded
-``Timeout`` would have taken -- or turns it, in place, into the poll's
+sleep would have taken -- or turns it, in place, into the poll's
 process resume.  Markers never enter the bucket, and they are the only
 dead-looking heap entries of length 4 (bare posts are never cancelled).
 """
@@ -101,9 +101,7 @@ class ScheduledEvent(list):
         # Bucket-resident entries carry a sixth marker slot: their deaths
         # must not count against the *heap* compaction trigger, or heavy
         # same-instant cancellation provokes futile heap rebuilds.
-        if len(self) == 6:
-            self[4]._dead_bucket += 1
-        else:
+        if len(self) == 5:
             self[4]._dead += 1
 
     def __repr__(self):
@@ -147,9 +145,6 @@ class Simulator:
         # simlint: ignore[SL201] bookkeeping for queue compaction; dead
         # entries are dropped from the capture, so the count restores to 0
         self._dead = 0  # cancelled entries still sitting in the heap
-        # simlint: ignore[SL201] same bookkeeping for the same-time bucket;
-        # the bucket drains every instant, so this is always transient
-        self._dead_bucket = 0  # cancelled entries still in the bucket
         # simlint: ignore[SL201] live callables of components that account
         # lazily (a folded CPU spin); they settle when a run() returns, and
         # re-register on restore
@@ -188,8 +183,8 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         if delay == 0:
-            # The trailing True marks bucket residency so cancel() charges
-            # the right dead counter (see ScheduledEvent.cancel).  Heap
+            # The trailing True marks bucket residency so cancel() leaves
+            # the heap's dead counter alone (see ScheduledEvent.cancel).  Heap
             # comparisons never reach it: seq (slot 1) is unique.
             event = ScheduledEvent((self._now, seq, callback, args, self, True))
             self._bucket.append(event)
@@ -223,7 +218,7 @@ class Simulator:
     def _compact(self):
         """Drop cancelled entries and rebuild the heap in one pass.
 
-        Mutates the containers in place -- the run loop holds direct
+        Mutates the heap in place -- the run loop holds direct
         references to them, and a compaction triggered from inside an
         event callback must not strand those aliases.
         """
@@ -231,13 +226,7 @@ class Simulator:
         heap[:] = [entry for entry in heap
                    if entry[2] is not None or is_tick_marker(entry)]
         heapq.heapify(heap)
-        bucket = self._bucket
-        if bucket:
-            live = [entry for entry in bucket if entry[2] is not None]
-            bucket.clear()
-            bucket.extend(live)
         self._dead = 0
-        self._dead_bucket = 0
 
     def _next_entry(self):
         """Pop the live entry with the smallest (time, seq), or None.
@@ -258,11 +247,10 @@ class Simulator:
             else:
                 return None
             if entry[2] is None:
-                if len(entry) == 6:
-                    self._dead_bucket -= 1
-                elif len(entry) != 4:
+                if len(entry) == 5:
                     self._dead -= 1
-                elif entry[3] is not None and entry[3].tick(entry):
+                elif (len(entry) == 4 and entry[3] is not None
+                      and entry[3].tick(entry)):
                     return entry
                 continue
             return entry
@@ -280,7 +268,6 @@ class Simulator:
         bucket = self._bucket
         while bucket and bucket[0][2] is None:
             bucket.popleft()
-            self._dead_bucket -= 1
         if bucket and not (heap and heap[0] < bucket[0]):
             return bucket[0][0]
         if heap:
@@ -319,7 +306,7 @@ class Simulator:
         # containers and the heap pop are bound to locals, and the two
         # optional bounds become always-comparable sentinels so the
         # common unbounded run pays no per-event None checks.  _compact()
-        # mutates heap/bucket in place, so the aliases stay valid across
+        # mutates the heap in place, so the aliases stay valid across
         # callbacks.
         heap = self._heap
         bucket = self._bucket
@@ -341,9 +328,7 @@ class Simulator:
                 callback = entry[2]
                 if callback is None:
                     if len(entry) != 4:
-                        if len(entry) == 6:
-                            self._dead_bucket -= 1
-                        else:
+                        if len(entry) == 5:
                             self._dead -= 1
                         continue
                     # A folded poll's tick marker (see the module doc).

@@ -3,7 +3,7 @@
 A runtime wait that polls a flag on a fixed period,
 
     while True:
-        yield Timeout(step)
+        yield step
         if ready() or deadline_reached:
             break
 
@@ -24,7 +24,7 @@ resumes:
 - **Same-instant order.**  The parked process keeps one *tick marker*
   in the event heap (see :mod:`repro.sim.engine`).  Each tick the engine
   re-keys it to the next tick with the sequence number the unfolded
-  ``Timeout`` would have taken, without running a callback or counting
+  sleep would have taken, without running a callback or counting
   an event.  The marker of a woken (or deadline) tick turns, in place,
   into the process resume, so the resume takes the unfolded tick's exact
   place among the events of its instant: a change made at a tick's
@@ -41,7 +41,7 @@ The marker of a woken poll tests ``ready()`` again at its tick, so a
 poll whose change was undone by then (a write that restored the word)
 sleeps on like an idle tick.  The helper returns at the tick where
 ``ready()`` holds or the deadline is reached; the caller's loop body
-then runs exactly as it would have after the unfolded ``Timeout``.
+then runs exactly as it would have after the unfolded sleep.
 """
 
 from heapq import heappush

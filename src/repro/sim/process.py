@@ -1,15 +1,21 @@
 """Generator-based cooperative processes.
 
-A simulation process is a Python generator that yields *blocking requests*
-to the scheduler:
+A simulation process is a Python generator that yields what it waits for,
+one thing per kind of wait:
 
-- ``Timeout(dt)``        -- resume after ``dt`` nanoseconds.
-- ``Wait(signal)``       -- resume when ``signal.fire(value)`` is called;
+- an ``int`` ``dt``      -- resume ``dt`` nanoseconds later (a negative
+                            ``dt`` is refused by ``Simulator.schedule``).
+- a ``Signal``           -- resume when ``signal.fire(value)`` is called;
                             the fired value is sent back into the generator.
 - another ``Process``    -- resume when that process finishes (join); the
                             joined process's return value is sent back.
 - a ``Poll``             -- yielded only by :func:`repro.sim.poll.poll`,
-                            the folded fixed-period wait.
+                            the folded fixed-period wait.  It parks itself
+                            through its ``park(process)`` method, as does
+                            the NIC's ``WaitDeposit`` (a signal wait
+                            filtered by deposit address).
+
+Anything else (a ``bool``, a ``float``) raises ``TypeError``.
 
 Anything more elaborate (bus arbitration, FIFO puts) is composed from these
 with ``yield from``.  Processes can be interrupted: :meth:`Process.interrupt`
@@ -18,31 +24,14 @@ yield point, which models device-raised CPU interrupts.
 """
 
 
-from repro.sim.poll import Poll
-
-
-class Timeout:
-    """Yieldable request: resume the process after ``delay`` ns."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay):
-        if delay < 0:
-            raise ValueError("negative timeout: %r" % (delay,))
-        self.delay = delay
-
-    def __repr__(self):
-        return "Timeout(%d)" % self.delay
-
-
 class Signal:
     """A broadcast wake-up channel.
 
-    Processes block on a signal with ``yield Wait(sig)`` (or the shorthand
-    ``yield sig``).  ``fire(value)`` wakes every process currently waiting
-    and delivers ``value`` to each.  A signal can be fired any number of
-    times; only the waiters present at fire time are woken (no buffering --
-    use :class:`repro.sim.resources.BoundedQueue` for buffered hand-off).
+    Processes block on a signal with ``yield sig``.  ``fire(value)`` wakes
+    every process currently waiting and delivers ``value`` to each.  A
+    signal can be fired any number of times; only the waiters present at
+    fire time are woken (no buffering -- use
+    :class:`repro.sim.resources.BoundedQueue` for buffered hand-off).
 
     With nobody parked, ``_waiters`` is the shared empty tuple; the first
     park builds the list.  Most signals of a large machine never see a
@@ -96,7 +85,7 @@ class Signal:
         would cost one event each just to re-park.  Waiters park in
         arrival order and never re-park spuriously, so the oldest waiter
         is the one entitled to run.  A delayed hand-off is a cancellable
-        timed resume, like a ``Timeout``.
+        timed resume, like a yielded delay.
         """
         self.fire_count += 1
         waiters = self._waiters
@@ -110,8 +99,8 @@ class Signal:
                 self.sim.post(process._resume, value)
 
     def _add_waiter(self, process, request=None):
-        """Park ``process``; ``request`` is the :class:`Wait` it yielded
-        (None for the bare-signal shorthand), for subclasses that filter
+        """Park ``process``; ``request`` is the self-parking request that
+        parked it (None for a yielded signal), for subclasses that filter
         whom a fire wakes."""
         if self._waiters:
             self._waiters.append(process)
@@ -124,15 +113,6 @@ class Signal:
 
     def __repr__(self):
         return "Signal(%s, %d waiting)" % (self.name, len(self._waiters))
-
-
-class Wait:
-    """Yieldable request: block until the given signal fires."""
-
-    __slots__ = ("signal",)
-
-    def __init__(self, signal):
-        self.signal = signal
 
 
 class Interrupt(Exception):
@@ -175,7 +155,7 @@ class Process:
         self.result = None
         self._joiners = []
         self._waiting_on = None  # Signal we are parked on, for interrupts
-        self._pending_resume = None  # ScheduledEvent for Timeout, cancellable
+        self._pending_resume = None  # ScheduledEvent of a delay, cancellable
         self.started = False
 
     def start(self, delay=0):
@@ -198,11 +178,10 @@ class Process:
         except StopIteration as stop:
             self._finish(stop.value)
             return
-        # Timeout is by far the most common request (every instruction,
-        # every flit transfer): park on it inline, skipping the
-        # isinstance dispatch in _park.
-        if type(request) is Timeout:
-            self._pending_resume = self.sim.schedule(request.delay, self._resume, None)
+        # A delay is by far the most common request (every instruction,
+        # every flit transfer): park on it inline, skipping _park.
+        if type(request) is int:
+            self._pending_resume = self.sim.schedule(request, self._resume, None)
             return
         self._park(request)
 
@@ -220,21 +199,18 @@ class Process:
 
     def _park(self, request):
         """Register the blocking request the generator just yielded."""
-        if isinstance(request, Timeout):
-            self._pending_resume = self.sim.schedule(request.delay, self._resume, None)
-        elif isinstance(request, Wait):
-            self._waiting_on = request.signal
-            request.signal._add_waiter(self, request)
-        elif isinstance(request, Signal):  # shorthand: yield sig
+        if type(request) is int:
+            self._pending_resume = self.sim.schedule(request, self._resume, None)
+        elif isinstance(request, Signal):
             self._waiting_on = request
             request._add_waiter(self)
-        elif type(request) is Poll:
-            request.park(self)
         elif isinstance(request, Process):  # join
             if request.finished:
                 self.sim.post(self._resume, request.result)
             else:
                 request._joiners.append(self)
+        elif hasattr(type(request), "park"):  # a Poll, a WaitDeposit
+            request.park(self)
         else:
             raise TypeError(
                 "process %r yielded unsupported request %r" % (self.name, request)
@@ -292,13 +268,3 @@ class Process:
     def __repr__(self):
         state = "finished" if self.finished else ("running" if self.started else "new")
         return "Process(%s, %s)" % (self.name, state)
-
-
-def wait_until(sim, signal, predicate):
-    """Helper generator: block on ``signal`` until ``predicate()`` is true.
-
-    Checks the predicate before the first wait, so it returns immediately
-    (well, after zero yields) if the condition already holds.
-    """
-    while not predicate():
-        yield Wait(signal)

@@ -7,7 +7,7 @@ hardware FIFOs with blocking put/get).
 
 from collections import deque
 
-from repro.sim.process import Signal, Timeout, Wait
+from repro.sim.process import Signal
 
 
 class Mutex:
@@ -52,11 +52,11 @@ class Mutex:
         if self._serving != ticket or self._free_at > self.sim._now:
             self.contention_count += 1
         while self._serving != ticket:
-            yield Wait(self._released)
+            yield self._released
         # The next ticket may be served before a timed release lands.
         early = self._free_at - self.sim._now
         if early > 0:
-            yield Timeout(early)
+            yield early
         self.owner = owner
         self.acquire_count += 1
 
@@ -150,7 +150,7 @@ class BoundedQueue:
         if self._closed:
             raise QueueClosed(self.name)
         while self.is_full():
-            yield Wait(self._not_full)
+            yield self._not_full
             if self._closed:
                 raise QueueClosed(self.name)
         self._items.append(item)
@@ -175,7 +175,7 @@ class BoundedQueue:
         while not self._items:
             if self._closed:
                 raise QueueClosed(self.name)
-            yield Wait(self._not_empty)
+            yield self._not_empty
         item = self._items.popleft()
         self.get_count += 1
         self._not_full.fire()

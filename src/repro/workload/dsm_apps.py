@@ -42,7 +42,6 @@ from repro.dsm.state import DsmLayout
 from repro.dsm.sync import DsmBarrier, DsmLock
 from repro.machine.system import ShrimpSystem
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE
-from repro.sim.process import Timeout
 from repro.workload.traffic import WorkloadParams, build_schedule
 
 #: Scratch word assignments (see repro.dsm.state.SCRATCH_WORDS).
@@ -317,7 +316,7 @@ class DsmWorkload:
                 break
             request = mine[done]
             if request.arrival_ns > sim.now:
-                yield Timeout(request.arrival_ns - sim.now)
+                yield request.arrival_ns - sim.now
             addr = self._kv_addr(request.key)
             if request.index % 2 == 0:  # put
                 yield from segment.store_word(

@@ -38,7 +38,7 @@ from repro.machine.system import ShrimpSystem
 from repro.memsys.address import PAGE_SIZE
 from repro.mesh.topology import MeshTopology
 from repro.msg.reliable import ChannelLayout, ReliableChannel
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 from repro.sim.resources import Mutex
 from repro.workload.arena import NodeArena
 from repro.workload.traffic import WorkloadParams, build_schedule
@@ -180,7 +180,7 @@ class DatacenterWorkload:
         sim = self.system.sim
         for request in entries:
             if request.arrival_ns > sim.now:
-                yield Timeout(request.arrival_ns - sim.now)
+                yield request.arrival_ns - sim.now
             if request.home_node == node_id:
                 self.local_hits.bump()
                 continue

@@ -46,7 +46,7 @@ from repro.scenarios import (
     build_contention,
     build_ping_pong,
 )
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 
 from tests.test_golden_trace import GOLDEN
 
@@ -298,7 +298,7 @@ def test_unregistered_process_blocks_checkpointing():
 
     def rogue():
         while True:
-            yield Timeout(1_000)
+            yield 1_000
 
     Process(system.sim, rogue(), "rogue").start()
     with pytest.raises(SafepointError):
@@ -318,7 +318,7 @@ def test_seek_safepoint_exhaustion_names_obstacle_and_time():
 
     def rogue():
         while True:
-            yield Timeout(1_000)
+            yield 1_000
 
     Process(system.sim, rogue(), "rogue").start()
     with pytest.raises(SafepointError) as excinfo:

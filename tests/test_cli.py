@@ -26,6 +26,19 @@ def test_comparison_section():
     assert "iPSC/2" in result.stdout
 
 
+def test_comparison_row_is_measured(monkeypatch, capsys):
+    """The SHRIMP row prints the csend/crecv measurement, not literals."""
+    from repro.analysis import __main__ as cli
+    from repro.analysis.table1 import Table1Row
+
+    measured = Table1Row("csend and crecv", 151, 73, 78, 70, 80)
+    monkeypatch.setattr(cli, "measure_csend_crecv", lambda: measured)
+    assert cli.main(["comparison"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("SHRIMP user-level"))
+    assert row.split()[-3:] == ["70", "80", "150"]
+
+
 def test_unknown_section_fails():
     result = run_cli("nonsense")
     assert result.returncode == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, Process, Timeout
+from repro.sim import Simulator, Process
 from repro.memsys import (
     PhysicalMemory,
     XpressBus,
@@ -427,7 +427,7 @@ class TestInterrupts:
 
         def handler():
             log.append(("intr", sim.now))
-            yield Timeout(1000)
+            yield 1000
 
         cpu.register_interrupt_handler("fifo-full", handler)
         asm = Asm()
@@ -438,7 +438,7 @@ class TestInterrupts:
         asm.halt()
 
         def poster():
-            yield Timeout(200)
+            yield 200
             cpu.post_interrupt("fifo-full")
 
         Process(sim, poster(), "dev").start()
@@ -475,7 +475,7 @@ class TestFaults:
         def fault_handler(cpu_, fault):
             faults.append((fault.vaddr, fault.reason))
             mmu.fixed = True
-            yield Timeout(500)
+            yield 500
 
         cpu.fault_handler = fault_handler
         asm = Asm()
@@ -536,7 +536,7 @@ class TestSyscall:
         def kernel(cpu_, number):
             calls.append((number, cpu_.get_reg(R1)))
             cpu_.set_reg(R0, 123)
-            yield Timeout(100)
+            yield 100
 
         cpu.syscall_handler = kernel
         asm = Asm()

@@ -29,7 +29,7 @@ from repro.memsys import (
     PhysicalMemory,
     XpressBus,
 )
-from repro.sim import Process, Simulator, Timeout
+from repro.sim import Process, Simulator
 
 FLAG = 0x8000  # the word every idiom spins on
 PAGE = 4096
@@ -138,7 +138,7 @@ def _run(program, actions, max_ns=None, read_log=None):
 
     def tick():
         ticks.append(sim.now)
-        yield Timeout(40)
+        yield 40
 
     cpu.register_interrupt_handler("tick", tick)
     if read_log is not None:
@@ -158,7 +158,7 @@ def _run(program, actions, max_ns=None, read_log=None):
 
     def driver():
         for delay, kind, addr, value in actions:
-            yield Timeout(delay)
+            yield delay
             if kind == "bus":
                 yield from bus.write(addr, [value], "dma")
             elif kind == "write":

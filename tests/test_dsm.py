@@ -11,8 +11,6 @@ The acceptance surface of the DSM subsystem:
   with every node provably fetching pages across the mesh (the ``dsm``
   scenario, 4x4 fast and 8x8 slow);
 - the sync primitives (combining-tree barrier, home lock);
-- the OS integration: the kernel's DSM fault hook and the checkpointed
-  OS-visible page-state table;
 - crash/restore + seeded link-flap convergence: the shared space ends
   byte-identical to the fault-free run (hypothesis property);
 - home-crash recovery (leases + directory rebuild, always on): a
@@ -53,7 +51,7 @@ from repro.machine import ShrimpSystem
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE, page_number
 from repro.scenarios import build
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 from repro.workload.dsm_apps import (
     SCRATCH_PROGRESS,
     DsmWorkload,
@@ -348,7 +346,7 @@ class TestDsmBarrier:
             released_at[0] = system.sim.now
 
         def late():
-            yield Timeout(50_000)
+            yield 50_000
             yield from barrier.wait(1, 1)
             released_at[1] = system.sim.now
 
@@ -395,94 +393,12 @@ class TestDsmLock:
             for _ in range(rounds):
                 yield from lock.acquire(node_id)
                 value = home_memory.read_word(counter_addr)
-                yield Timeout(700)  # widen the race window
+                yield 700  # widen the race window
                 home_memory.write_word(counter_addr, value + 1)
                 lock.release(node_id)
 
         drive(system, *[body(i) for i in range(4)])
         assert home_memory.read_word(counter_addr) == 4 * rounds
-
-
-# -- OS integration -----------------------------------------------------------
-
-
-VDSM = 0x0060_0000
-
-
-class TestKernelDsmHook:
-    def _touch_program(self, value):
-        from repro.cpu import Asm, Mem
-        from repro.os.syscalls import Syscall
-
-        asm = Asm("toucher")
-        asm.mov(Mem(disp=VDSM), value)
-        asm.syscall(Syscall.EXIT)
-        return asm.build()
-
-    def test_hook_resolves_the_fault_and_counts(self):
-        from repro.machine.cluster import Cluster
-        from repro.memsys.cache import CachePolicy
-
-        cluster = Cluster(2, 1)
-        kernel = cluster.kernel(0)
-        process = cluster.spawn(0, "toucher", self._touch_program(0xFE77))
-        calls = []
-
-        def hook(faulting_process, fault):
-            calls.append((faulting_process.pid, page_number(fault.vaddr)))
-            # DSM pages map uncached: coherence is the protocol's job and
-            # the section 4.4 walk does not shoot down cache lines (the
-            # modeling shortcut docs/dsm.md records).
-            kernel.alloc_region(faulting_process, VDSM, PAGE_SIZE,
-                                policy=CachePolicy.UNCACHED)
-            kernel.set_dsm_page_state(page_number(fault.vaddr), WRITE)
-            return True
-            yield  # generator protocol: the hook may run sim steps
-
-        kernel.register_dsm_hook(hook)
-        cluster.start()
-        cluster.run()
-        assert calls == [(process.pid, page_number(VDSM))]
-        assert cluster.read_process_words(0, process, VDSM, 1) == [0xFE77]
-        assert kernel.dsm_faults.value == 1
-        assert kernel.dsm_page_state(page_number(VDSM)) == WRITE
-
-    def test_falsy_hook_never_masks_a_wild_access(self):
-        from repro.cpu import PageFault
-        from repro.machine.cluster import Cluster
-
-        cluster = Cluster(2, 1)
-        kernel = cluster.kernel(0)
-        calls = []
-
-        def hook(faulting_process, fault):
-            calls.append(fault.vaddr)
-            return False
-            yield
-
-        kernel.register_dsm_hook(hook)
-        cluster.spawn(0, "wild", self._touch_program(1))
-        cluster.start()
-        with pytest.raises(PageFault):
-            cluster.run()
-        assert calls == [VDSM]  # consulted, declined, fell through
-
-    def test_page_state_table_checkpoints_sparsely(self):
-        from repro.machine.cluster import Cluster
-
-        cluster = Cluster(2, 1)
-        kernel = cluster.kernel(0)
-        clean = kernel.ckpt_capture()
-        assert "dsm_pages" not in clean  # untouched kernels are unchanged
-        kernel.set_dsm_page_state(5, READ)
-        kernel.set_dsm_page_state(9, WRITE)
-        kernel.set_dsm_page_state(9, INVALID)  # zero drops the entry
-        state = kernel.ckpt_capture()
-        assert dict(state["dsm_pages"]) == {5: READ}
-        kernel.set_dsm_page_state(5, INVALID)
-        kernel.ckpt_restore(state)
-        assert kernel.dsm_page_state(5) == READ
-        assert kernel.dsm_page_state(9) == INVALID
 
 
 # -- crash/restore + fault-plan convergence -----------------------------------
@@ -520,7 +436,7 @@ def _stencil_under_faults(seed, victim=1, capture_at=20_000,
         yield from crash_node(system, victim, channels=channels)
         invalidated = invalidate_node_mappings(system, victim,
                                                w.runtime.mappings)
-        yield Timeout(dwell)
+        yield dwell
         result = yield from recover_node(system, state,
                                          mappings=invalidated,
                                          channels=channels)
@@ -637,13 +553,13 @@ class TestHomeCrashRecovery:
             # Dies below holding the lock -- never releases.
 
         def crash():
-            yield Timeout(10_000)
+            yield 10_000
             yield from crash_node(
                 system, victim,
                 channels=list(runtime.channels()) + [runtime])
 
         def waiting():
-            yield Timeout(15_000)
+            yield 15_000
             yield from lock.acquire(waiter)
             got["reacquired_at"] = system.sim.now
             lock.release(waiter)

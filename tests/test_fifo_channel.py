@@ -91,9 +91,8 @@ def test_consumer_first_blocks_until_data():
         done["t"] = system.sim.now
 
     def late_producer():
-        from repro.sim import Timeout
 
-        yield Timeout(100_000)
+        yield 100_000
         yield from channel.producer.cpu.run_to_halt(
             producer_program(channel, [7]).build(), Context(stack_top=STACK)
         )
@@ -119,9 +118,8 @@ def test_push_pop_instruction_counts():
     ).start()
 
     def late_consumer():
-        from repro.sim import Timeout
 
-        yield Timeout(100_000)
+        yield 100_000
         yield from b.cpu.run_to_halt(
             consumer_program(channel, 1).build(), Context(stack_top=STACK)
         )

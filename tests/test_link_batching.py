@@ -4,7 +4,7 @@
 chunk, keeping them as runs stamped with the simulated times their
 individual transfers would have completed.  These tests pit it against an inline reference link
 that does exactly what the pre-batching implementation did -- one
-``Timeout`` plus a blocking bounded-queue put per flit -- under randomised
+sleep plus a blocking bounded-queue put per flit -- under randomised
 consumer backpressure, and require identical delivery order *and identical
 delivery times*, with buffer capacity respected throughout.
 """
@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.mesh.link import Link
 from repro.sim import Simulator
-from repro.sim.process import Process, Timeout
+from repro.sim.process import Process
 from repro.sim.resources import BoundedQueue
 
 FLIT_NS = 10
@@ -35,7 +35,7 @@ class _RefLink:
         self._buffer = BoundedQueue(sim, capacity=params.input_buffer_flits)
 
     def send(self, flit):
-        yield Timeout(self.params.link_flit_ns)
+        yield self.params.link_flit_ns
         yield from self._buffer.put(flit)
 
     def send_burst(self, worm, count):
@@ -68,7 +68,7 @@ def _run_eager_consumer(link_cls, n_flits, think_times, capacity):
                 assert link.free_slots() >= 0
             log.append((sim.now, index))
             if think_times[i]:
-                yield Timeout(think_times[i])
+                yield think_times[i]
 
     Process(sim, produce(), "producer").start()
     Process(sim, consume(), "consumer").start()
@@ -139,7 +139,7 @@ def test_consume_ahead_reader_does_not_loosen_backpressure(
                 service = services[taken]
                 taken += 1
                 if service:
-                    yield Timeout(service)
+                    yield service
                 continue
             # Replay the reference reader's pop schedule for every
             # buffered run: each flit popped once both it and the reader
@@ -152,7 +152,7 @@ def test_consume_ahead_reader_does_not_loosen_backpressure(
                 taken += 1
             assert link.free_slots() >= 0
             if reader_free > sim.now:
-                yield Timeout(reader_free - sim.now)
+                yield reader_free - sim.now
 
     Process(sim, produce(), "producer").start()
     Process(sim, consume(), "consumer").start()

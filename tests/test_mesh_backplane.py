@@ -146,10 +146,9 @@ def test_backpressure_blocks_sender():
     out = []
 
     def slow_receive():
-        from repro.sim import Timeout
 
         for _ in range(4):
-            yield Timeout(50_000)
+            yield 50_000
             pkt = yield from mesh.receive_packet(1)
             out.append(pkt)
 

@@ -4,7 +4,7 @@
 and a router hands its output port over at the tail's landing time
 instead of sleeping until then.  These tests hold that machinery to:
 
-- a per-flit reference chain of routers -- a ``Timeout`` plus a blocking
+- a per-flit reference chain of routers -- a sleep plus a blocking
   put for every flit on every hop -- flit for flit and nanosecond for
   nanosecond, under ejection backpressure and a link flap;
 - the router stall instants of the per-flit router;
@@ -20,8 +20,8 @@ from repro.memsys.params import MeshParams
 from repro.mesh import Backplane, Packet
 from repro.mesh.link import Link
 from repro.mesh.topology import EAST, WEST
-from repro.sim import Mutex, Process, Simulator, Timeout
-from repro.sim.process import Signal, Wait
+from repro.sim import Mutex, Process, Simulator
+from repro.sim.process import Signal
 
 FLIT_NS = 10
 HOP_NS = 40
@@ -54,9 +54,9 @@ class _RefLink:
     def send(self, flit):
         if flit.is_head:
             self.spans.append([self.sim.now, None])
-        yield Timeout(FLIT_NS)
+        yield FLIT_NS
         while self.down or len(self.items) >= self.capacity:
-            yield Wait(self.changed)
+            yield self.changed
         self.items.append(flit)
         self.changed.fire()
         if flit.is_tail:
@@ -64,7 +64,7 @@ class _RefLink:
 
     def receive(self):
         while not self.items:
-            yield Wait(self.changed)
+            yield self.changed
         flit = self.items.popleft()
         self.changed.fire()
         return flit
@@ -79,7 +79,7 @@ def _ref_router(in_link, out_link):
     while True:
         flit = yield from in_link.receive()
         assert flit.is_head
-        yield Timeout(HOP_NS)
+        yield HOP_NS
         yield from out_link.send(flit)
         while not flit.is_tail:
             flit = yield from in_link.receive()
@@ -104,7 +104,7 @@ def _run_reference(hops, capacity, flit_bytes, words, gaps, thinks, flap):
             for flit in _flits(packet, flit_bytes):
                 yield from links[0].send(flit)
             log.append(("sent", i, sim.now))
-            yield Timeout(gaps[i])
+            yield gaps[i]
 
     def reader():
         for i in range(len(words)):
@@ -113,7 +113,7 @@ def _run_reference(hops, capacity, flit_bytes, words, gaps, thinks, flap):
                 log.append(("flit", i, flit.index, sim.now))
                 if flit.is_tail:
                     break
-            yield Timeout(thinks[i])
+            yield thinks[i]
 
     Process(sim, sender(), "sender").start()
     Process(sim, reader(), "reader").start()
@@ -139,7 +139,7 @@ def _run_mesh(hops, capacity, flit_bytes, words, gaps, thinks, flap,
         for i, packet in enumerate(_packets(hops, words, flit_bytes)):
             yield from mesh.inject(0, packet)
             log.append(("sent", i, sim.now))
-            yield Timeout(gaps[i])
+            yield gaps[i]
 
     def reader():
         link = mesh.ejection_link(dest)
@@ -154,7 +154,7 @@ def _run_mesh(hops, capacity, flit_bytes, words, gaps, thinks, flap,
                     log.append(("flit", i, index, sim.now))
                     if index == packet.flit_count(flit_bytes) - 1:
                         break
-            yield Timeout(thinks[i])
+            yield thinks[i]
 
     Process(sim, sender(), "sender").start()
     Process(sim, reader(), "reader").start()
@@ -252,7 +252,7 @@ def _stall_run(words, gaps, stall_at, resume_at, probes=()):
             yield from mesh.inject(
                 0, Packet((0, 0), (2, 0), 0x1000 * (i + 1), list(range(n))))
             if gaps[i]:
-                yield Timeout(gaps[i])
+                yield gaps[i]
 
     def receiver():
         for _ in words:
@@ -307,14 +307,14 @@ def test_release_at_grants_in_fifo_ticket_order():
     def holder():
         yield from mutex.acquire("a")
         grants.append(("a", sim.now))
-        yield Timeout(10)
+        yield 10
         mutex.release_at(100)  # the port stays held until t=100
 
     def contender(name, arrive, hold):
-        yield Timeout(arrive)
+        yield arrive
         yield from mutex.acquire(name)
         grants.append((name, sim.now))
-        yield Timeout(hold)
+        yield hold
         mutex.release()
 
     Process(sim, holder(), "a").start()
@@ -339,7 +339,7 @@ def test_release_at_without_waiters_holds_until_then():
         mutex.release_at(70)
 
     def late(arrive):
-        yield Timeout(arrive)
+        yield arrive
         yield from mutex.acquire(arrive)
         grants.append((arrive, sim.now))
         mutex.release()
@@ -392,7 +392,7 @@ def test_per_flit_capture_restores_into_runs():
         for _ in range(7 + 33):
             worm, index = yield from link.receive()
             log.append((sim.now, worm.dest_addr, index))
-            yield Timeout(15)
+            yield 15
 
     Process(sim, writer(), "writer").start()
     Process(sim, reader(), "reader").start()

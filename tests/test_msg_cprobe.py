@@ -3,7 +3,7 @@
 from repro.cpu import Asm, Context
 from repro.machine import ShrimpSystem
 from repro.msg import nx2
-from repro.sim import Process, Timeout
+from repro.sim import Process
 
 STACK = 0x5F000
 BUF_S = 0x5A000
@@ -31,7 +31,7 @@ def run_probe(system, node, typesel, at_ns=0):
 
     def runner():
         if at_ns:
-            yield Timeout(at_ns)
+            yield at_ns
         yield from node.cpu.run_to_halt(probe_program(typesel), ctx)
 
     proc = Process(system.sim, runner(), "probe").start()

@@ -4,7 +4,7 @@ including the Table 1 counts (73 + 78) and the ~4x comparison.
 
 import pytest
 
-from repro.sim import Process, Timeout
+from repro.sim import Process
 from repro.cpu import Context
 from repro.machine import ShrimpSystem
 from repro.msg import nx2
@@ -29,7 +29,7 @@ def run_at(system, node, program, at_ns=0):
 
     def runner():
         if at_ns:
-            yield Timeout(at_ns)
+            yield at_ns
         yield from node.cpu.run_to_halt(program, ctx)
 
     proc = Process(system.sim, runner(), node.name + ".prog").start()

@@ -9,7 +9,7 @@ tested separately.
 
 import pytest
 
-from repro.sim import Process, Timeout
+from repro.sim import Process
 from repro.cpu import Asm, Context, Mem, R3, R4, R5
 from repro.machine import ShrimpSystem
 from repro.msg import single_buffer, double_buffer, deliberate
@@ -34,7 +34,7 @@ def run_at(system, node, asm, at_ns=0, context=None):
 
     def runner():
         if at_ns:
-            yield Timeout(at_ns)
+            yield at_ns
         yield from node.cpu.run_to_halt(asm.build(), ctx)
 
     proc = Process(system.sim, runner(), node.name + ".prog").start()
@@ -128,7 +128,7 @@ class TestSingleBuffering:
 
         def receiver_twice():
             for _ in range(2):
-                yield Timeout(100_000)
+                yield 100_000
                 ctx = Context(stack_top=STACK)
                 yield from pair.receiver.cpu.run_to_halt(
                     single_buffer.receiver_program().build(), ctx
@@ -255,7 +255,7 @@ class TestDoubleBuffering:
             asm.halt()
 
             def runner():
-                yield Timeout(delay)
+                yield delay
                 ctx = Context(stack_top=STACK)
                 yield from node.cpu.run_to_halt(asm.build(), ctx)
                 order.append((tag, system.sim.now))

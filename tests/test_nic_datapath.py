@@ -8,7 +8,7 @@ destination DRAM (with cache snoop-invalidate).
 
 import pytest
 
-from repro.sim import Process, Timeout
+from repro.sim import Process
 from repro.cpu import Asm, Mem, R0, R1, R2, R3
 from repro.machine import ShrimpSystem, mapping, next_generation
 from repro.nic import MappingMode
@@ -157,7 +157,7 @@ class TestAutomaticUpdateSingleWrite:
             # Warm the cache with the old value.
             value = yield from b.cpu.cache.read(DST, "WB")
             read_results.append(value)
-            yield Timeout(20_000)  # wait for the remote store to land
+            yield 20_000  # wait for the remote store to land
             value = yield from b.cpu.cache.read(DST, "WB")
             read_results.append(value)
 
@@ -269,7 +269,7 @@ class TestBlockedWrite:
 
         def writer():
             yield from a.cpu.cache.write(SRC, 1, "WT")
-            yield Timeout(window * 3)
+            yield window * 3
             yield from a.cpu.cache.write(SRC + 4, 2, "WT")
 
         Process(system.sim, writer(), "w").start()
@@ -362,7 +362,7 @@ class TestDeliberateUpdate:
             # Arm a full-page transfer directly.
             _old, swapped = yield from a.bus.cmpxchg(cmd, 0, 1024, "cpu")
             assert swapped
-            yield Timeout(2000)
+            yield 2000
             status = yield from a.bus.read(cmd, 1, "cpu")
             statuses.append(status[0])
 
@@ -445,7 +445,7 @@ class TestDeliberateUpdate:
                 if status[0] == 0:
                     log.append(system.sim.now)
                     return
-                yield Timeout(500)
+                yield 500
 
         Process(system.sim, driver(), "drv").start()
         system.run()

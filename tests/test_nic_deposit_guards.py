@@ -6,7 +6,7 @@ from repro.machine import ShrimpSystem, mapping
 from repro.memsys.address import PAGE_SIZE
 from repro.mesh.packet import Packet
 from repro.nic.nipt import MappingMode
-from repro.sim import Process, Timeout
+from repro.sim import Process
 
 SRC, DST = 0x10000, 0x20000
 
@@ -23,7 +23,7 @@ def deliver_raw(system, b, packet):
     """Slip a packet straight into b's incoming FIFO (hardware-fault model)."""
 
     def inject():
-        yield Timeout(10)
+        yield 10
         b.nic.incoming_fifo.put_functional(packet)
 
     Process(system.sim, inject(), "inject").start()

@@ -9,7 +9,7 @@ overflow.
 
 import pytest
 
-from repro.sim import Process, Timeout
+from repro.sim import Process
 from repro.cpu import Asm, Mem
 from repro.faults import CorruptEveryNth
 from repro.machine import ShrimpSystem, mapping

@@ -10,7 +10,7 @@ from repro.memsys.address import PAGE_SIZE
 from repro.mesh.packet import Packet
 from repro.nic import MappingMode
 from repro.nic.command import CommandOp, encode_command
-from repro.sim import Process, Timeout
+from repro.sim import Process
 
 SRC, DST = 0x10000, 0x20000
 STACK = 0x3F000
@@ -121,7 +121,7 @@ class TestMisroutedPackets:
         def inject():
             # Slip it into b's incoming FIFO as if the mesh delivered it
             # (models a routing fault).
-            yield Timeout(10)
+            yield 10
             b.nic.incoming_fifo.put_functional(bogus)
 
         Process(system.sim, inject(), "evil").start()

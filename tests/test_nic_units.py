@@ -21,7 +21,6 @@ from repro.machine.mapping import establish
 from repro.machine.system import ShrimpSystem
 from repro.nic.command import dma_start_word
 from repro.nic.interface import ArrivalSignal, WaitDeposit
-from repro.sim.process import Wait
 
 
 def half(start=0, end=4096, node=1, dest=0x4000, mode=MappingMode.AUTO_SINGLE):
@@ -219,7 +218,7 @@ class TestArrivalSignal:
     """A filtered waiter wakes only for deposits into its range."""
 
     def _park(self, sim, signal, woken, name, span=None):
-        request = Wait(signal) if span is None else WaitDeposit(signal, *span)
+        request = signal if span is None else WaitDeposit(signal, *span)
 
         def body():
             while True:
@@ -331,10 +330,9 @@ class TestPacketFifo:
             done.append(sim.now)
 
         def slow_consumer():
-            from repro.sim import Timeout
 
             for _ in range(4):
-                yield Timeout(100)
+                yield 100
                 yield from fifo.get()
 
         Process(sim, producer(), "p").start()
@@ -354,9 +352,8 @@ class TestPacketFifo:
             log.append(sim.now)
 
         def drainer():
-            from repro.sim import Timeout
 
-            yield Timeout(500)
+            yield 500
             yield from fifo.get()
 
         Process(sim, waiter(), "w").start()

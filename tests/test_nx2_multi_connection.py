@@ -5,7 +5,7 @@ import pytest
 from repro.cpu import Asm, Context
 from repro.machine import ShrimpSystem
 from repro.msg import nx2
-from repro.sim import Process, Timeout
+from repro.sim import Process
 
 STACK = 0x5F000
 BUF = 0x5A000
@@ -17,7 +17,7 @@ def run_at(system, node, program, at_ns=0):
 
     def runner():
         if at_ns:
-            yield Timeout(at_ns)
+            yield at_ns
         yield from node.cpu.run_to_halt(program, ctx)
 
     Process(system.sim, runner(), node.name + ".p").start()

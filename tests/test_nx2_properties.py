@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cpu import Asm, Context
 from repro.machine import ShrimpSystem
 from repro.msg import nx2
-from repro.sim import Process, Timeout
+from repro.sim import Process
 
 STACK = 0x5F000
 BUF_S = 0x58000

@@ -2,7 +2,7 @@
 tick, and in the same-instant order, that the unfolded loop reaches.
 
 The reference is the unfolded loop itself, :func:`unfolded_poll`: a
-``Timeout`` per tick, ``ready()`` tested at each one.  Two layers check
+sleep per tick, ``ready()`` tested at each one.  Two layers check
 the helper against it:
 
 - **Helper level.**  Pollers on one or more tick grids wait for a DRAM
@@ -31,7 +31,7 @@ from repro.machine import ShrimpSystem
 from repro.memsys import PhysicalMemory
 from repro.msg.reliable import ReliableChannel
 from repro.scenarios import build
-from repro.sim import Process, Signal, Simulator, Timeout
+from repro.sim import Process, Signal, Simulator
 from repro.sim.poll import poll
 
 WORD = 0x100
@@ -40,12 +40,12 @@ OTHER = 0x200
 
 def unfolded_poll(sim, period, ready, deadline=None, at_deadline=False,
                   memory=None, reads=0, words=(), signals=()):
-    """The loop :func:`poll` folds: one ``Timeout`` per tick."""
+    """The loop :func:`poll` folds: one sleep per tick."""
     while True:
         step = period
         if at_deadline and deadline is not None and deadline - sim.now < step:
             step = max(1, deadline - sim.now)
-        yield Timeout(step)
+        yield step
         if deadline is not None and sim.now >= deadline:
             return
         if memory is None:
@@ -337,7 +337,7 @@ def test_send_during_a_resend_pass_is_not_missed(monkeypatch):
             # Stall acks by wiping the receiver's ring head as frames
             # land, then append frames while the resends are in flight.
             for step in range(12):
-                yield Timeout(1_500)
+                yield 1_500
                 memory.write_word(0x40000, 0)
                 if step in (3, 5, 6):
                     channel.send([100 + step])

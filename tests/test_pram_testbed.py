@@ -17,7 +17,7 @@ from repro.machine.pram import PramTestbed, PramError, SRAM_BYTES
 from repro.msg import single_buffer
 from repro.msg.layout import MessagingPair, PairLayout as L
 from repro.nic.nipt import MappingMode
-from repro.sim import Process, Timeout
+from repro.sim import Process
 
 
 def run_at(system, node, asm, at_ns=0):
@@ -25,7 +25,7 @@ def run_at(system, node, asm, at_ns=0):
 
     def runner():
         if at_ns:
-            yield Timeout(at_ns)
+            yield at_ns
         yield from node.cpu.run_to_halt(asm.build(), ctx)
 
     Process(system.sim, runner(), node.name + ".p").start()

@@ -7,7 +7,7 @@ grants strictly in arrival order.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.sim import Simulator, Process, Timeout, Mutex
+from repro.sim import Simulator, Process, Mutex
 
 
 def test_spinner_cannot_starve_parked_waiter():
@@ -19,12 +19,12 @@ def test_spinner_cannot_starve_parked_waiter():
         for i in range(50):
             yield from mutex.acquire("spinner")
             acquired.append("spinner")
-            yield Timeout(10)
+            yield 10
             mutex.release()
             # No delay: re-request immediately, like a CMPXCHG retry loop.
 
     def device():
-        yield Timeout(5)  # arrive while the spinner holds the lock
+        yield 5  # arrive while the spinner holds the lock
         yield from mutex.acquire("device")
         acquired.append(("device", sim.now))
         mutex.release()
@@ -48,14 +48,14 @@ def test_grants_in_arrival_order():
 
     def holder():
         yield from mutex.acquire("holder")
-        yield Timeout(100)
+        yield 100
         mutex.release()
 
     def requester(name, delay):
-        yield Timeout(delay)
+        yield delay
         yield from mutex.acquire(name)
         order.append(name)
-        yield Timeout(5)
+        yield 5
         mutex.release()
 
     Process(sim, holder(), "h").start()
@@ -96,11 +96,11 @@ def test_grant_order_equals_arrival_order_property(arrivals):
     grant_order = []
 
     def requester(name, arrive, hold):
-        yield Timeout(arrive)
+        yield arrive
         request_order.append(name)
         yield from mutex.acquire(name)
         grant_order.append(name)
-        yield Timeout(hold)
+        yield hold
         mutex.release()
 
     for index, (arrive, hold) in enumerate(arrivals):

@@ -1,9 +1,13 @@
-"""Unit tests for generator processes, signals, timeouts and interrupts."""
+"""Unit tests for generator processes, signals, timeouts and interrupts.
+
+A process yields what it waits for: an ``int`` (sleep that many ns), a
+``Signal``, a ``Process`` (join) or a ``Poll``.
+"""
 
 import pytest
 
-from repro.sim import Simulator, Process, Signal, Timeout, Wait, Interrupt
-from repro.sim.process import wait_until
+from repro.sim import Simulator, SimulationError, Process, Signal, Interrupt
+from repro.sim.poll import poll
 
 
 def spawn(sim, gen, name="p"):
@@ -15,7 +19,7 @@ def test_timeout_advances_time():
     log = []
 
     def proc():
-        yield Timeout(100)
+        yield 100
         log.append(sim.now)
 
     spawn(sim, proc())
@@ -28,9 +32,9 @@ def test_sequential_timeouts_accumulate():
     log = []
 
     def proc():
-        yield Timeout(10)
+        yield 10
         log.append(sim.now)
-        yield Timeout(20)
+        yield 20
         log.append(sim.now)
 
     spawn(sim, proc())
@@ -39,15 +43,91 @@ def test_sequential_timeouts_accumulate():
 
 
 def test_negative_timeout_rejected():
-    with pytest.raises(ValueError):
-        Timeout(-5)
+    # Simulator.schedule refuses the delay at the instant of the yield.
+    sim = Simulator()
+    log = []
+
+    def proc():
+        yield 30
+        log.append(sim.now)
+        yield -5
+        log.append("resumed")  # pragma: no cover
+
+    spawn(sim, proc())
+    with pytest.raises(SimulationError, match="past"):
+        sim.run()
+    assert log == [30]
+    assert sim.now == 30
+
+
+def test_int_requests_resume_in_schedule_order():
+    """A yielded delay takes its sequence number at the yield, exactly as
+    a ``schedule`` call made at that point would."""
+    sim = Simulator()
+    log = []
+
+    def sleeper(name, delay):
+        yield delay
+        log.append((sim.now, name))
+
+    def marker(name, delay):
+        sim.schedule(delay, lambda: log.append((sim.now, name)))
+
+    for i, delay in enumerate((5, 0, 5, 0)):
+        spawn(sim, sleeper("p%d" % i, delay))
+        sim.schedule(0, marker, "s%d" % i, delay)
+    sim.run()
+    assert log == [(0, "p1"), (0, "s1"), (0, "p3"), (0, "s3"),
+                   (5, "p0"), (5, "s0"), (5, "p2"), (5, "s2")]
+
+
+def test_each_request_kind_resumes_with_its_value():
+    sim = Simulator()
+    sig = Signal(sim, "s")
+    wake = Signal(sim, "wake")
+    state = {"ready": False}
+    log = []
+
+    def child():
+        yield 7
+        return "joined"
+
+    def ready_at_43():
+        state["ready"] = True
+        wake.fire()
+
+    def proc():
+        log.append(("int", (yield 10), sim.now))
+        log.append(("signal", (yield sig), sim.now))
+        log.append(("process", (yield spawn(sim, child(), "child")), sim.now))
+        sim.schedule(13, ready_at_43)
+        yield from poll(sim, 10, lambda: state["ready"], signals=(wake,))
+        log.append(("poll", sim.now))
+
+    spawn(sim, proc())
+    sim.schedule(20, sig.fire, "fired")
+    sim.run()
+    assert log == [("int", None, 10), ("signal", "fired", 20),
+                   ("process", "joined", 27), ("poll", 47)]
+
+
+@pytest.mark.parametrize("request_", [True, 1.5, "x"])
+def test_non_int_delay_raises_type_error(request_):
+    sim = Simulator()
+
+    def proc():
+        yield request_
+
+    spawn(sim, proc())
+    with pytest.raises(TypeError, match="unsupported request"):
+        sim.run()
 
 
 def test_process_result_recorded():
     sim = Simulator()
 
     def proc():
-        yield Timeout(1)
+        yield 1
         return 42
 
     p = spawn(sim, proc())
@@ -62,13 +142,13 @@ def test_signal_wakes_waiter_with_value():
     sig = Signal(sim, "s")
 
     def waiter():
-        value = yield Wait(sig)
+        value = yield sig
         got.append(value)
 
     spawn(sim, waiter())
 
     def firer():
-        yield Timeout(50)
+        yield 50
         sig.fire("hello")
 
     spawn(sim, firer())
@@ -97,7 +177,7 @@ def test_signal_broadcasts_to_all_waiters():
     sig = Signal(sim, "s")
 
     def waiter(i):
-        value = yield Wait(sig)
+        value = yield sig
         got.append((i, value))
 
     for i in range(3):
@@ -114,7 +194,7 @@ def test_signal_does_not_buffer():
     sig.fire("lost")  # nobody waiting: value is dropped
 
     def waiter():
-        value = yield Wait(sig)
+        value = yield sig
         got.append(value)
 
     spawn(sim, waiter())
@@ -128,7 +208,7 @@ def test_join_returns_child_result():
     log = []
 
     def child():
-        yield Timeout(30)
+        yield 30
         return "done"
 
     def parent(c):
@@ -156,7 +236,7 @@ def test_join_already_finished_process():
     c = spawn(sim, child())
 
     def late_parent():
-        yield Timeout(100)
+        yield 100
         result = yield c
         log.append(result)
 
@@ -169,7 +249,7 @@ def test_double_start_rejected():
     sim = Simulator()
 
     def proc():
-        yield Timeout(1)
+        yield 1
 
     p = spawn(sim, proc())
     with pytest.raises(RuntimeError):
@@ -193,7 +273,7 @@ def test_interrupt_during_timeout():
 
     def sleeper():
         try:
-            yield Timeout(1000)
+            yield 1000
             log.append("slept")
         except Interrupt as intr:
             log.append(("interrupted", intr.cause, sim.now))
@@ -213,7 +293,7 @@ def test_interrupt_during_signal_wait_removes_waiter():
 
     def waiter():
         try:
-            yield Wait(sig)
+            yield sig
             log.append("woke")
         except Interrupt:
             log.append("interrupted")
@@ -230,7 +310,7 @@ def test_interrupt_finished_process_is_noop():
     sim = Simulator()
 
     def proc():
-        yield Timeout(1)
+        yield 1
 
     p = spawn(sim, proc())
     sim.run()
@@ -245,7 +325,7 @@ def test_interrupted_process_can_continue():
     def worker():
         while True:
             try:
-                yield Timeout(100)
+                yield 100
                 log.append(("tick", sim.now))
                 if sim.now >= 300:
                     return
@@ -259,49 +339,11 @@ def test_interrupted_process_can_continue():
     assert log[-1] == ("tick", 350)  # timeout restarted after interrupt
 
 
-def test_wait_until_checks_predicate_first():
-    sim = Simulator()
-    sig = Signal(sim, "s")
-    state = {"ready": True}
-    log = []
-
-    def proc():
-        yield from wait_until(sim, sig, lambda: state["ready"])
-        log.append(sim.now)
-
-    spawn(sim, proc())
-    sim.run()
-    assert log == [0]
-
-
-def test_wait_until_loops_until_true():
-    sim = Simulator()
-    sig = Signal(sim, "s")
-    state = {"n": 0}
-    log = []
-
-    def proc():
-        yield from wait_until(sim, sig, lambda: state["n"] >= 2)
-        log.append(sim.now)
-
-    spawn(sim, proc())
-
-    def bumper():
-        for _ in range(3):
-            yield Timeout(10)
-            state["n"] += 1
-            sig.fire()
-
-    spawn(sim, bumper())
-    sim.run()
-    assert log == [20]
-
-
 def test_exception_in_process_propagates():
     sim = Simulator()
 
     def proc():
-        yield Timeout(5)
+        yield 5
         raise RuntimeError("process blew up")
 
     spawn(sim, proc())

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Simulator, Process, Timeout, Mutex, BoundedQueue, QueueClosed
+from repro.sim import Simulator, Process, Mutex, BoundedQueue, QueueClosed
 
 
 def spawn(sim, gen, name="p"):
@@ -33,7 +33,7 @@ class TestMutex:
         def proc(name, hold):
             yield from mutex.acquire(name)
             log.append(("enter", name, sim.now))
-            yield Timeout(hold)
+            yield hold
             log.append(("exit", name, sim.now))
             mutex.release()
 
@@ -68,11 +68,11 @@ class TestMutex:
 
         def holder():
             yield from mutex.acquire("h")
-            yield Timeout(100)
+            yield 100
             mutex.release()
 
         def contender():
-            yield Timeout(10)
+            yield 10
             yield from mutex.acquire("c")
             mutex.release()
 
@@ -114,10 +114,10 @@ class TestBoundedQueue:
                 log.append(("put", i, sim.now))
 
         def slow_consumer():
-            yield Timeout(100)
+            yield 100
             while len(q):
                 yield from q.get()
-                yield Timeout(100)
+                yield 100
 
         spawn(sim, producer())
         spawn(sim, slow_consumer())
@@ -137,7 +137,7 @@ class TestBoundedQueue:
             log.append((item, sim.now))
 
         def producer():
-            yield Timeout(77)
+            yield 77
             yield from q.put("late")
 
         spawn(sim, consumer())
