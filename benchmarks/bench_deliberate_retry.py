@@ -8,7 +8,7 @@ loop and (b) a backoff loop that sleeps proportionally to the remaining
 words, and compare the locked bus transactions each burns.
 """
 
-from repro.cpu import Asm, Context, Mem, R0, R1, R2, R3
+from repro.cpu import Asm, Context, Mem, R0, R1, R2
 from repro.machine import ShrimpSystem, mapping
 from repro.analysis import Table
 from repro.memsys.address import PAGE_SIZE

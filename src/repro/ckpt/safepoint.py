@@ -48,20 +48,6 @@ import inspect
 
 from repro.ckpt.protocol import SafepointError
 from repro.cpu.core import Cpu
-from repro.sim.engine import is_tick_marker
-
-
-def live_entries(sim):
-    """Every not-cancelled, not-spent entry in the event queue, a parked
-    poll's tick marker included (its callback slot is ``None``).
-
-    Heap before bucket; callers needing global order sort by sequence
-    number (``entry[1]``), which is unique across both containers.
-    """
-    entries = [entry for entry in sim._heap
-               if entry[2] is not None or is_tick_marker(entry)]
-    entries += [entry for entry in sim._bucket if entry[2] is not None]
-    return entries
 
 
 def _innermost(generator):
@@ -137,24 +123,21 @@ def _classify(system, node_id):
         flush_nodes[id(merge.flush_event)] = node.node_id
 
     ordered = []
-    for entry in live_entries(system.sim):
-        callback = entry[2]
+    for entry in system.sim.live_entries():
+        due, seq, callback, args = entry
         index = resume_owner.get(callback)
         if index is not None:
             ordered.append(
-                (entry[1], {"kind": "worker", "index": index, "due": entry[0]})
-            )
+                (seq, {"kind": "worker", "index": index, "due": due}))
             continue
         owner = flush_nodes.get(id(entry))
         if owner is not None:
-            ordered.append(
-                (entry[1], {"kind": "merge", "node": owner, "due": entry[0]})
-            )
+            ordered.append((seq, {"kind": "merge", "node": owner, "due": due}))
             continue
         if node_id is None:
             return None, (
                 "pending event at t=%d (%s) is neither a worker resume nor a "
-                "merge flush" % (entry[0], _callback_name(callback or entry[3]))
+                "merge flush" % (due, _callback_name(callback or args))
             )
     ordered.sort()
     return [descriptor for _, descriptor in ordered] + folded, None

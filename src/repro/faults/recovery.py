@@ -34,8 +34,7 @@ event; ``faults.node_crash``/``faults.node_restore`` counters are
 registered lazily so fault-free runs keep a pristine metrics snapshot.
 """
 
-from repro.ckpt.safepoint import (_boundary_reason, check_node_quiescent,
-                                  live_entries)
+from repro.ckpt.safepoint import _boundary_reason, check_node_quiescent
 from repro.ckpt.system import NodeCheckpoint
 from repro.machine.mapping import establish, tear_down
 from repro.sim.instrument import Instrumentation
@@ -64,7 +63,8 @@ def _worker_killable(worker):
     if process is None or process.finished:
         return True
     resume = process._resume
-    owned = sum(entry[2] == resume for entry in live_entries(worker.system.sim))
+    owned = sum(callback == resume
+                for _, _, callback, _ in worker.system.sim.live_entries())
     return _boundary_reason(worker.system, worker, owned) is None
 
 

@@ -1,20 +1,18 @@
-"""SL4xx: engine-callback safety rules.
+"""SL402: engine-callback safety.
 
 Everything the simulator executes is a callback: engine events
 (``sim.schedule``/``sim.post``) and live event-bus subscribers
-(``hub.subscribe``).  Two things a callback must never do:
-
-- block on host I/O (``time.sleep``, ``input``, ``open``...): simulated
-  time is decoupled from wall time, and a blocking call stalls the whole
-  single-threaded engine;
-- mutate the engine clock or sequence counter: ``sim._now``/``sim._seq``
-  are owned exclusively by the run loop, and the event-bus contract
-  (docs/observability.md) requires subscribers to be timing-invisible.
+(``hub.subscribe``).  A callback must never block on host I/O
+(``time.sleep``, ``input``, ``open``...): simulated time is decoupled
+from wall time, and a blocking call stalls the whole single-threaded
+engine.  (Writing the engine clock is SL403, a row of the owner table
+in :mod:`repro.lint.rules_owner`, checked everywhere, not only in
+callbacks.)
 
 (Re-entering the run loop needs no rule: ``Simulator.run`` raises
 ``SimulationError("run() is not reentrant")`` the moment it happens.)
 
-These rules resolve, module-locally, which functions are posted as
+This rule resolves, module-locally, which functions are posted as
 callbacks (lambdas inline; ``self._method`` / bare function references by
 name) and scan their bodies.  Cross-module callbacks are out of scope --
 the fixture corpus documents the supported shapes.
@@ -22,7 +20,7 @@ the fixture corpus documents the supported shapes.
 
 import ast
 
-from repro.lint.astutil import dotted_name, resolved_call_name
+from repro.lint.astutil import resolved_call_name
 from repro.lint.engine import Rule
 
 # (method attribute, positional index of the callback argument)
@@ -41,8 +39,6 @@ _BLOCKING_CALLS = {
 }
 
 _BLOCKING_BARE = {"open", "input"}
-
-_CLOCK_ATTRS = {"_now", "_seq", "now", "_event_count"}
 
 
 def _callback_targets(nodes):
@@ -68,14 +64,17 @@ def _callback_targets(nodes):
     return names, lambdas
 
 
-def _is_sim_receiver(node):
-    name = dotted_name(node)
-    return name is not None and name.split(".")[-1] == "sim"
+class BlockingIoRule(Rule):
+    """SL402: an engine callback blocks on host I/O.
 
+    The engine is single-threaded: a ``time.sleep``/``input``/``open``
+    inside a callback stalls every simulated component and couples
+    simulated timing to the host.  I/O belongs outside the run loop
+    (checkpoint save/load, analysis exports).
+    """
 
-class _CallbackRule(Rule):
-    """Shared driving logic: locate callback bodies, delegate scanning."""
-
+    code = "SL402"
+    title = "callback performs blocking host I/O"
     skip_path_suffixes = ("repro/sim/engine.py",)
 
     def check_module(self, module):
@@ -89,22 +88,6 @@ class _CallbackRule(Rule):
                 bodies.append(node)
         for body in bodies:
             yield from self.scan_body(module, body)
-
-    def scan_body(self, module, body):
-        raise NotImplementedError
-
-
-class BlockingIoRule(_CallbackRule):
-    """SL402: an engine callback blocks on host I/O.
-
-    The engine is single-threaded: a ``time.sleep``/``input``/``open``
-    inside a callback stalls every simulated component and couples
-    simulated timing to the host.  I/O belongs outside the run loop
-    (checkpoint save/load, analysis exports).
-    """
-
-    code = "SL402"
-    title = "callback performs blocking host I/O"
 
     def scan_body(self, module, body):
         for node in ast.walk(body):
@@ -122,37 +105,4 @@ class BlockingIoRule(_CallbackRule):
                 )
 
 
-class ClockMutationRule(_CallbackRule):
-    """SL403: an engine callback writes the engine clock.
-
-    ``sim._now``, ``sim._seq`` and ``sim._event_count`` are owned by the
-    run loop; a callback writing them corrupts the (time, seq) total
-    order that determinism and checkpoint replay are built on.  Reads
-    (``sim._now`` on hot paths) are fine; only stores are flagged.
-    """
-
-    code = "SL403"
-    title = "callback mutates the engine clock"
-
-    def scan_body(self, module, body):
-        for node in ast.walk(body):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (
-                    node.targets if isinstance(node, ast.Assign)
-                    else [node.target]
-                )
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and target.attr in _CLOCK_ATTRS
-                        and _is_sim_receiver(target.value)
-                    ):
-                        yield self.finding(
-                            module, node,
-                            "engine callback assigns sim.%s; the clock and "
-                            "sequence counter belong to the run loop"
-                            % target.attr,
-                        )
-
-
-RULES = (BlockingIoRule(), ClockMutationRule())
+RULES = (BlockingIoRule(),)

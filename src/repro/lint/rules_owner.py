@@ -1,15 +1,24 @@
-"""SL501/SL701: operations that exactly one module may perform.
+"""SL403/SL501/SL701: operations that exactly one module may perform.
 
-Some invariants have the shape "only module M may do X": only
-``repro.faults`` rewires the datapath, only ``MeshTopology`` encodes
-node ids.  One rule class checks them all from a table; each row names
-its code, the owner (a path fragment exempt from the row) and a matcher
-that returns a message for an offending AST node.
+Some invariants have the shape "only module M may do X": only the
+engine writes the clock and touches its queue, only ``repro.faults``
+rewires the datapath, only ``MeshTopology`` encodes node ids.  One rule
+class checks them all from a table; each row names its code, the owner
+(a path fragment exempt from the row) and a matcher that returns a
+message for an offending AST node.
 """
 
 import ast
 
+from repro.lint.astutil import dotted_name
 from repro.lint.engine import Rule
+
+#: Simulator attributes only the engine may store: the clock, the
+#: sequence counter and the event count.
+_CLOCK_ATTRS = frozenset({"_now", "_seq", "_event_count"})
+
+#: Simulator attributes only the engine may touch at all: its queue.
+_QUEUE_ATTRS = frozenset({"_heap", "_bucket"})
 
 #: Datapath callables a fault (or test) must never rebind on another
 #: object.  Covers the NIC FIFOs (put/put_functional/get/try_get), links
@@ -27,6 +36,25 @@ _DATAPATH_CALLABLES = frozenset({
 #: Mesh-dimension spellings: a bare name or an attribute access whose
 #: final component is one of these participates in node arithmetic.
 _DIM_NAMES = frozenset({"width", "height"})
+
+
+def _engine_private_access(node):
+    if not isinstance(node, ast.Attribute):
+        return None
+    receiver = dotted_name(node.value)
+    if receiver is None or receiver.split(".")[-1] != "sim":
+        return None
+    if node.attr in _QUEUE_ATTRS:
+        return (
+            "sim.%s is the engine's queue; list its entries with "
+            "sim.live_entries()" % node.attr
+        )
+    if node.attr in _CLOCK_ATTRS and isinstance(node.ctx, ast.Store):
+        return (
+            "assignment to sim.%s; the clock, sequence counter and event "
+            "count belong to the engine" % node.attr
+        )
+    return None
 
 
 def _rebinds_datapath_callable(node):
@@ -99,6 +127,24 @@ class OwnerRule(Rule):
 
 
 RULES = (
+    OwnerRule(
+        "SL403", "engine clock or queue used outside the engine",
+        owner="repro/sim/engine.py", scope="all",
+        match=_engine_private_access,
+        doc="""SL403: a simulator's clock is written, or its queue touched,
+    outside ``repro/sim/engine.py``.
+
+    ``sim._now``, ``sim._seq`` and ``sim._event_count`` are the engine's:
+    a store to them from anywhere else corrupts the (time, seq) total
+    order that determinism and checkpoint replay are built on.  Reads
+    (``sim._now`` on hot paths) are fine.  ``sim._heap`` and
+    ``sim._bucket`` hold the queue entries, whose format the engine
+    alone knows: any access to them elsewhere is flagged.  List pending
+    entries with ``sim.live_entries()``; queue a parked poll's tick
+    marker with ``sim.schedule_tick()``.  The receiver is any name or
+    attribute chain ending in ``sim``.
+    """,
+    ),
     OwnerRule(
         "SL501", "datapath callable monkey-patched",
         owner="repro/faults/", scope="all",

@@ -22,22 +22,19 @@ Both directions of the map are exact: ``locate`` splits a global address
 into ``(node, local offset)`` and ``global_of`` inverts it bit-for-bit,
 which is what the hypothesis round-trip properties pin.
 
-When ``node_count`` (strided) or ``tiles_per_node`` (blocked) is a power
-of two the lookups are pure mask/shift arithmetic; otherwise they fall
-back to exact divmod.  (The exemplar's non-power-of-two fold --
+Each policy is one ``divmod`` on the tile index (for a power of two it
+gives what a mask and a shift would).  The maps are off the hot path:
+one ``node_of`` per DSM home lookup, and one per request while the
+workload's schedule is built.  (The exemplar's non-power-of-two fold --
 ``tile & next_pow2_mask``, minus ``node_count`` when it overshoots -- is
 equivalent to ``(tile & mask) % node_count`` but has no exact inverse
-with even per-node indexing, so the fallback here is divmod, which keeps
+with even per-node indexing, so divmod it is, which keeps
 ``locate``/``global_of`` mutually inverse at any node count.)
 """
 
 
 class AddrMapError(ValueError):
     """Raised for invalid construction parameters or out-of-range addresses."""
-
-
-def _is_pow2(value):
-    return value > 0 and (value & (value - 1)) == 0
 
 
 class AddrMap:
@@ -119,17 +116,6 @@ class AddrMap:
         tile = self._join_tile(node, local_addr >> self.log2_tile_size)
         return (tile << self.log2_tile_size) | (local_addr & self._offset_mask)
 
-    def nodes_of_range(self, addr, nbytes):
-        """Sorted distinct owners of ``[addr, addr + nbytes)``."""
-        if nbytes <= 0:
-            raise AddrMapError("range must be positive, got %r" % nbytes)
-        self._check_addr(addr)
-        self._check_addr(addr + nbytes - 1)
-        first = addr >> self.log2_tile_size
-        last = (addr + nbytes - 1) >> self.log2_tile_size
-        return sorted({self._split_tile(tile)[0]
-                       for tile in range(first, last + 1)})
-
     def describe(self):
         """JSON-safe parameter summary (for benchmark records and docs)."""
         return {
@@ -152,25 +138,10 @@ class BlockedAddrMap(AddrMap):
 
     kind = "blocked"
 
-    def __init__(self, node_count, log2_tile_size=12, tiles_per_node=1):
-        super().__init__(node_count, log2_tile_size, tiles_per_node)
-        if _is_pow2(tiles_per_node):
-            # Power-of-two fast path: the node id is the tile index's
-            # high bits, the local tile its low bits.
-            self._shift = tiles_per_node.bit_length() - 1
-            self._mask = tiles_per_node - 1
-        else:
-            self._shift = None
-            self._mask = None
-
     def _split_tile(self, tile):
-        if self._shift is not None:
-            return tile >> self._shift, tile & self._mask
         return divmod(tile, self.tiles_per_node)
 
     def _join_tile(self, node, local_tile):
-        if self._shift is not None:
-            return (node << self._shift) | local_tile
         return node * self.tiles_per_node + local_tile
 
 
@@ -180,26 +151,11 @@ class StridedAddrMap(AddrMap):
 
     kind = "strided"
 
-    def __init__(self, node_count, log2_tile_size=12, tiles_per_node=1):
-        super().__init__(node_count, log2_tile_size, tiles_per_node)
-        if _is_pow2(node_count):
-            # Power-of-two fast path: the node id is the tile index's
-            # low bits, the local tile its high bits.
-            self._shift = node_count.bit_length() - 1
-            self._mask = node_count - 1
-        else:
-            self._shift = None
-            self._mask = None
-
     def _split_tile(self, tile):
-        if self._shift is not None:
-            return tile & self._mask, tile >> self._shift
         local_tile, node = divmod(tile, self.node_count)
         return node, local_tile
 
     def _join_tile(self, node, local_tile):
-        if self._shift is not None:
-            return (local_tile << self._shift) | node
         return local_tile * self.node_count + node
 
 

@@ -16,7 +16,7 @@ calibrated against the paper's stated numbers:
   supporting only single-write automatic-update style mappings.
 """
 
-from repro.memsys.params import MachineParams, MemsysParams, NicParams, MeshParams
+from repro.memsys.params import MachineParams
 
 
 def eisa_prototype():

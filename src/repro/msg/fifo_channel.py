@@ -18,7 +18,6 @@ Table 1 (about half a dozen instructions each, counted in regions
 
 from repro.cpu.isa import Mem, R1, R2, R3
 from repro.machine import mapping
-from repro.memsys.address import PAGE_SIZE
 from repro.nic.nipt import MappingMode
 
 RING_WORDS = 64  # power of two

@@ -22,9 +22,8 @@ message, which is the paper's point.
 
 from repro.memsys.address import PAGE_SIZE, page_number
 from repro.memsys.cache import CachePolicy
-from repro.nic.nipt import MappingMode
 from repro.os.params import OsParams
-from repro.os.process import OsProcess, ProcessState
+from repro.os.process import OsProcess
 from repro.os.syscalls import Errno, MapArgs, Syscall, SyscallError
 from repro.os.vm import plan_mapping
 from repro.cpu.isa import R0, R1

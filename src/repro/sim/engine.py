@@ -3,46 +3,44 @@
 The engine keeps the classic ``(time, seq)`` contract -- ``seq`` is a
 monotonically increasing tie-breaker so that events scheduled for the same
 instant fire in the order they were scheduled, which makes every
-simulation run exactly deterministic -- but stores events in two
-structures tuned for the hot paths:
+simulation run exactly deterministic.
 
-- a binary heap of *slot-based* entries: each entry is a
-  :class:`ScheduledEvent`, a ``list`` subclass laid out as
-  ``[time, seq, callback, args, sim]``.  One allocation per event, and
-  heap ordering compares the list elements in C (``seq`` is unique, so
-  comparison never reaches the callback or the trailing ``sim`` slot,
-  which exists only for cancellation bookkeeping).
+This module is the only one that builds, re-keys, pushes or lists queue
+entries.  Every entry has one shape, ``[time, seq, callback, args]``: a
+:class:`ScheduledEvent` (a ``list`` subclass) when the caller may cancel
+it, a bare list for :meth:`Simulator.post`.  Heap ordering compares the
+list elements in C, and ``seq`` is unique, so comparison never reaches
+the callback.  Entries live in two structures tuned for the hot paths:
+
+- a binary heap, for entries scheduled with a delay;
 - a same-time FIFO bucket for events scheduled *at the current instant*
   (the zero-delay fast path).  Signal fires, process joins and wake-ups
   all schedule at delay 0; appending to a deque instead of pushing
-  through the heap removes two O(log n) sifts per event.  Wake-ups that
-  never need cancelling go through :meth:`Simulator.post`, which appends
-  a bare ``[time, seq, callback, args]`` list with no
-  :class:`ScheduledEvent` wrapper at all.  Bucket entries always carry
-  ``time == now`` and, because time only moves forward, their sequence
-  numbers are strictly greater than any same-time entry still in the
-  heap -- so draining "heap first on ties" preserves the exact global
-  (time, seq) order.
+  through the heap removes two O(log n) sifts per event.  Bucket entries
+  always carry ``time == now`` and, because time only moves forward,
+  their sequence numbers are strictly greater than any same-time entry
+  still in the heap -- so draining "heap first on ties" preserves the
+  exact global (time, seq) order.
 
-Cancellation stays O(1): an entry is marked dead in place (callback slot
-set to ``None``) and skipped when popped.  A run that cancels heavily
-(timeout-guarded waits, merge-window reschedules) is compacted lazily:
-when more than half the heap is dead entries, the heap is rebuilt without
-them in one pass.
+An entry is dead once its ``args`` slot is ``None``:
+:meth:`ScheduledEvent.cancel` sets callback and args to ``None``, and
+the run loop does the same to an entry it fires.  A dead entry stays queued until its own due
+time and is skipped when popped.  Every canceller keeps at most one timer
+armed (a merge window's flush, a folded spin's slice timer, a timed
+resume that ``kill``/``interrupt`` withdraws), so dead entries stay
+bounded by the cancels within one such window.
 
-A folded poll (:mod:`repro.sim.poll`) keeps one *tick marker* in the
-heap: a bare ``[time, seq, None, poll]`` entry.  Popping it runs no
-callback and counts no event; :meth:`~repro.sim.poll.Poll.tick` either
-re-keys it to the next tick -- taking the sequence number the unfolded
-sleep would have taken -- or turns it, in place, into the poll's
-process resume.  Markers never enter the bucket, and they are the only
-dead-looking heap entries of length 4 (bare posts are never cancelled).
+A parked poll (:mod:`repro.sim.poll`) keeps one *tick marker* in the
+heap: a :class:`ScheduledEvent` whose callback is ``None`` and whose args
+slot holds the :class:`~repro.sim.poll.Poll`.  Popping it runs no
+callback and counts no event; :meth:`~repro.sim.poll.Poll.tick` decides
+between resuming the process and a next tick, and the engine either
+turns the marker, in place, into the process resume or re-keys it to
+that tick with the sequence number the unfolded sleep would have taken.
 """
 
 import heapq
 from collections import deque
-
-_COMPACT_MIN_DEAD = 512  # never bother compacting tiny heaps
 
 
 class SimulationError(Exception):
@@ -50,70 +48,39 @@ class SimulationError(Exception):
 
 
 class ScheduledEvent(list):
-    """A callback registered with the simulator.
+    """A cancellable queue entry, ``[time, seq, callback, args]``.
 
     Returned by :meth:`Simulator.schedule` so callers can cancel the event
-    before it fires.  The instance *is* the queue entry -- a list of
-    ``[time, seq, callback, args, sim]`` -- which keeps scheduling to a
-    single allocation (``sim`` rides in a trailing slot, never reached by
-    heap comparisons because ``seq`` is unique).  Cancellation is O(1):
-    the entry stays queued but is skipped when popped.
+    before it fires.  The instance *is* the queue entry, which keeps
+    scheduling to a single allocation.  Cancellation is O(1): the entry
+    stays queued but is skipped when popped.
     """
 
     __slots__ = ()
 
-    # No __init__: instances are built from a (time, seq, callback, args,
-    # sim) tuple via the C-level list constructor in
-    # :meth:`Simulator.schedule` (the only producer).  This keeps event
-    # creation off the Python-frame hot path.
+    # No __init__: instances are built from a (time, seq, callback, args)
+    # tuple via the C-level list constructor in the engine.  This keeps
+    # event creation off the Python-frame hot path.
 
     @property
     def time(self):
         return self[0]
 
     @property
-    def seq(self):
-        return self[1]
-
-    @property
-    def callback(self):
-        return self[2]
-
-    @property
-    def args(self):
-        return self[3]
-
-    @property
-    def sim(self):
-        return self[4]
-
-    @property
     def cancelled(self):
         """True once cancelled *or* already fired (the entry is spent)."""
-        return self[2] is None
+        return self[3] is None
 
     def cancel(self):
         """Prevent the callback from running.  Idempotent."""
-        if self[2] is None:
-            return
         self[2] = None
-        self[3] = ()
-        # Bucket-resident entries carry a sixth marker slot: their deaths
-        # must not count against the *heap* compaction trigger, or heavy
-        # same-instant cancellation provokes futile heap rebuilds.
-        if len(self) == 5:
-            self[4]._dead += 1
+        self[3] = None
 
     def __repr__(self):
-        state = "spent" if self[2] is None else "pending"
+        state = "spent" if self[3] is None else "pending"
         return "ScheduledEvent(t={}, {}, {})".format(
             self[0], getattr(self[2], "__name__", self[2]), state
         )
-
-
-def is_tick_marker(entry):
-    """True for a folded poll's live tick marker (see the module doc)."""
-    return len(entry) == 4 and entry[2] is None and entry[3] is not None
 
 
 class Simulator:
@@ -142,9 +109,6 @@ class Simulator:
         # False at a safepoint
         self._running = False
         self._event_count = 0
-        # simlint: ignore[SL201] bookkeeping for queue compaction; dead
-        # entries are dropped from the capture, so the count restores to 0
-        self._dead = 0  # cancelled entries still sitting in the heap
         # simlint: ignore[SL201] live callables of components that account
         # lazily (a folded CPU spin); they settle when a run() returns, and
         # re-register on restore
@@ -183,23 +147,18 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         if delay == 0:
-            # The trailing True marks bucket residency so cancel() leaves
-            # the heap's dead counter alone (see ScheduledEvent.cancel).  Heap
-            # comparisons never reach it: seq (slot 1) is unique.
-            event = ScheduledEvent((self._now, seq, callback, args, self, True))
+            event = ScheduledEvent((self._now, seq, callback, args))
             self._bucket.append(event)
         else:
-            event = ScheduledEvent((self._now + delay, seq, callback, args, self))
+            event = ScheduledEvent((self._now + delay, seq, callback, args))
             heapq.heappush(self._heap, event)
-            if self._dead > _COMPACT_MIN_DEAD and self._dead * 2 > len(self._heap):
-                self._compact()
         return event
 
     def post(self, callback, *args):
         """Schedule a non-cancellable ``callback(*args)`` at the current instant.
 
         The wake-up fast path used by signal fires and process joins: it
-        appends a bare slot entry to the same-time bucket, skipping the
+        appends a bare entry to the same-time bucket, skipping the
         :class:`ScheduledEvent` wrapper since there is nothing to cancel.
         Ordering is identical to ``schedule(0, ...)``.
         """
@@ -215,18 +174,39 @@ class Simulator:
             )
         return self.schedule(time - self._now, callback, *args)
 
-    def _compact(self):
-        """Drop cancelled entries and rebuild the heap in one pass.
+    def schedule_tick(self, time, poll):
+        """Queue ``poll``'s tick marker at absolute ``time`` (see the
+        module doc); returns it, so the poll can cancel it."""
+        seq = self._seq + 1
+        self._seq = seq
+        marker = ScheduledEvent((time, seq, None, poll))
+        heapq.heappush(self._heap, marker)
+        return marker
 
-        Mutates the heap in place -- the run loop holds direct
-        references to them, and a compaction triggered from inside an
-        event callback must not strand those aliases.
+    def _tick(self, marker):
+        """Run a popped tick marker at its tick: True when it turned, in
+        place, into its process's resume, False when re-keyed to the
+        poll's next tick with a fresh sequence number."""
+        poll = marker[3]
+        due = poll.tick(marker[0])
+        if due is None:
+            marker[2] = poll.process._resume
+            marker[3] = (None,)
+            return True
+        self._seq = marker[1] = self._seq + 1
+        marker[0] = due
+        heapq.heappush(self._heap, marker)
+        return False
+
+    def live_entries(self):
+        """Every pending entry, a parked poll's tick marker included (its
+        callback slot is ``None``): heap entries, then bucket entries.
+
+        Callers needing global order sort by sequence number, which is
+        unique across both containers.
         """
-        heap = self._heap
-        heap[:] = [entry for entry in heap
-                   if entry[2] is not None or is_tick_marker(entry)]
-        heapq.heapify(heap)
-        self._dead = 0
+        return ([entry for entry in self._heap if entry[3] is not None]
+                + [entry for entry in self._bucket if entry[3] is not None])
 
     def _next_entry(self):
         """Pop the live entry with the smallest (time, seq), or None.
@@ -246,14 +226,9 @@ class Simulator:
                 entry = heapq.heappop(heap)
             else:
                 return None
-            if entry[2] is None:
-                if len(entry) == 5:
-                    self._dead -= 1
-                elif (len(entry) == 4 and entry[3] is not None
-                      and entry[3].tick(entry)):
-                    return entry
-                continue
-            return entry
+            if entry[2] is not None or (
+                    entry[3] is not None and self._tick(entry)):
+                return entry
 
     def peek(self):
         """Time of the next pending event, or ``None`` if the queue is empty.
@@ -262,11 +237,10 @@ class Simulator:
         it stands for would have a timer there.
         """
         heap = self._heap
-        while heap and heap[0][2] is None and not is_tick_marker(heap[0]):
-            if len(heapq.heappop(heap)) != 4:
-                self._dead -= 1
+        while heap and heap[0][3] is None:
+            heapq.heappop(heap)
         bucket = self._bucket
-        while bucket and bucket[0][2] is None:
+        while bucket and bucket[0][3] is None:
             bucket.popleft()
         if bucket and not (heap and heap[0] < bucket[0]):
             return bucket[0][0]
@@ -283,7 +257,7 @@ class Simulator:
         self._event_count += 1
         callback, args = entry[2], entry[3]
         entry[2] = None  # mark spent; late cancel() becomes a no-op
-        entry[3] = ()
+        entry[3] = None
         callback(*args)
         return True
 
@@ -305,9 +279,7 @@ class Simulator:
         # The loop below is the single hottest code in the repository:
         # containers and the heap pop are bound to locals, and the two
         # optional bounds become always-comparable sentinels so the
-        # common unbounded run pays no per-event None checks.  _compact()
-        # mutates the heap in place, so the aliases stay valid across
-        # callbacks.
+        # common unbounded run pays no per-event None checks.
         heap = self._heap
         bucket = self._bucket
         heappop = heapq.heappop
@@ -327,18 +299,13 @@ class Simulator:
                     break
                 callback = entry[2]
                 if callback is None:
-                    if len(entry) != 4:
-                        if len(entry) == 5:
-                            self._dead -= 1
-                        continue
+                    if entry[3] is None:
+                        continue  # cancelled
                     # A folded poll's tick marker (see the module doc).
-                    poll = entry[3]
-                    if poll is None:
-                        continue  # withdrawn
                     if entry[0] > horizon:
                         heapq.heappush(heap, entry)
                         break
-                    if not poll.tick(entry):
+                    if not self._tick(entry):
                         # The runaway guard also bounds a poll that
                         # never wakes, as it bounded its unfolded ticks.
                         idle_ticks += 1
@@ -350,13 +317,9 @@ class Simulator:
                     callback = entry[2]
                 time = entry[0]
                 if time > horizon:
-                    if len(entry) == 6:
-                        del entry[5]  # migrating to the heap: drop the marker
                     heapq.heappush(heap, entry)
                     break
                 if executed >= budget:
-                    if len(entry) == 6:
-                        del entry[5]
                     heapq.heappush(heap, entry)
                     raise SimulationError(
                         "exceeded max_events=%d at t=%d" % (max_events, self._now)
@@ -366,7 +329,7 @@ class Simulator:
                 executed += 1
                 args = entry[3]
                 entry[2] = None
-                entry[3] = ()
+                entry[3] = None
                 callback(*args)
             # A bounded run always ends at `until` -- also when the queue
             # drained early (every remaining event is strictly later).

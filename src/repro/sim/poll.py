@@ -22,14 +22,15 @@ resumes:
   synchronously on ``fire``).  When one fires, :meth:`Poll.notify`
   evaluates ``ready()`` and, if it holds, marks the poll woken.
 - **Same-instant order.**  The parked process keeps one *tick marker*
-  in the event heap (see :mod:`repro.sim.engine`).  Each tick the engine
-  re-keys it to the next tick with the sequence number the unfolded
-  sleep would have taken, without running a callback or counting
-  an event.  The marker of a woken (or deadline) tick turns, in place,
-  into the process resume, so the resume takes the unfolded tick's exact
-  place among the events of its instant: a change made at a tick's
-  instant is seen at that tick exactly when the unfolded loop would
-  have seen it, by construction rather than by a tie rule.
+  in the event heap (see :mod:`repro.sim.engine`).  At each tick the
+  engine asks :meth:`Poll.tick` whether the process resumes here; if
+  not, it re-keys the marker to the next tick with the sequence number
+  the unfolded sleep would have taken, without running a callback or
+  counting an event.  The marker of a woken (or deadline) tick turns, in
+  place, into the process resume, so the resume takes the unfolded
+  tick's exact place among the events of its instant: a change made at
+  a tick's instant is seen at that tick exactly when the unfolded loop
+  would have seen it, by construction rather than by a tie rule.
 - **Reads.**  ``reads`` is the number of DRAM reads one idle tick of the
   caller's loop makes.  They are charged to ``memory.read_count`` in
   closed form -- every tick before the marker's is one slept through --
@@ -43,8 +44,6 @@ sleeps on like an idle tick.  The helper returns at the tick where
 ``ready()`` holds or the deadline is reached; the caller's loop body
 then runs exactly as it would have after the unfolded sleep.
 """
-
-from heapq import heappush
 
 
 class Poll:
@@ -87,7 +86,7 @@ class Poll:
         """Charge the reads of every tick before the marker's: those the
         poll slept through (the marker's own is yet to run, or is the
         tick the poll returns at, which the caller reads itself)."""
-        ticks = (self.entry[0] - self.origin - 1) // self.period
+        ticks = (self.entry.time - self.origin - 1) // self.period
         self.memory.read_count += self.reads * (ticks - self.charged)
         self.charged = ticks
 
@@ -97,43 +96,30 @@ class Poll:
             self.woken = True
 
     def park(self, process):
-        """Put the tick marker for the next tick into the heap."""
-        sim = self.sim
-        due = sim._now + self.period
+        """Queue the tick marker for the next tick."""
+        due = self.sim._now + self.period
         if due > self.last:
             due = self.last
-        seq = sim._seq + 1
-        sim._seq = seq
         self.process = process
-        self.entry = entry = [due, seq, None, self]
-        heappush(sim._heap, entry)
+        self.entry = self.sim.schedule_tick(due, self)
         process._pending_resume = self
 
-    def tick(self, entry):
-        """Engine hook for a popped marker, at the unfolded tick's place:
-        True when it became the process resume (in place), False when
-        re-keyed to the next tick.  A woken poll tests ``ready()`` again
-        here, as the unfolded tick would."""
-        time = entry[0]
+    def tick(self, time):
+        """Engine hook for the marker at its tick ``time``, at the
+        unfolded tick's place: ``None`` when the process resumes here,
+        else the time of the next tick.  A woken poll tests ``ready()``
+        again here, as the unfolded tick would."""
         last = self.last
         if time >= last or self.woken and self.probe():
-            entry[2] = self.process._resume
-            entry[3] = (None,)
-            return True
+            return None
         self.woken = False
-        sim = self.sim
-        sim._seq = entry[1] = sim._seq + 1
         time += self.period
-        entry[0] = time if time < last else last
-        heappush(sim._heap, entry)
-        return False
+        return time if time < last else last
 
     def cancel(self):
         """Withdraw the marker (or the resume it turned into)."""
-        entry = self.entry
-        if entry is not None:
-            entry[2] = None
-            entry[3] = None
+        if self.entry is not None:
+            self.entry.cancel()
 
     def __repr__(self):
         name = self.process.name if self.process is not None else "?"

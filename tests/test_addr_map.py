@@ -176,28 +176,6 @@ def test_non_pow2_strided_uses_exact_divmod():
     assert homes == [0, 1, 2, 3, 4, 5] * 3
 
 
-@settings(max_examples=40, deadline=None)
-@given(kind=map_kinds, node_count=node_counts, tiles_per_node=tiles,
-       data=st.data())
-def test_nodes_of_range_matches_pointwise_scan(kind, node_count,
-                                               tiles_per_node, data):
-    amap = make_addr_map(kind, node_count, log2_tile_size=6,
-                         tiles_per_node=tiles_per_node)
-    start = data.draw(
-        st.integers(min_value=0, max_value=amap.space_bytes - 1),
-        label="start",
-    )
-    nbytes = data.draw(
-        st.integers(min_value=1,
-                    max_value=min(1024, amap.space_bytes - start)),
-        label="nbytes",
-    )
-    expected = sorted({amap.node_of(addr)
-                       for addr in range(start, start + nbytes, 4)}
-                      | {amap.node_of(start + nbytes - 1)})
-    assert sorted(amap.nodes_of_range(start, nbytes)) == expected
-
-
 def test_out_of_range_and_bad_parameters_raise():
     amap = make_addr_map("blocked", 4, log2_tile_size=6)
     with pytest.raises(AddrMapError):

@@ -54,7 +54,6 @@ class TestConfigInvariance:
     def test_instruction_counts_independent_of_hardware(self):
         """Table 1 counts are software properties: identical on the
         i486 PRAM testbed and the Pentium next-gen machine."""
-        from repro.analysis.table1 import measure_single_buffering
         from repro.machine.config import next_generation, pram_testbed
 
         from repro.analysis import table1 as t1

@@ -34,7 +34,6 @@ from repro.ckpt.safepoint import (
     check_safepoint,
     classify_entries,
     classify_node_entries,
-    live_entries,
     seek_safepoint,
 )
 from repro.ckpt.system import SystemCheckpoint
@@ -233,7 +232,7 @@ def _entry_seqs(system):
     flushes = {id(node.nic._merge.flush_event): ("merge", node.node_id)
                for node in system.nodes if node.nic._merge is not None}
     seqs = {}
-    for entry in live_entries(system.sim):
+    for entry in system.sim.live_entries():
         key = callbacks.get(entry[2]) or flushes.get(id(entry))
         if key is not None:
             seqs[key] = entry[1]

@@ -3,8 +3,6 @@
 import subprocess
 import sys
 
-import pytest
-
 
 def run_cli(*args):
     return subprocess.run(

@@ -8,8 +8,6 @@ their NIPT entries and then respond with an acknowledgement.  When all
 acknowledgements are received, the page can be replaced."
 """
 
-import pytest
-
 from repro.cpu import Asm, Mem, R1
 from repro.machine.cluster import Cluster
 from repro.memsys.address import PAGE_SIZE

@@ -11,7 +11,7 @@ from repro.memsys import (
     CachePolicy,
     MemsysParams,
 )
-from repro.cpu import Asm, Cpu, Context, Mem, PageFault, R0, R1, R2, R3, SP
+from repro.cpu import Asm, Cpu, Context, Mem, PageFault, R0, R1, R2, R3
 from repro.cpu.core import InstructionCounts
 from repro.cpu.assembler import AssemblyError
 from repro.cpu.isa import IsaError, Imm

@@ -1,6 +1,5 @@
 """Tests for FIFO emulation over memory mappings (paper section 7)."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import Asm, Context, Mem, R2

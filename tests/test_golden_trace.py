@@ -30,7 +30,7 @@ What counts as observable:
   other tests that hold both to the unfolded model.
 """
 
-from repro.cpu import Asm, Context, Mem, R0, R1, R2, R3, R4
+from repro.cpu import Asm, Context, Mem, R1, R2, R3, R4
 from repro.machine import ShrimpSystem, mapping
 from repro.memsys.address import PAGE_SIZE
 from repro.msg.layout import MessagingPair, PairLayout as L

@@ -10,7 +10,7 @@ from repro.memsys import (
     Cache,
     MemsysParams,
 )
-from repro.cpu import Asm, Cpu, Context, Mem, R0, R1, R2, SP
+from repro.cpu import Asm, Cpu, Context, Mem, R0, R1, R2
 from repro.cpu.isa import Imm, IsaError, Lea, Pop, Push, Cmpxchg
 from repro.memsys.cache import CachePolicy
 

@@ -12,7 +12,6 @@ from repro.machine import (
     Cluster,
     ShrimpSystem,
     eisa_prototype,
-    mapping,
     next_generation,
     pram_testbed,
 )

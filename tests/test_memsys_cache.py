@@ -1,6 +1,5 @@
 """Unit tests for the snooping cache."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.sim import Simulator, Process

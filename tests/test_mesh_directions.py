@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import Simulator, Process
-from repro.mesh import Backplane, Packet, RoutingError
+from repro.mesh import Backplane, Packet
 from repro.mesh.router import Router, NORTH, SOUTH, EAST, WEST, LOCAL
 from repro.memsys.params import MeshParams
 

@@ -2,8 +2,6 @@
 including the Table 1 counts (73 + 78) and the ~4x comparison.
 """
 
-import pytest
-
 from repro.sim import Process
 from repro.cpu import Context
 from repro.machine import ShrimpSystem

@@ -7,8 +7,6 @@ wait succeeds on its first check.  Correctness under real spinning is
 tested separately.
 """
 
-import pytest
-
 from repro.sim import Process
 from repro.cpu import Asm, Context, Mem, R3, R4, R5
 from repro.machine import ShrimpSystem

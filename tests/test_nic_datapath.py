@@ -6,10 +6,8 @@ write-through cache -> Xpress bus -> NIC snoop -> NIPT lookup -> packetize
 destination DRAM (with cache snoop-invalidate).
 """
 
-import pytest
-
 from repro.sim import Process
-from repro.cpu import Asm, Mem, R0, R1, R2, R3
+from repro.cpu import Asm, Mem, R0, R1
 from repro.machine import ShrimpSystem, mapping, next_generation
 from repro.nic import MappingMode
 from repro.nic.command import CommandOp, encode_command

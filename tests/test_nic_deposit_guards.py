@@ -1,7 +1,5 @@
 """Guards on the incoming deposit path: malformed packets never write."""
 
-import pytest
-
 from repro.machine import ShrimpSystem, mapping
 from repro.memsys.address import PAGE_SIZE
 from repro.mesh.packet import Packet

@@ -7,8 +7,6 @@ CPU does not write mapped pages while waiting, the Outgoing FIFO cannot
 overflow.
 """
 
-import pytest
-
 from repro.sim import Process
 from repro.cpu import Asm, Mem
 from repro.faults import CorruptEveryNth

@@ -2,8 +2,6 @@
 switch back to single-write, engine wait_idle, misrouted packets,
 arrival signal."""
 
-import pytest
-
 from repro.cpu import Asm, Context, Mem
 from repro.machine import ShrimpSystem, mapping
 from repro.memsys.address import PAGE_SIZE

@@ -1,6 +1,5 @@
 """Property-based tests of the csend/crecv protocol."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cpu import Asm, Context

@@ -5,8 +5,6 @@ the same handful of instructions even with full protection -- virtual
 addresses, page tables, the map syscall, preemptive scheduling.
 """
 
-import pytest
-
 from repro.cpu import Mem, R0, R1
 from repro.machine.cluster import Cluster
 from repro.msg import single_buffer

@@ -6,8 +6,6 @@ communicates entirely at user level -- the paper's central structure
 (figure 1: map outside the loop, send at user level inside it).
 """
 
-import pytest
-
 from repro.cpu import Asm, Mem, R0, R1
 from repro.machine.cluster import Cluster
 from repro.memsys.address import PAGE_SIZE

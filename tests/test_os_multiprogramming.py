@@ -8,7 +8,7 @@ scheduler and check full isolation, plus delivery into the memory of a
 process that is currently descheduled.
 """
 
-from repro.cpu import Asm, Mem, R1, R2
+from repro.cpu import Asm, Mem, R1
 from repro.machine.cluster import Cluster
 from repro.memsys.address import PAGE_SIZE
 from repro.os.syscalls import MapArgs, Syscall

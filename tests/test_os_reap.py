@@ -1,7 +1,5 @@
 """Tests for process teardown (kernel.reap)."""
 
-import pytest
-
 from repro.cpu import Asm, Mem, R1
 from repro.machine.cluster import Cluster
 from repro.memsys.address import PAGE_SIZE

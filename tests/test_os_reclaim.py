@@ -1,7 +1,5 @@
 """Tests for memory-pressure reclaim (kernel.reclaim)."""
 
-import pytest
-
 from repro.cpu import Asm, Mem, R1, R2
 from repro.machine.cluster import Cluster
 from repro.memsys.address import PAGE_SIZE

@@ -1,7 +1,5 @@
 """Tests for the per-packet latency collector."""
 
-import pytest
-
 from repro.analysis.packets import PacketStats
 from repro.cpu import Asm, Context, Mem
 from repro.machine import ShrimpSystem, mapping

@@ -7,10 +7,9 @@ been applied there directly, regardless of transfer mode, offsets, sizes
 or merge behaviour.
 """
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.cpu import Asm, Context, Mem, R0, R1
+from repro.cpu import Asm, Context, Mem
 from repro.faults import CorruptEveryNth
 from repro.machine import ShrimpSystem, mapping
 from repro.memsys.address import PAGE_SIZE

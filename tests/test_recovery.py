@@ -262,9 +262,8 @@ class TestCrashMidPoll:
         def checked_node_crashed(node_id):
             crashed(node_id)
             memory = w.system.nodes[node_id].memory
-            markers = [entry[3] for entry in sim._heap
-                       if len(entry) == 4 and entry[2] is None
-                       and entry[3] is not None]
+            markers = [args for _, _, callback, args in sim.live_entries()
+                       if callback is None]
             after_crash.append((memory._watches, memory._settlers,
                                 [m for m in markers if m.process.finished]))
 

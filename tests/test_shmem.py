@@ -5,7 +5,7 @@ import pytest
 from repro.cpu import Asm, Context, Mem, R1
 from repro.machine import ShrimpSystem
 from repro.memsys.address import AddressError, PAGE_SIZE
-from repro.nic.nipt import MappingMode, NiptError
+from repro.nic.nipt import MappingMode
 from repro.shmem import SharedRegion, TokenLock, ChainBarrier
 from repro.sim import Process
 

@@ -211,49 +211,6 @@ def test_cancel_after_fire_is_noop():
     assert ev.cancelled  # spent entries report as cancelled
 
 
-def test_bucket_cancels_do_not_trigger_heap_compaction():
-    # Regression: cancelling entries sitting in the same-time bucket used
-    # to inflate the *heap* dead counter, so heavy cancellation at a
-    # single instant provoked futile heap rebuilds (the heap had no dead
-    # entries to drop) or left the counter permanently wrong.
-    sim = Simulator()
-    compactions = []
-    original = sim._compact
-
-    def counting_compact():
-        compactions.append(sim.now)
-        original()
-
-    sim._compact = counting_compact
-    fired = []
-
-    def storm():
-        # At one instant: schedule far more zero-delay events than the
-        # compaction threshold, cancel them all, then schedule into the
-        # heap (the call that checks the compaction trigger).
-        doomed = [sim.schedule(0, fired.append, "dead") for _ in range(1500)]
-        for ev in doomed:
-            ev.cancel()
-        sim.schedule(10, fired.append, "live")
-
-    sim.schedule(5, storm)
-    sim.run()
-    assert fired == ["live"]
-    assert compactions == []  # bucket deads must not count against the heap
-    assert sim._dead == 0
-
-
-def test_heap_cancels_still_compact():
-    # The flip side: heap-resident cancels must still trigger compaction.
-    sim = Simulator()
-    doomed = [sim.schedule(10_000 + i, lambda: None) for i in range(2000)]
-    for ev in doomed:
-        ev.cancel()
-    sim.schedule(30_000, lambda: None)  # triggers the rebuild
-    assert len(sim._heap) <= 1
-    assert sim._dead == 0
-
-
 def test_run_until_fires_bucket_event_at_boundary():
     # The tie case on the *bucket* path: an event scheduled with delay 0
     # at t == until (so it lands in the same-time bucket) must fire within
@@ -268,12 +225,15 @@ def test_run_until_fires_bucket_event_at_boundary():
 
 def test_run_until_past_horizon_preserves_pending_bucket_events():
     # run(until < now) is a no-op for the clock, and any same-instant
-    # events left in the bucket must survive (they migrate to the heap)
-    # and still fire, in order, on the next unbounded run.
+    # events left in the bucket must survive (the first one migrates to
+    # the heap) and still fire, in order, on the next unbounded run.  The
+    # migrated entry is cancelled once in the heap and must stay dead.
     sim = Simulator()
     fired = []
+    doomed = []
 
     def leave_bucket_pending():
+        doomed.append(sim.schedule(0, fired.append, "dead"))
         sim.schedule(0, fired.append, "a")
         sim.schedule(0, fired.append, "b")
         raise _StopRun
@@ -289,19 +249,22 @@ def test_run_until_past_horizon_preserves_pending_bucket_events():
     assert sim.now == 80
     sim.run(until=40)  # horizon already passed: clock stays put
     assert sim.now == 80
+    assert not doomed[0].cancelled
+    doomed[0].cancel()
     sim.run()
     assert fired == ["a", "b"]
+    assert doomed[0].cancelled
 
 
-def test_many_cancellations_compact_without_losing_events():
-    # Stress the lazy compaction path: far more dead than live entries.
+def test_many_cancellations_lose_no_live_event():
+    # Far more dead than live entries: the dead ones are skipped as they
+    # come due, and every live one still fires in order.
     sim = Simulator()
     fired = []
     doomed = [sim.schedule(10_000 + i, fired.append, "dead") for i in range(2000)]
     sim.schedule(20_001, fired.append, "live")
     for ev in doomed:
         ev.cancel()
-    # Scheduling after mass-cancel is what triggers compaction.
     sim.schedule(30_000, fired.append, "tail")
     sim.run()
     assert fired == ["live", "tail"]

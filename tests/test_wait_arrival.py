@@ -1,11 +1,8 @@
 """Tests for interrupt-driven receive (WAIT_ARRIVAL, section 4.2)."""
 
-import pytest
-
 from repro.cpu import Asm, Mem, R1
 from repro.machine.cluster import Cluster
 from repro.memsys.address import PAGE_SIZE
-from repro.os.params import OsParams
 from repro.os.syscalls import Errno, MapArgs, Syscall
 
 VARGS = 0x0020_0000

@@ -5,9 +5,7 @@ motivates, written against the public API (mappings, message primitives,
 shmem synchronisation) and checked against a sequential reference.
 """
 
-import pytest
-
-from repro.cpu import Asm, Context, Mem, R1, R2, R3, R4
+from repro.cpu import Asm, Context, Mem, R1, R2
 from repro.machine import ShrimpSystem, mapping
 from repro.msg.fifo_channel import FifoChannel
 from repro.nic.nipt import MappingMode
