@@ -87,7 +87,7 @@ def main(argv=None):
     if args.json:
         record = {"kind": args.kind, "width": args.width,
                   "height": args.height, "duration_ns": workload.system.sim.now,
-                  "result": checked, "metrics": instr.snapshot("dsm.")}
+                  "result": checked, "metrics": instr.snapshot("dsm")}
         print(json.dumps(record, indent=2, sort_keys=True))
         return 0 if ok else 1
 

@@ -64,14 +64,25 @@ from repro.dsm.state import (
 )
 from repro.faults.plan import SeededStream
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE
-from repro.msg.reliable import ChannelLayout, ReliableChannel
+from repro.msg.reliable import ReliableChannel
 from repro.nic.command import CommandOp, encode_command
 from repro.nic.nipt import MappingMode, OutgoingHalf
 from repro.sim.instrument import Instrumentation
 from repro.sim.poll import poll
 from repro.sim.process import Process, Signal
-from repro.sim.resources import Mutex
-from repro.workload.arena import NodeArena
+from repro.workload.arena import ChannelArenas
+
+#: Protocol timing: word polls, request re-sends, the parked faulter's
+#: backoff cap, one segment access.
+POLL_NS = 400
+RETRY_NS = 200_000
+BACKOFF_CAP_NS = 1_600_000
+ACCESS_NS = 60
+#: Protocol channels carry ``[kind, page, arg]`` payloads; ack polling
+#: and retransmit timeout are the channel's own defaults.
+PAYLOAD_WORDS = 3
+WINDOW_SLOTS = 4
+APP_WRAP_WORDS = 16
 
 #: Protocol message kinds (one reliable-channel payload is
 #: ``[kind, page, arg]``).
@@ -141,7 +152,7 @@ class DsmRuntime:
 
     - a blocked faulter whose lease (``lease_ns`` plus a per-node jitter
       drawn from ``seed``) expires parks and replays its request with
-      exponential backoff capped at ``backoff_cap_ns``, and replays
+      exponential backoff capped at :data:`BACKOFF_CAP_NS`, and replays
       immediately when the home's ``REBUILD_DONE`` arrives;
     - a restored home rebuilds its pages' directories from surviving
       claims (:meth:`node_restored`) instead of trusting the rolled-back
@@ -151,11 +162,8 @@ class DsmRuntime:
       a holder whose lease (``lease_ns``) lapsed.
     """
 
-    def __init__(self, system, layout, pairs, name="dsm", poll_ns=400,
-                 retry_ns=200_000, access_ns=60, window_slots=4,
-                 ack_poll_ns=600, retransmit_timeout_ns=30_000, seed=1,
-                 lease_ns=1_200_000, renew_ns=250_000,
-                 backoff_cap_ns=1_600_000):
+    def __init__(self, system, layout, pairs, seed=1, lease_ns=1_200_000,
+                 renew_ns=250_000):
         if not isinstance(layout, DsmLayout):
             raise DsmError("layout must be a DsmLayout")
         n = len(system.nodes)
@@ -166,23 +174,18 @@ class DsmRuntime:
             )
         self.system = system
         self.layout = layout
-        self.name = name
-        self.poll_ns = poll_ns
-        self.retry_ns = retry_ns
-        self.access_ns = access_ns
         self.lease_ns = lease_ns
         self.renew_ns = renew_ns
-        self.backoff_cap_ns = backoff_cap_ns
         # Per-node lease jitter, so expiries never synchronise fleet-wide.
         self._jitter = [
-            SeededStream(seed * 1_000_003 + node_id).between(0, 4 * poll_ns)
+            SeededStream(seed * 1_000_003 + node_id).between(0, 4 * POLL_NS)
             for node_id in range(n)
         ]
 
         self._pstates = [PageStateTable(layout, node) for node in system.nodes]
         self._dirs = [Directory(layout, node) for node in system.nodes]
         self._inboxes = [deque() for _ in range(n)]
-        self._signals = [Signal(system.sim, "%s.inbox(%d)" % (name, i))
+        self._signals = [Signal(system.sim, "dsm.inbox(%d)" % i)
                          for i in range(n)]
         self._txn = [dict() for _ in range(n)]     # home: page -> txn
         self._defer = [dict() for _ in range(n)]   # home: page -> [(k,s,t)]
@@ -199,7 +202,7 @@ class DsmRuntime:
         self._held = [dict() for _ in range(n)]    # page -> (write, stamp)
         self._pushed = [dict() for _ in range(n)]  # page -> stamp
         self._lock_held = [set() for _ in range(n)]
-        self._agent_signals = [Signal(system.sim, "%s.lease(%d)" % (name, i))
+        self._agent_signals = [Signal(system.sim, "dsm.lease(%d)" % i)
                                for i in range(n)]
         self._grant_stamp = {}                     # home: page -> last stamp
         # Home-crash recovery state: active rebuild record per home, the
@@ -207,7 +210,7 @@ class DsmRuntime:
         # replay generation), the per-node lease agents.
         self._rebuild = [None] * n
         self._rebuild_epoch = 0
-        self._replays = [Signal(system.sim, "%s.replay(%d)" % (name, i))
+        self._replays = [Signal(system.sim, "dsm.replay(%d)" % i)
                          for i in range(n)]
         self._agents = [None] * n
 
@@ -228,27 +231,21 @@ class DsmRuntime:
 
         # Channel fabric: one reliable channel per direction per pair,
         # packed into per-node arenas below the DSM metadata region.
-        self._arenas = {}
-        self._dma_locks = {}
+        arenas = ChannelArenas(PAGE_SIZE, layout.meta_base)
         self._channels = {}
         self.mappings = []
-        payload_words = 3  # [kind, page, arg]
-        ring_bytes = window_slots * (payload_words + 3) * WORD_SIZE
         for a, b in sorted({tuple(sorted(p)) for p in pairs}):
             if a == b:
                 continue
             for src, dst in ((a, b), (b, a)):
                 channel = ReliableChannel(
                     system, src, dst,
-                    name="%s%d_%d" % (name, src, dst),
-                    window_slots=window_slots,
-                    payload_words=payload_words,
-                    ack_poll_ns=ack_poll_ns,
-                    retransmit_timeout_ns=retransmit_timeout_ns,
-                    layout=self._channel_layout(src, dst, ring_bytes),
+                    name="dsm%d_%d" % (src, dst),
+                    window_slots=WINDOW_SLOTS,
+                    payload_words=PAYLOAD_WORDS,
+                    layout=arenas.layout(src, dst, WINDOW_SLOTS,
+                                         PAYLOAD_WORDS, APP_WRAP_WORDS),
                     on_deliver=self._make_deliver(dst, src),
-                    dma_lock=self._dma_lock(src),
-                    filter_arrivals=True,
                 )
                 self._channels[(src, dst)] = channel
                 self.mappings.extend(channel.mappings)
@@ -269,33 +266,6 @@ class DsmRuntime:
             node.memory.write_guard = self._make_guard(node_id)
 
     # -- construction helpers --------------------------------------------------
-
-    def _arena(self, node_id):
-        arena = self._arenas.get(node_id)
-        if arena is None:
-            arena = NodeArena(node_id, PAGE_SIZE, self.layout.meta_base)
-            self._arenas[node_id] = arena
-        return arena
-
-    def _dma_lock(self, node_id):
-        lock = self._dma_locks.get(node_id)
-        if lock is None:
-            lock = Mutex(self.system.sim, "%s.dma(%d)" % (self.name, node_id))
-            self._dma_locks[node_id] = lock
-        return lock
-
-    def _channel_layout(self, src, dst, ring_bytes):
-        src_arena = self._arena(src)
-        dst_arena = self._arena(dst)
-        return ChannelLayout(
-            src_ring=src_arena.alloc_mapout(ring_bytes),
-            ack_dest_addr=src_arena.alloc_packed(4),
-            dest_ring=dst_arena.alloc_packed(ring_bytes),
-            ack_src_addr=dst_arena.alloc_mapout(4),
-            state_addr=dst_arena.alloc_packed(8),
-            app_base=dst_arena.alloc_packed(16 * WORD_SIZE),
-            app_wrap_words=16,
-        )
 
     def _make_deliver(self, dst, src):
         def deliver(channel, seq, payload):
@@ -382,15 +352,15 @@ class DsmRuntime:
         for node_id in range(len(self.system.nodes)):
             self._service[node_id] = Process(
                 sim, self._service_body(node_id),
-                "%s.svc(%d)" % (self.name, node_id),
+                "dsm.svc(%d)" % node_id,
             ).start()
             self._agents[node_id] = Process(
                 sim, self._agent_body(node_id),
-                "%s.lease(%d)" % (self.name, node_id),
+                "dsm.lease(%d)" % node_id,
             ).start()
             for entry in self._apps[node_id]:
                 entry[1] = Process(
-                    sim, entry[0](), "%s.app(%d)" % (self.name, node_id)
+                    sim, entry[0](), "dsm.app(%d)" % node_id
                 ).start()
         return self
 
@@ -663,7 +633,7 @@ class DsmRuntime:
         self._send(node_id, home, kind, page, token)
         lease = self.lease_ns + self._jitter[node_id]
         deadline = started + lease
-        interval = self.retry_ns
+        interval = RETRY_NS
         replays = self._replays[node_id]
         gen = replays.fire_count
         parked = False
@@ -684,7 +654,7 @@ class DsmRuntime:
         try:
             while pstates.get(page) < want:
                 due = last_send + interval
-                yield from poll(sim, self.poll_ns, ready,
+                yield from poll(sim, POLL_NS, ready,
                                 due if parked else min(due, deadline),
                                 memory=node.memory, reads=2,
                                 words=(self.layout.pstate_addr(page),),
@@ -695,7 +665,7 @@ class DsmRuntime:
                     gen = replays.fire_count
                     last_send = resend(True)
                     parked = False
-                    interval = self.retry_ns
+                    interval = RETRY_NS
                     deadline = sim.now + lease
                 elif not parked and sim.now >= deadline:
                     parked = True
@@ -704,12 +674,12 @@ class DsmRuntime:
                         self.instr.emit("dsm", "dsm.lease_expired",
                                         node=node_id, page=page, home=home,
                                         write=write)
-                    interval = 2 * self.retry_ns
+                    interval = 2 * RETRY_NS
                     last_send = sim.now
                 elif sim.now - last_send >= interval:
                     last_send = resend(parked)
                     if parked:
-                        interval = min(2 * interval, self.backoff_cap_ns)
+                        interval = min(2 * interval, BACKOFF_CAP_NS)
         finally:
             self._pending[node_id].pop(page, None)
         (self.upgrade_ns if write else self.fetch_ns).observe(
@@ -1039,7 +1009,9 @@ class DsmRuntime:
         A transient outgoing half covering the whole frame is installed,
         the DMA armed through the command page (section 4.2/4.3), and
         the half removed once the engine drained the page into the send
-        FIFO.  Holding the node's DMA mutex across the arm means the
+        FIFO.  Holding the node's one DMA mutex
+        (:attr:`~repro.nic.dma.DmaEngine.lock`, shared with every
+        reliable channel out of the node) across the arm means the
         grant frame queued right after rides the same FIFO *behind* the
         data -- per-sender in-order delivery then guarantees the deposit
         lands before the grant is processed.
@@ -1066,10 +1038,10 @@ class DsmRuntime:
         fifo = node.nic.outgoing_fifo
         chunk_words = node.params.nic.max_payload_words
         drain_limit = fifo.capacity_bytes // 2
+        lock = node.nic.dma_engine.lock
         self._busy[src_id] = True
         try:
-            yield from self._dma_lock(src_id).acquire(
-                owner="%s.push(%d)" % (self.name, src_id))
+            yield from lock.acquire(owner="dsm.push(%d)" % src_id)
             try:
                 half = OutgoingHalf(0, PAGE_SIZE, dst_id, frame_addr,
                                     MappingMode.DELIBERATE)
@@ -1080,7 +1052,7 @@ class DsmRuntime:
                                        chunk_words):
                         if fifo.occupancy_bytes > drain_limit:
                             yield from poll(
-                                self.system.sim, self.poll_ns,
+                                self.system.sim, POLL_NS,
                                 lambda: fifo.occupancy_bytes <= drain_limit,
                                 signals=(fifo._changed,))
                         command = node.command_addr(
@@ -1095,7 +1067,7 @@ class DsmRuntime:
                 finally:
                     node.nic.nipt.entry(frame_page).remove_half(half)
             finally:
-                self._dma_lock(src_id).release()
+                lock.release()
         finally:
             self._busy[src_id] = False
         self.fetches.bump()
@@ -1162,15 +1134,15 @@ class DsmRuntime:
         sim = self.system.sim
         self._service[node_id] = Process(
             sim, self._service_body(node_id),
-            "%s.svc(%d)" % (self.name, node_id),
+            "dsm.svc(%d)" % node_id,
         ).start()
         for entry in self._apps[node_id]:
             entry[1] = Process(
-                sim, entry[0](), "%s.app(%d)" % (self.name, node_id)
+                sim, entry[0](), "dsm.app(%d)" % node_id
             ).start()
         self._agents[node_id] = Process(
             sim, self._agent_body(node_id),
-            "%s.lease(%d)" % (self.name, node_id),
+            "dsm.lease(%d)" % node_id,
         ).start()
         # Sync objects re-seat the restored node (a barrier re-folds its
         # subtree; a lock home restarts its holder's lease).

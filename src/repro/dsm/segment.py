@@ -20,6 +20,7 @@ frame by a node without rights on the page trips the runtime's DRAM
 write guard (:class:`~repro.dsm.state.DsmError`).
 """
 
+from repro.dsm.runtime import ACCESS_NS
 from repro.dsm.state import READ, WRITE, DsmError
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE
 
@@ -51,7 +52,7 @@ class DsmSegment:
         page, addr = self._local_addr(gaddr)
         if not self._resident(page, READ):
             yield from self.runtime.fault(self.node_id, page, write=False)
-        yield self.runtime.access_ns
+        yield ACCESS_NS
         return self.node.memory.read_word(addr)
 
     def store_word(self, gaddr, value):
@@ -59,7 +60,7 @@ class DsmSegment:
         page, addr = self._local_addr(gaddr)
         if not self._resident(page, WRITE):
             yield from self.runtime.fault(self.node_id, page, write=True)
-        yield self.runtime.access_ns
+        yield ACCESS_NS
         self.node.memory.write_word(addr, value)
 
     # -- test/verification access (zero simulated time) -----------------------

@@ -43,6 +43,8 @@ from repro.dsm.runtime import (
     LOCK_GRANT,
     LOCK_REL,
     LOCK_RENEW,
+    POLL_NS,
+    RETRY_NS,
 )
 from repro.dsm.state import DsmError
 from repro.memsys.address import WORD_SIZE
@@ -51,7 +53,7 @@ from repro.sim.poll import poll
 
 def _request(runtime, node_id, dst, kind, page, arg, addr, done):
     """Generator: send ``kind`` to ``dst``, then poll DRAM word ``addr``
-    every ``poll_ns`` until ``done(word)``, re-sending every ``retry_ns``
+    every ``POLL_NS`` until ``done(word)``, re-sending every ``RETRY_NS``
     (an idle tick reads the word twice: the retry test, the loop test)."""
     sim = runtime.system.sim
     memory = runtime.system.nodes[node_id].memory
@@ -62,10 +64,9 @@ def _request(runtime, node_id, dst, kind, page, arg, addr, done):
     runtime._send(node_id, dst, kind, page, arg)
     last_send = sim.now
     while not ready():
-        yield from poll(sim, runtime.poll_ns, ready,
-                        last_send + runtime.retry_ns, memory=memory,
-                        reads=2, words=(addr,))
-        if not ready() and sim.now - last_send >= runtime.retry_ns:
+        yield from poll(sim, POLL_NS, ready, last_send + RETRY_NS,
+                        memory=memory, reads=2, words=(addr,))
+        if not ready() and sim.now - last_send >= RETRY_NS:
             runtime._send(node_id, dst, kind, page, arg)
             last_send = sim.now
 

@@ -46,6 +46,7 @@ from repro.sim.process import Process, Signal
 
 ACK_VALUE_BITS = 20
 ACK_VALUE_MASK = (1 << ACK_VALUE_BITS) - 1
+MAX_TIMEOUT_NS = 500_000  # ceiling of the retransmit backoff
 
 
 class ChannelLayout:
@@ -131,6 +132,11 @@ class ReliableChannel:
     the application received -- the exactly-once property the tests pin.
     Every ring address is read through ``layout`` (a
     :class:`ChannelLayout`; the classic one when none is given).
+
+    The sender holds its node's one DMA lock
+    (:attr:`~repro.nic.dma.DmaEngine.lock`) from filling a slot to
+    arming it, so sibling channels and DSM page pushes never collide in
+    the engine; the receiver wakes only for deposits into its own ring.
     """
 
     # Slots, not an instance dict: a channel has over 30 attributes, and
@@ -139,8 +145,8 @@ class ReliableChannel:
     __slots__ = (
         "system", "src_node_id", "dest_node_id", "src", "dest", "name",
         "window_slots", "payload_words", "slot_words", "slot_bytes",
-        "ack_poll_ns", "retransmit_timeout_ns", "max_timeout_ns", "layout",
-        "on_deliver", "dma_lock", "filter_arrivals", "ring_bytes",
+        "ack_poll_ns", "retransmit_timeout_ns", "layout", "on_deliver",
+        "ring_bytes",
         "mappings", "outbox", "closed", "base", "next_seq", "epoch",
         "delivered", "replayed_window", "_tx_proc", "_rx_proc", "_tx_busy",
         "_rx_busy", "_force_retransmit", "_doorbell", "instr", "frames_sent",
@@ -149,9 +155,8 @@ class ReliableChannel:
 
     def __init__(self, system, src_node_id, dest_node_id, src_base=None,
                  dest_base=None, name=None, window_slots=4, payload_words=8,
-                 ack_poll_ns=600, retransmit_timeout_ns=30_000,
-                 max_timeout_ns=500_000, layout=None, on_deliver=None,
-                 dma_lock=None, filter_arrivals=False):
+                 ack_poll_ns=600, retransmit_timeout_ns=30_000, layout=None,
+                 on_deliver=None):
         if layout is None:
             layout = ChannelLayout.classic(src_base, dest_base)
         if window_slots < 1 or payload_words < 1:
@@ -175,7 +180,6 @@ class ReliableChannel:
         layout.check_ring(ring_bytes)
         self.ack_poll_ns = ack_poll_ns
         self.retransmit_timeout_ns = retransmit_timeout_ns
-        self.max_timeout_ns = max_timeout_ns
 
         self.layout = layout
         # Delivery callback: called as ``on_deliver(channel, seq, payload)``
@@ -183,19 +187,6 @@ class ReliableChannel:
         # datacenter workload's server/latency hooks).  Runs inside the
         # receiver process; it must not block.
         self.on_deliver = on_deliver
-        # Optional node-level DMA arbitration: channels sharing one node's
-        # DMA engine serialise whole frames through this mutex (an un-held
-        # engine silently rejects a second concurrent arm).
-        self.dma_lock = dma_lock
-        # The NIC arrival signal is node-global.  A lone channel re-acks on
-        # every arrival (cheap, and a lost final ack recovers through the
-        # duplicate frame it provokes).  With channels in *both* directions
-        # between two nodes that policy self-sustains: an ack deposit wakes
-        # the reverse channel's receiver, whose re-ack wakes this one, and
-        # the simulation never goes idle.  ``filter_arrivals`` makes the
-        # receiver react only to deposits into its own frame ring: it parks
-        # with a WaitDeposit, so other deposits do not even wake it.
-        self.filter_arrivals = filter_arrivals
         self.ring_bytes = ring_bytes
 
         # The two hardware mappings (kept for crash-time invalidation).
@@ -408,7 +399,7 @@ class ReliableChannel:
                 for seq in range(self.base, self.next_seq):
                     yield from self._send_frame(seq)
                 last_send = sim.now
-                timeout = min(timeout * 2, self.max_timeout_ns)
+                timeout = min(timeout * 2, MAX_TIMEOUT_NS)
             # An idle sender -- everything acked, nothing queued, channel
             # still open -- parks on the doorbell until send()/close().
             if (not self.closed and self.base >= self.next_seq
@@ -427,8 +418,9 @@ class ReliableChannel:
 
     def _send_frame(self, seq):
         """Generator: fill the ring slot for ``seq`` and arm its DMA."""
-        if self.dma_lock is not None:
-            yield from self.dma_lock.acquire(owner=self.name)
+        node = self.src
+        lock = node.nic.dma_engine.lock
+        yield from lock.acquire(owner=self.name)
         self._tx_busy = True
         try:
             payload = self.outbox[seq]
@@ -439,7 +431,6 @@ class ReliableChannel:
             words += payload
             words += [0] * (self.payload_words - len(payload))
             words.append(wire)
-            node = self.src
             for index, word in enumerate(words):
                 addr, policy = node.mmu.translate(slot_addr + 4 * index, "write")
                 yield from node.cache.write(addr, word, policy)
@@ -453,8 +444,7 @@ class ReliableChannel:
             self.frames_sent.bump()
         finally:
             self._tx_busy = False
-            if self.dma_lock is not None:
-                self.dma_lock.release()
+            lock.release()
 
     # -- the receiver driver ---------------------------------------------------
 
@@ -468,15 +458,14 @@ class ReliableChannel:
         """Deliver in-order frames on every arrival; re-ack everything else.
 
         Never returns: after the stream completes the process parks on
-        the arrival signal (it holds no event, so the simulation can go
-        idle), ready to re-ack duplicates should the final ack get lost.
+        deposits into its ring (it holds no event, so the simulation can
+        go idle), ready to re-ack duplicates should the final ack get
+        lost.  Other deposits -- acks, sibling channels' frames -- do not
+        wake it.
         """
-        signal = self.dest.nic.arrival_signal
-        if self.filter_arrivals:
-            ring = self.layout.dest_ring
-            arrival = WaitDeposit(signal, ring, ring + self.ring_bytes)
-        else:
-            arrival = signal
+        ring = self.layout.dest_ring
+        arrival = WaitDeposit(self.dest.nic.arrival_signal, ring,
+                              ring + self.ring_bytes)
         while True:
             self._scan_slots()
             yield from self._write_ack()

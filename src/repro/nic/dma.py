@@ -23,6 +23,7 @@ from repro.mesh.packet import Packet
 from repro.nic.nipt import MappingMode
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Process, Signal
+from repro.sim.resources import Mutex
 
 
 class DmaEngine:
@@ -40,6 +41,18 @@ class DmaEngine:
         self.words_sent = self.instr.counter(nic.name + ".dma.words")
         self.rejected_commands = self.instr.counter(nic.name + ".dma.rejected")
         self.busy_rejections = self.instr.counter(nic.name + ".dma.busy")
+        # simlint: ignore[SL201] arbitration between client processes,
+        # which a checkpoint does not capture either
+        self._lock = None
+
+    @property
+    def lock(self):
+        """The node's one DMA arbitration mutex, built on first use: a
+        busy engine drops a second arm, so every client holds it from
+        filling its source words to arming the transfer."""
+        if self._lock is None:
+            self._lock = Mutex(self.sim, self.nic.name + ".dma.lock")
+        return self._lock
 
     # -- command-page interface ------------------------------------------------
 
@@ -172,6 +185,7 @@ class DmaEngine:
         self.idle_signal.fire()
 
     def wait_idle(self):
-        """Generator: block until the engine is free (test/bench helper)."""
+        """Generator: block until the engine is free (a lock holder waits
+        out the tail of the previous transfer before arming)."""
         while self.busy:
             yield self.idle_signal

@@ -296,13 +296,14 @@ class Instrumentation:
     # -- metric queries ----------------------------------------------------------
 
     def names(self, prefix=None):
-        """Sorted metric names, optionally filtered by dotted prefix."""
+        """Sorted metric names, optionally filtered by dotted prefix:
+        ``names("node1")`` matches ``node1`` and ``node1.*``, never
+        ``node10.*``."""
         if prefix is None:
             return sorted(self._metrics)
         return sorted(
             name for name in self._metrics
             if name == prefix or name.startswith(prefix + ".")
-            or name.startswith(prefix)
         )
 
     def kind(self, name):

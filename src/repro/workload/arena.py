@@ -18,10 +18,12 @@ So the arena runs two bump allocators over one node's DRAM:
   granularity.
 
 The allocators fail loudly (:class:`ArenaError`) when they meet: channel
-construction never silently overlaps regions.
+construction never silently overlaps regions.  :class:`ChannelArenas`
+carves whole channel layouts from one arena per node.
 """
 
 from repro.memsys.address import PAGE_SIZE
+from repro.msg.reliable import ChannelLayout
 from repro.nic.nipt import NiptEntry
 
 
@@ -104,4 +106,38 @@ class NodeArena:
     def __repr__(self):
         return "NodeArena(node=%d, mapout=%#x, packed=%#x)" % (
             self.node_id, self._mapout_next_page, self._packed_cursor,
+        )
+
+
+class ChannelArenas:
+    """Packed channel layouts over one :class:`NodeArena` per node,
+    each spanning ``[base, limit)`` and built on the node's first use."""
+
+    def __init__(self, base, limit):
+        self.base = base
+        self.limit = limit
+        self._arenas = {}
+
+    def _arena(self, node_id):
+        arena = self._arenas.get(node_id)
+        if arena is None:
+            arena = NodeArena(node_id, self.base, self.limit)
+            self._arenas[node_id] = arena
+        return arena
+
+    def layout(self, src, dst, window_slots, payload_words, wrap_words):
+        """The layout of one ``src -> dst`` channel with a ``wrap_words``
+        application buffer, its six regions allocated in a fixed order."""
+        # The channel's frame ring: head, nwords, payload, tail per slot.
+        ring_bytes = window_slots * (payload_words + 3) * 4
+        src_arena = self._arena(src)
+        dst_arena = self._arena(dst)
+        return ChannelLayout(
+            src_ring=src_arena.alloc_mapout(ring_bytes),
+            ack_dest_addr=src_arena.alloc_packed(4),
+            dest_ring=dst_arena.alloc_packed(ring_bytes),
+            ack_src_addr=dst_arena.alloc_mapout(4),
+            state_addr=dst_arena.alloc_packed(8),
+            app_base=dst_arena.alloc_packed(4 * wrap_words),
+            app_wrap_words=wrap_words,
         )

@@ -9,8 +9,9 @@ WorkloadParams` into a complete, started system:
 - for every distinct (client node, home node) pair in the schedule, a
   request channel and a response channel
   (:class:`~repro.msg.reliable.ReliableChannel`) with packed arena
-  layouts (:mod:`repro.workload.arena`), sharing each node's DMA engine
-  through one arbitration mutex;
+  layouts (:class:`~repro.workload.arena.ChannelArenas`); the channels
+  out of one node share its DMA engine through the engine's own
+  arbitration mutex;
 - one frontend process per client node, multiplexing that node's
   simulated clients: it replays the precomputed Poisson arrivals,
   stamping each request frame with (index, send time, key);
@@ -37,10 +38,9 @@ from repro.machine.config import datacenter
 from repro.machine.system import ShrimpSystem
 from repro.memsys.address import PAGE_SIZE
 from repro.mesh.topology import MeshTopology
-from repro.msg.reliable import ChannelLayout, ReliableChannel
+from repro.msg.reliable import ReliableChannel
 from repro.sim.process import Process
-from repro.sim.resources import Mutex
-from repro.workload.arena import NodeArena
+from repro.workload.arena import ChannelArenas
 from repro.workload.traffic import WorkloadParams, build_schedule
 
 LATENCY_METRIC = "workload.latency_ns"
@@ -88,23 +88,20 @@ class DatacenterWorkload:
             per_node.setdefault(request.src_node, []).append(request)
         self._per_node = per_node
 
-        # One arena and one DMA arbitration mutex per node, created only
-        # for nodes that terminate a channel (deterministic pair order).
-        dram_bytes = self.system.params.dram_bytes
-        self._arenas = {}
-        self._dma_locks = {}
+        # One arena per node that terminates a channel, carved in the
+        # deterministic pair order.
+        self._arenas = ChannelArenas(PAGE_SIZE, self.system.params.dram_bytes)
         self.req_channels = {}
         self.resp_channels = {}
         self._responses_enqueued = {}
-        wrap_words = self.params.window_slots * self.params.payload_words
         for pair in self.pairs:
             src, dst = pair
             req = self._make_channel(
-                src, dst, "wl.req.%d_%d" % pair, wrap_words, dram_bytes,
+                src, dst, "wl.req.%d_%d" % pair,
                 on_deliver=self._server_hook(pair),
             )
             resp = self._make_channel(
-                dst, src, "wl.rsp.%d_%d" % pair, wrap_words, dram_bytes,
+                dst, src, "wl.rsp.%d_%d" % pair,
                 on_deliver=self._latency_hook,
             )
             self.req_channels[pair] = req
@@ -115,42 +112,15 @@ class DatacenterWorkload:
 
     # -- construction helpers --------------------------------------------------
 
-    def _arena(self, node_id, dram_bytes):
-        arena = self._arenas.get(node_id)
-        if arena is None:
-            arena = NodeArena(node_id, PAGE_SIZE, dram_bytes)
-            self._arenas[node_id] = arena
-        return arena
-
-    def _dma_lock(self, node_id):
-        lock = self._dma_locks.get(node_id)
-        if lock is None:
-            lock = Mutex(self.system.sim, "wl.dma(%d)" % node_id)
-            self._dma_locks[node_id] = lock
-        return lock
-
-    def _make_channel(self, src, dst, name, wrap_words, dram_bytes,
-                      on_deliver):
-        params = self.params
-        slot_bytes = (params.payload_words + 3) * 4
-        ring_bytes = params.window_slots * slot_bytes
-        src_arena = self._arena(src, dram_bytes)
-        dst_arena = self._arena(dst, dram_bytes)
-        layout = ChannelLayout(
-            src_ring=src_arena.alloc_mapout(ring_bytes),
-            ack_dest_addr=src_arena.alloc_packed(4),
-            dest_ring=dst_arena.alloc_packed(ring_bytes),
-            ack_src_addr=dst_arena.alloc_mapout(4),
-            state_addr=dst_arena.alloc_packed(8),
-            app_base=dst_arena.alloc_packed(4 * wrap_words),
-            app_wrap_words=wrap_words,
-        )
+    def _make_channel(self, src, dst, name, on_deliver):
+        window_slots = self.params.window_slots
+        payload_words = self.params.payload_words
+        layout = self._arenas.layout(src, dst, window_slots, payload_words,
+                                     window_slots * payload_words)
         return ReliableChannel(
             self.system, src, dst, name=name, layout=layout,
-            window_slots=params.window_slots,
-            payload_words=params.payload_words,
-            on_deliver=on_deliver, dma_lock=self._dma_lock(src),
-            filter_arrivals=True,
+            window_slots=window_slots, payload_words=payload_words,
+            on_deliver=on_deliver,
         )
 
     # -- delivery hooks (run inside the receiver driver processes) -------------

@@ -98,9 +98,11 @@ class TestHubRegistry:
         hub.counter("node0.nic.delivered")
         hub.counter("node0.cache.hits")
         hub.counter("node1.nic.delivered")
+        hub.counter("node10.nic.delivered")
         assert hub.names("node0") == [
             "node0.cache.hits", "node0.nic.delivered",
         ]
+        assert hub.names("node1") == ["node1.nic.delivered"]
         with pytest.raises(MetricError):
             hub.value("nope")
 

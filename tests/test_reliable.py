@@ -12,6 +12,7 @@ from repro.faults import (
     MisrouteWindow,
 )
 from repro.machine import ShrimpSystem
+from repro.memsys.address import PAGE_SIZE
 from repro.msg.reliable import ReliableChannel
 
 BASE = 0x40000
@@ -56,6 +57,29 @@ class TestFaultFree:
         channel.start()
         system.run()
         assert_exactly_once(channel, payloads)
+
+    def test_sibling_channels_share_the_dma_engine(self):
+        # Two channels out of node 0 fill and arm one DMA engine: the
+        # node's lock serialises them, so no arm is dropped as busy and
+        # no frame needs a retransmit.
+        system = ShrimpSystem(2, 2)
+        system.start()
+        payloads = some_payloads()
+        channels = [
+            ReliableChannel(system, 0, dst, BASE + 4 * PAGE_SIZE * index,
+                            BASE)
+            for index, dst in enumerate((1, 2))
+        ]
+        for channel in channels:
+            for payload in payloads:
+                channel.send(payload)
+            channel.close()
+            channel.start()
+        system.run()
+        for channel in channels:
+            assert_exactly_once(channel, payloads)
+            assert channel.retransmits.value == 0
+        assert system.instrumentation.value("node0.nic.dma.busy") == 0
 
     def test_validation(self):
         system = ShrimpSystem(2, 1)
