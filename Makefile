@@ -7,7 +7,7 @@ export PYTHONPATH
 export PYTHONHASHSEED := 0
 
 .PHONY: test test-fast lint pin bench-ckpt bench-recovery bench-workload \
-	bench-dsm
+	bench-dsm bench-check
 
 # Tier-1 suite (everything); lints first.
 test: lint
@@ -72,3 +72,17 @@ bench-dsm:
 # See docs/workloads.md.
 bench-workload:
 	python -m benchmarks.bench_workload $(if $(FORCE),--force)
+
+# CI's benchmark gate: every bench above rewrites a temporary copy of
+# its committed BENCH_*.json, and the copy must come back byte for byte.
+# The records hold simulated observables only, so any difference -- an
+# improvement included -- means the record is stale and must be
+# re-recorded on purpose with the bench's own target.
+bench-check:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	for bench in ckpt recovery dsm workload; do \
+		cp "BENCH_$$bench.json" "$$tmp/BENCH_$$bench.json" && \
+		python -m "benchmarks.bench_$$bench" \
+			--output "$$tmp/BENCH_$$bench.json" && \
+		cmp "BENCH_$$bench.json" "$$tmp/BENCH_$$bench.json" || exit 1; \
+	done

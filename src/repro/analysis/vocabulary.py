@@ -124,6 +124,8 @@ METRIC_LEAVES = {
     "replays": "parked DSM requests re-sent after recovery",
     "rebuilds": "DSM home directory rebuilds",
     "lock_revokes": "DSM lock tenures revoked on lease lapse",
+    "node_crash": "whole-node crashes taken",
+    "node_restore": "crashed nodes restored from their checkpoint",
     "latency_ns": "workload request latency",
     "requests": "workload requests issued",
     "responses": "workload responses completed",

@@ -365,8 +365,7 @@ class DsmRuntime:
         return self
 
     def channels(self):
-        """The underlying reliable channels (crash orchestration needs
-        them in its ``channels=`` list alongside the runtime itself)."""
+        """The underlying reliable channels, in ``(src, dst)`` order."""
         return [self._channels[key] for key in sorted(self._channels)]
 
     # -- messaging -------------------------------------------------------------
@@ -1073,28 +1072,38 @@ class DsmRuntime:
         self.fetches.bump()
 
     # -- crash/restore protocol (duck-typed like ReliableChannel) -------------
+    #
+    # The runtime is the one crash participant for its whole stack: each
+    # hook runs its channels' hook first, in ``channels()`` order.
 
     def killable(self, node_id):
-        """True when the node's DSM processes hold no simulation resource
-        (bus, DMA mutex) and its outgoing FIFO holds no half-pushed page
-        -- the crash orchestration's safe-kill gate.  The FIFO condition
-        matters for recovery: ``_push_page`` returns with up to half a
-        FIFO of page chunks still queued, and a crash clears FIFOs while
-        the grant behind them survives in the reliable channel's outbox.
-        Gating the kill on an empty FIFO keeps every redelivered grant's
-        data fully deposited, so a parked faulter can replay the same
-        request instance (same token) safely."""
+        """True when the node's DSM processes and channel endpoints hold
+        no simulation resource (bus, DMA mutex) and its outgoing FIFO
+        holds no half-pushed page -- the crash orchestration's safe-kill
+        gate.  The FIFO condition matters for recovery: ``_push_page``
+        returns with up to half a FIFO of page chunks still queued, and a
+        crash clears FIFOs while the grant behind them survives in the
+        reliable channel's outbox.  Gating the kill on an empty FIFO
+        keeps every redelivered grant's data fully deposited, so a parked
+        faulter can replay the same request instance (same token)
+        safely."""
         return (not self._busy[node_id]
                 and self.system.nodes[node_id].nic.outgoing_fifo
-                .occupancy_bytes == 0)
+                .occupancy_bytes == 0
+                and all(channel.killable(node_id)
+                        for channel in self.channels()))
 
     def node_crashed(self, node_id):
         """Drop the node's volatile DSM state with the node.
 
         Inbox, transactions and pending tokens are device/driver state;
         DRAM (page states, directory, frames) survives for the restore
-        to roll back.
+        to roll back.  The channels go first: their parked polls must be
+        gone from the node's memory, and their replay state reset, before
+        the directory rebuild starts.
         """
+        for channel in self.channels():
+            channel.node_crashed(node_id)
         if self._service[node_id] is not None:
             self._service[node_id].kill()
             self._service[node_id] = None
@@ -1131,6 +1140,8 @@ class DsmRuntime:
         duplicate outbound messages die on the receivers' idempotency
         rules (tokens, ack-without-transaction, recall-without-rights).
         """
+        for channel in self.channels():
+            channel.node_restored(node_id)
         sim = self.system.sim
         self._service[node_id] = Process(
             sim, self._service_body(node_id),

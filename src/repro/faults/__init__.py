@@ -10,8 +10,9 @@ first-class, declarative subsystem:
 - :mod:`repro.faults.injectors` -- the hook-based packet mutators
   (corruption, misrouting);
 - :mod:`repro.faults.recovery` -- whole-node crash/restore orchestration
-  on top of per-node checkpoints (imported lazily: it pulls in the
-  checkpoint machinery).
+  on top of per-node checkpoints, one :func:`crash_restore` process body
+  for every crash (imported lazily: it pulls in the checkpoint
+  machinery).
 
 Every injected fault is observable as a typed ``fault.*`` event on the
 instrumentation bus, and an empty plan leaves a run bit-for-bit identical
@@ -28,7 +29,6 @@ from repro.faults.plan import (
     LinkDown,
     LinkUp,
     MisrouteWindow,
-    NodeCrash,
     RouterResume,
     RouterStall,
     SeededStream,
@@ -46,7 +46,6 @@ __all__ = [
     "LinkUp",
     "MisrouteEveryNth",
     "MisrouteWindow",
-    "NodeCrash",
     "RouterResume",
     "RouterStall",
     "SeededStream",

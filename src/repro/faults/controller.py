@@ -3,15 +3,11 @@
 The controller translates plan entries into simulator events at arm
 time; when each fires it drives the corresponding sanctioned hook
 (``Link.set_down``, ``Router.stall``, injector windows,
-``PacketFifo.set_reserved_bytes``, node crash), bumps a ``faults.*``
-counter and emits a typed ``fault.*`` event.  An empty plan schedules
-nothing, registers nothing, and leaves the run bit-for-bit identical to
-one without a controller at all.
-
-Node crashes need recovery orchestration (what to do with the corpse is
-the scenario's business), so :class:`FaultController` delegates them to
-``crash_handler(node_id)`` -- by default
-:func:`repro.faults.recovery.crash_node` run as a fresh process.
+``PacketFifo.set_reserved_bytes``), bumps a ``faults.*`` counter and
+emits a typed ``fault.*`` event.  An empty plan schedules nothing,
+registers nothing, and leaves the run bit-for-bit identical to one
+without a controller at all.  Node crashes are not plan events; run
+them with :func:`repro.faults.recovery.crash_restore`.
 """
 
 from repro.sim.instrument import Instrumentation
@@ -24,10 +20,9 @@ class FaultError(Exception):
 class FaultController:
     """Owns the live fault state a plan creates on one system."""
 
-    def __init__(self, system, plan, crash_handler=None):
+    def __init__(self, system, plan):
         self.system = system
         self.plan = plan
-        self.crash_handler = crash_handler
         self.injectors = []  # live injector windows, for introspection
         self.instr = Instrumentation.of(system.sim)
         self._counters = {}
@@ -161,12 +156,3 @@ class FaultController:
             return
         sim = self.system.sim
         sim.schedule(max(0, until - sim.now), callback, *args)
-
-    def _apply_node_crash(self, event):
-        handler = self.crash_handler
-        if handler is None:
-            from repro.faults.recovery import spawn_crash
-
-            spawn_crash(self.system, event.node)
-        else:
-            handler(event.node)

@@ -18,8 +18,11 @@ event               hook it drives
 ``corrupt``         :class:`repro.faults.injectors.CorruptEveryNth` window
 ``misroute``        :class:`repro.faults.injectors.MisrouteEveryNth` window
 ``fifo_pressure``   :meth:`repro.nic.fifo.PacketFifo.set_reserved_bytes`
-``node_crash``      :func:`repro.faults.recovery.crash_node`
 ==================  ========================================================
+
+A node crash is not plan vocabulary: it needs a checkpoint, the mappings
+to invalidate and the messaging layers to resynchronise, which a plan
+entry cannot carry.  :func:`repro.faults.recovery.crash_restore` runs it.
 
 Seeded generation uses an inline splitmix64 stream (never :mod:`random`:
 the engine bans global-state RNGs, simlint SL101), so a ``(seed, topology)``
@@ -214,24 +217,10 @@ class FifoPressure(FaultEvent):
                 "fifo": self.fifo, "until": self.until}
 
 
-class NodeCrash(FaultEvent):
-    """Crash ``node`` at time ``at`` (see repro.faults.recovery)."""
-
-    type_name = "node_crash"
-    __slots__ = ("node",)
-
-    def __init__(self, at, node):
-        super().__init__(at)
-        self.node = int(node)
-
-    def _fields(self):
-        return {"node": self.node}
-
-
 EVENT_TYPES = {
     cls.type_name: cls
     for cls in (LinkDown, LinkUp, RouterStall, RouterResume, CorruptWindow,
-                MisrouteWindow, FifoPressure, NodeCrash)
+                MisrouteWindow, FifoPressure)
 }
 
 
@@ -300,8 +289,9 @@ class FaultPlan:
         ``router_resume``, each injector/pressure window its end -- so a
         seeded plan always leaves the substrate healthy, and (combined
         with the reliable channel's retransmission) every payload is
-        eventually deliverable.  Crashes are never generated here: a
-        crash needs recovery orchestration the plan cannot carry.
+        eventually deliverable.  A plan holds no crashes (see the module
+        docstring); pair one with
+        :func:`~repro.faults.recovery.crash_restore`.
         """
         duration_ns = int(duration_ns)
         if duration_ns < 2:

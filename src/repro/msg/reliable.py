@@ -420,8 +420,9 @@ class ReliableChannel:
         """Generator: fill the ring slot for ``seq`` and arm its DMA."""
         node = self.src
         lock = node.nic.dma_engine.lock
-        yield from lock.acquire(owner=self.name)
+        # Busy from the ticket on: a sender queued for the lock holds it.
         self._tx_busy = True
+        yield from lock.acquire(owner=self.name)
         try:
             payload = self.outbox[seq]
             wire = (seq + 1) & 0xFFFFFFFF  # 1-based: zeroed RAM never matches

@@ -42,9 +42,8 @@ from repro.ckpt.system import NodeCheckpoint
 from repro.ckpt.workload import CpuWorker
 from repro.cpu import Asm, Context, Mem, R4
 from repro.faults.controller import FaultController
-from repro.faults.plan import FaultPlan, NodeCrash
-from repro.faults.recovery import (crash_node, invalidate_node_mappings,
-                                   recover_node)
+from repro.faults.plan import FaultPlan
+from repro.faults.recovery import crash_restore
 from repro.machine import ShrimpSystem, mapping
 from repro.memsys.address import PAGE_SIZE, page_number
 from repro.memsys.cache import CachePolicy
@@ -267,25 +266,16 @@ def run_crash_recovery(words_per_sender=24, payloads=None, capture_at=6_000,
     system.run(until=capture_at)
     seek_node_quiescence(system, VICTIM)
     state = NodeCheckpoint.capture(system, VICTIM)
-
-    recovery = {}
-
-    def orchestrate():
-        crash = yield from crash_node(system, VICTIM, channels=(channel,))
-        invalidated = invalidate_node_mappings(system, VICTIM, mappings)
-        yield dwell_ns
-        restore = yield from recover_node(
-            system, state, mappings=invalidated, channels=(channel,)
-        )
-        recovery.update(crash, restored_at=restore["restored_at"],
-                        invalidated_mappings=len(invalidated))
-
-    Process(system.sim, orchestrate(), "recovery-orchestrator").start(
-        crash_delay_ns
-    )
+    orchestrator = Process(
+        system.sim,
+        crash_restore(system, VICTIM, system.sim.now + crash_delay_ns,
+                      dwell_ns, mappings, (channel,), state),
+        "recovery-orchestrator",
+    ).start()
     system.run()
 
-    if "restored_at" not in recovery:
+    recovery = orchestrator.result
+    if recovery is None:
         raise RuntimeError("recovery orchestration never completed")
     result = _observables(system, channel, words_per_sender)
     result.update(
@@ -347,20 +337,15 @@ def homecrash_workload(width=4, height=4, iterations=2, seed=1,
                        crash_at=400_000, dwell_ns=120_000):
     """The DSM home-crash recovery run: the ``homecrash`` app with node
     1 -- home of the contended data page *and* of the lock -- crashed at
-    ``crash_at`` through a :class:`FaultController` and restored after
-    ``dwell_ns``, so the directory rebuild, lease expiry and lock
+    ``crash_at`` through :meth:`DsmWorkload.crash_restore` and restored
+    after ``dwell_ns``, so the directory rebuild, lease expiry and lock
     revocation all run.
 
     Returns the started workload.
     """
     workload = DsmWorkload(kind="homecrash", width=width, height=height,
                            iterations=iterations, seed=seed).start()
-
-    def crash(node_id):
-        workload.crash_restore(node_id, crash_at, dwell_ns)
-
-    FaultController(workload.system, FaultPlan([NodeCrash(crash_at, 1)]),
-                    crash_handler=crash).arm()
+    workload.crash_restore(1, crash_at, dwell_ns)
     return workload
 
 

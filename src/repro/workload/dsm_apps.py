@@ -42,6 +42,7 @@ from repro.dsm.state import DsmLayout
 from repro.dsm.sync import DsmBarrier, DsmLock
 from repro.machine.system import ShrimpSystem
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE
+from repro.sim.process import Process
 from repro.workload.traffic import WorkloadParams, build_schedule
 
 #: Scratch word assignments (see repro.dsm.state.SCRATCH_WORDS).
@@ -341,26 +342,19 @@ class DsmWorkload:
 
     def crash_restore(self, node_id, crash_at, dwell_ns):
         """Crash ``node_id`` at ``crash_at`` and restore it ``dwell_ns``
-        later (:func:`~repro.faults.recovery.crash_restore_cycle`).  The
-        runtime goes after its channels in the crash's channel list.
-        Each channel's ``node_crashed`` kills its parked polls and
-        unregisters their ``Poll.settle`` from the node's memory, so when
-        the runtime's own ``node_crashed`` runs, no poll of the dead node
-        is left registered and channel replay state is already reset for
-        the directory rebuild.  With the runtime first, a channel's
-        parked ``Poll.settle`` is still registered at that point, and
-        ``TestCrashMidPoll.test_crash_kills_parked_polls_cleanly`` in
-        ``tests/test_recovery.py`` fails.  Returns the outcome dict the
-        restore fills in."""
+        later (:func:`~repro.faults.recovery.crash_restore`, with the
+        runtime as the one participant).  Returns the started process;
+        its ``result`` is the recovery record once the node is back."""
         # Imported here so a crash-free run never loads the ckpt package.
-        from repro.faults.recovery import spawn_crash_restore_cycle
+        from repro.faults.recovery import crash_restore
 
-        outcome = {}
         runtime = self.runtime
-        spawn_crash_restore_cycle(
-            self.system, node_id, crash_at, dwell_ns, runtime.mappings,
-            channels=runtime.channels() + [runtime], outcome=outcome)
-        return outcome
+        return Process(
+            self.system.sim,
+            crash_restore(self.system, node_id, crash_at, dwell_ns,
+                          runtime.mappings, (runtime,)),
+            "crash-cycle(%d)" % node_id,
+        ).start()
 
     # -- results ---------------------------------------------------------------
 

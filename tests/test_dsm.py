@@ -18,7 +18,9 @@ The acceptance surface of the DSM subsystem:
   app kind still converges, a crashed lock holder's tenure is revoked
   by the lease detector, the ``dsm_homecrash`` scenario rebuilds and
   replays end to end, and the fault-free ``dsm`` scenario never trips
-  the detector.
+  the detector;
+- the ``python -m repro.dsm`` command line, with and without a home
+  crash.
 """
 
 import pytest
@@ -42,11 +44,7 @@ from repro.dsm import (
 )
 from repro.faults.controller import FaultController
 from repro.faults.plan import FaultPlan
-from repro.faults.recovery import (
-    crash_node,
-    invalidate_node_mappings,
-    recover_node,
-)
+from repro.faults.recovery import crash_node, crash_restore
 from repro.machine import ShrimpSystem
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE, page_number
 from repro.scenarios import build
@@ -429,22 +427,14 @@ def _stencil_under_faults(seed, victim=1, capture_at=20_000,
     system.run(until=capture_at)
     seek_node_quiescence(system, victim)
     state = NodeCheckpoint.capture(system, victim)
-    channels = list(w.runtime.channels()) + [w.runtime]
-    outcome = {}
-
-    def orchestrate():
-        yield from crash_node(system, victim, channels=channels)
-        invalidated = invalidate_node_mappings(system, victim,
-                                               w.runtime.mappings)
-        yield dwell
-        result = yield from recover_node(system, state,
-                                         mappings=invalidated,
-                                         channels=channels)
-        outcome.update(result)
-
-    Process(system.sim, orchestrate(), "dsm-crash").start(crash_delay)
+    process = Process(
+        system.sim,
+        crash_restore(system, victim, system.sim.now + crash_delay, dwell,
+                      w.runtime.mappings, (w.runtime,), state),
+        "dsm-crash",
+    ).start()
     w.run()
-    assert "restored_at" in outcome, "recovery never completed"
+    assert process.result is not None, "recovery never completed"
     return w.final_shared_bytes()
 
 
@@ -496,9 +486,9 @@ def _under_home_crash(kind, fault_seed, crash_at=30_000, dwell=8_000):
         flaps_per_link=1,
     )
     FaultController(w.system, plan).arm()
-    outcome = w.crash_restore(1, crash_at, dwell)
+    process = w.crash_restore(1, crash_at, dwell)
     w.run()
-    assert "restored_at" in outcome, "recovery never completed"
+    assert process.result is not None, "recovery never completed"
     return w.final_shared_bytes()
 
 
@@ -524,9 +514,9 @@ class TestHomeCrashRecovery:
         pages) survives its lock home + data home dying mid-run."""
         w = DsmWorkload(kind="homecrash", width=4, height=1,
                         iterations=2).start()
-        outcome = w.crash_restore(1, 400_000, 120_000)
+        process = w.crash_restore(1, 400_000, 120_000)
         w.run()
-        assert "restored_at" in outcome
+        assert process.result is not None
         assert w.final_shared_bytes() == w.expected_homecrash()
         hub = Instrumentation.of(w.system.sim)
         assert hub.value("dsm.rebuilds") == 1
@@ -554,9 +544,7 @@ class TestHomeCrashRecovery:
 
         def crash():
             yield 10_000
-            yield from crash_node(
-                system, victim,
-                channels=list(runtime.channels()) + [runtime])
+            yield from crash_node(system, victim, (runtime,))
 
         def waiting():
             yield 15_000
@@ -586,3 +574,35 @@ class TestHomeCrashRecovery:
         hub = system.instrumentation
         assert hub.value("dsm.lease_expirations") == 0
         assert hub.value("dsm.rebuilds") == 0
+
+
+class TestCli:
+    """``python -m repro.dsm`` in process: a home crash from the command
+    line runs one directory rebuild and still checks out."""
+
+    ARGS = ["--kind", "homecrash", "--width", "4", "--height", "1", "--json"]
+
+    def _run(self, capsys, *extra):
+        import json
+
+        from repro.dsm.__main__ import main
+
+        assert main(self.ARGS + list(extra)) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["result"] == "ok"
+        return record["metrics"]["dsm.rebuilds"]["value"]
+
+    def test_crash_home_rebuilds_once(self, capsys):
+        assert self._run(capsys, "--crash-home", "1",
+                         "--crash-at", "400000") == 1
+
+    def test_no_crash_no_rebuild(self, capsys):
+        assert self._run(capsys) == 0
+
+    def test_crash_home_without_crash_at_is_a_usage_error(self, capsys):
+        from repro.dsm.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(self.ARGS + ["--crash-home", "1"])
+        assert exc.value.code == 2
+        assert "--crash-at" in capsys.readouterr().err

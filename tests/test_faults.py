@@ -15,7 +15,6 @@ from repro.faults import (
     LinkUp,
     MisrouteEveryNth,
     MisrouteWindow,
-    NodeCrash,
     RouterResume,
     RouterStall,
 )
@@ -66,7 +65,6 @@ class TestFaultPlan:
                 CorruptWindow(0, 0, 3, until=100),
                 MisrouteWindow(2, 0, 2, wrong_node=2, until=50),
                 FifoPressure(1, 1, 256, until=99, fifo="in"),
-                NodeCrash(42, 5),
             ],
             seed=7,
         )
@@ -231,14 +229,6 @@ class TestController:
         assert b.nic.packets_delivered.value == 5
         assert hub.value("faults.fifo_pressure") == 1
         assert fifo.reserved_bytes == 0  # window closed
-
-    def test_node_crash_uses_custom_handler(self):
-        system, _a, _b = make_system()
-        crashed = []
-        plan = FaultPlan([NodeCrash(100, 1)])
-        FaultController(system, plan, crash_handler=crashed.append).arm()
-        system.run(until=200)
-        assert crashed == [1]
 
 
 class TestGoldenZeroFaultPlan:

@@ -9,9 +9,8 @@ from repro.ckpt.workload import CpuWorker
 from repro.cpu import Asm, Context, Mem
 from repro.faults.recovery import (
     crash_node,
+    crash_restore,
     invalidate_node_mappings,
-    recover_node,
-    spawn_crash,
 )
 from repro.machine import ShrimpSystem, mapping
 from repro.memsys.address import PAGE_SIZE
@@ -125,17 +124,15 @@ class TestCrash:
         system.run(until=2_000)
         seek_node_quiescence(system, 0)
         state = NodeCheckpoint.capture(system, 0)
-
-        def orchestrate():
-            yield from crash_node(system, 0)
-            invalidated = invalidate_node_mappings(system, 0, [m])
-            result = yield from recover_node(
-                system, state, mappings=invalidated
-            )
-            assert result["node_id"] == 0
-
-        Process(system.sim, orchestrate(), "orchestrator").start(3_000)
+        process = Process(
+            system.sim,
+            crash_restore(system, 0, system.sim.now + 3_000, 0, [m],
+                          state=state),
+            "orchestrator",
+        ).start()
         system.run()
+        assert process.result["ckpt_time"] == state["time"]
+        assert process.result["invalidated_mappings"] == 0  # outbound only
         for j in range(64):
             assert system.nodes[1].memory.read_word(DST + 4 * j) == j + 1
 
@@ -147,13 +144,14 @@ class TestCrash:
         assert invalidate_node_mappings(system, 0, [m]) == []
         assert invalidate_node_mappings(system, 1, [m]) == [m]
 
-    def test_spawn_crash_runs_as_process(self):
+    def test_crash_node_runs_as_its_own_process(self):
         system, worker, _m = build_sender(count=64)
         system.run(until=1_000)
-        process = spawn_crash(system, 0)
+        process = Process(system.sim, crash_node(system, 0), "crash").start()
         system.run()
         assert process.finished
         assert not worker.finished
+        assert process.result >= 0  # the packets dropped with the FIFOs
 
 
 class TestCrashMidFold:
@@ -174,7 +172,7 @@ class TestCrashMidFold:
         system, worker = self._parked_ponger()
         node = system.nodes[1]
         retired = node.cpu.counts.total
-        spawn_crash(system, 1)
+        Process(system.sim, crash_node(system, 1), "crash").start()
         system.run(until=system.sim.now + 1)
         assert worker.process is None
         assert node.cpu._fold is None
@@ -186,7 +184,7 @@ class TestCrashMidFold:
         system, worker = self._parked_ponger()
         state = NodeCheckpoint.capture(system, 1)
         pc = worker.context.pc
-        spawn_crash(system, 1)
+        Process(system.sim, crash_node(system, 1), "crash").start()
         system.run(until=system.sim.now + 500)
         NodeCheckpoint.restore(system, state)
         assert system.nodes[1].cpu.spin_state(worker.process) == "parked"
@@ -269,11 +267,11 @@ class TestCrashMidPoll:
 
         monkeypatch.setattr(Process, "kill", recording_kill)
         monkeypatch.setattr(runtime, "node_crashed", checked_node_crashed)
-        outcome = w.crash_restore(victim, crash_at, 120_000)
+        process = w.crash_restore(victim, crash_at, 120_000)
         w.run()
         assert parked <= killed
         assert after_crash == [({}, (), [])]
-        assert "restored_at" in outcome
+        assert process.result is not None
         assert w.final_shared_bytes() == w.expected_homecrash()
 
     def test_memory_restore_wakes_a_parked_poll(self):

@@ -28,6 +28,23 @@ def build_channel(payloads, **kwargs):
     return system, channel
 
 
+def sibling_channels(payloads):
+    """Two started classic channels out of node 0 of a 2x2, to nodes 1
+    and 2, each carrying ``payloads``: they share node 0's DMA engine."""
+    system = ShrimpSystem(2, 2)
+    system.start()
+    channels = [
+        ReliableChannel(system, 0, dst, BASE + 4 * PAGE_SIZE * index, BASE)
+        for index, dst in enumerate((1, 2))
+    ]
+    for channel in channels:
+        for payload in payloads:
+            channel.send(payload)
+        channel.close()
+        channel.start()
+    return system, channels
+
+
 def assert_exactly_once(channel, payloads):
     """The exactly-once, in-order contract every run must satisfy."""
     assert channel.complete
@@ -62,24 +79,26 @@ class TestFaultFree:
         # Two channels out of node 0 fill and arm one DMA engine: the
         # node's lock serialises them, so no arm is dropped as busy and
         # no frame needs a retransmit.
-        system = ShrimpSystem(2, 2)
-        system.start()
         payloads = some_payloads()
-        channels = [
-            ReliableChannel(system, 0, dst, BASE + 4 * PAGE_SIZE * index,
-                            BASE)
-            for index, dst in enumerate((1, 2))
-        ]
-        for channel in channels:
-            for payload in payloads:
-                channel.send(payload)
-            channel.close()
-            channel.start()
+        system, channels = sibling_channels(payloads)
         system.run()
         for channel in channels:
             assert_exactly_once(channel, payloads)
             assert channel.retransmits.value == 0
         assert system.instrumentation.value("node0.nic.dma.busy") == 0
+
+    def test_sender_queued_for_the_dma_lock_is_not_killable(self):
+        # The crash gate must not kill a sender holding a lock ticket:
+        # the lock would then wait forever for a release that never comes.
+        system, channels = sibling_channels([[1, 2, 3]])
+        lock = system.nodes[0].nic.dma_engine.lock
+        while lock._next_ticket - lock._serving < 2:
+            system.sim.step()
+        queued = [ch for ch in channels if ch.name != lock.owner]
+        assert len(queued) == 1
+        assert not queued[0].killable(0)
+        system.run()
+        assert all(channel.complete for channel in channels)
 
     def test_validation(self):
         system = ShrimpSystem(2, 1)
