@@ -329,6 +329,12 @@ class _FoldSignal(Signal):
 class Cpu:
     """One node CPU."""
 
+    #: Metrics registered under the CPU's name.  The per-instruction
+    #: retire path stays counter-free: the retired totals are probes,
+    #: read from the ``instructions`` and ``cycles`` properties.
+    METRICS = (("interrupts", "counter"), ("instructions", "probe"),
+               ("cycles", "probe"))
+
     def __init__(self, sim, cache, mmu, params, name="cpu"):
         self.sim = sim
         self.cache = cache
@@ -357,11 +363,17 @@ class Cpu:
         # simlint: ignore[SL201] derived from programs and params on demand
         self._spin_timings = {}  # SpinLoop -> SpinTiming on this CPU
         self.instr = Instrumentation.of(sim)
-        self.interrupts_taken = self.instr.counter(name + ".interrupts")
-        # The per-instruction retire path must stay counter-free; expose
-        # the retired totals as probes evaluated at snapshot time instead.
-        self.instr.probe(name + ".instructions", lambda: self.counts.total)
-        self.instr.probe(name + ".cycles", lambda: self.cycles_retired)
+        (self.interrupts_taken,) = self.instr.register(self)
+
+    @property
+    def instructions(self):
+        """Instructions retired (the ``instructions`` probe)."""
+        return self.counts.total
+
+    @property
+    def cycles(self):
+        """Cycles retired (the ``cycles`` probe)."""
+        return self.cycles_retired
 
     # -- register / flag access (used by instruction classes) -----------------
 

@@ -13,13 +13,12 @@ gives rules:
   (unresolvable external bases are skipped, so ``object``/stdlib mixins
   do not block linearization);
 - **string-literal tables**: every ``hub.emit`` site with its statically
-  resolved event kinds, every metric registration with its name shape
-  and literal leaf, and every module-level ``EVENT_KINDS``/
-  ``METRIC_LEAVES`` vocabulary table.
+  resolved event kinds, every metric a class declares in its
+  ``METRICS`` table and every one-off registration by literal name, and
+  every module-level ``EVENT_KINDS``/``METRIC_LEAVES`` vocabulary table.
 """
 
 import ast
-import re
 from pathlib import PurePosixPath
 
 from repro.lint.astutil import dotted_name
@@ -28,6 +27,10 @@ from repro.lint.astutil import dotted_name
 EVENT_VOCAB_NAME = "EVENT_KINDS"
 METRIC_VOCAB_NAME = "METRIC_LEAVES"
 
+#: Class-level name of a component's ``(leaf, kind)`` metric table.
+METRIC_TABLE_NAME = "METRICS"
+
+#: The hub's one-off registrations, by full name.
 REGISTRATION_METHODS = {"counter", "timeseries", "histogram", "probe"}
 _HUB_RECEIVER_HINTS = ("instr", "instrumentation", "hub")
 
@@ -46,49 +49,22 @@ def _is_hub_receiver(node):
     return False
 
 
-def name_shape(node):
-    """Flatten a metric-name expression into LIT/DYN parts.
+def is_hub_register(node):
+    """A ``<hub>.register(self)`` call: a component registering its table."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "register"
+        and len(node.args) == 1
+        and isinstance(node.args[0], ast.Name)
+        and node.args[0].id == "self"
+        and _is_hub_receiver(node.func.value)
+    )
 
-    Handles string literals, ``+`` concatenation, f-strings and
-    %-formatting (the literal skeleton is kept, placeholders become DYN).
-    Returns a list of ("lit", text) / ("dyn", None) pairs, or None when
-    the expression has a shape we cannot analyze.
-    """
+
+def _literal_str(node):
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return [("lit", node.value)]
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-        left = name_shape(node.left)
-        right = name_shape(node.right)
-        if left is None or right is None:
-            return None
-        return left + right
-    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod):
-        left = name_shape(node.left)
-        if left is None:
-            return None
-        parts = []
-        for kind, text in left:
-            if kind != "lit":
-                parts.append((kind, text))
-                continue
-            for i, chunk in enumerate(re.split(r"%[sdrxf]", text)):
-                if i:
-                    parts.append(("dyn", None))
-                if chunk:
-                    parts.append(("lit", chunk))
-        return parts
-    if isinstance(node, ast.JoinedStr):
-        parts = []
-        for value in node.values:
-            if isinstance(value, ast.Constant) and isinstance(
-                value.value, str
-            ):
-                parts.append(("lit", value.value))
-            else:
-                parts.append(("dyn", None))
-        return parts
-    if isinstance(node, (ast.Name, ast.Attribute, ast.Call, ast.Subscript)):
-        return [("dyn", None)]
+        return node.value
     return None
 
 
@@ -106,6 +82,8 @@ class ClassInfo:
             for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
+        # The class's own METRICS table as MetricSite rows, or None.
+        self.metrics = None
 
     def __repr__(self):
         return "ClassInfo(%s)" % self.qualname
@@ -123,16 +101,18 @@ class EmitSite:
 
 
 class MetricSite:
-    """One hub metric registration, its name shape and literal leaf."""
+    """One declared metric: a row of a class's ``METRICS`` table, or a
+    one-off hub registration by full name."""
 
-    __slots__ = ("module", "node", "method", "shape", "leaf")
+    __slots__ = ("module", "node", "method", "name", "leaf", "kind")
 
-    def __init__(self, module, node, method, shape, leaf):
+    def __init__(self, module, node, method, name, leaf, kind):
         self.module = module
         self.node = node
-        self.method = method
-        self.shape = shape  # name_shape() of the name, or None
-        self.leaf = leaf    # trailing literal segment, or None
+        self.method = method  # METRIC_TABLE_NAME, or the hub method called
+        self.name = name  # a one-off's literal full name, else None
+        self.leaf = leaf  # literal leaf (a one-off's last segment), or None
+        self.kind = kind  # literal kind, or None
 
 
 class VocabEntry:
@@ -295,15 +275,30 @@ class ProjectGraph:
                 and node.args
                 and _is_hub_receiver(node.func.value)
             ):
-                shape = name_shape(node.args[0])
-                leaf = None
-                if shape:
-                    last_kind, last_text = shape[-1]
-                    if last_kind == "lit" and last_text:
-                        leaf = last_text.rsplit(".", 1)[-1] or None
-                self.metric_sites.append(
-                    MetricSite(module, node, node.func.attr, shape, leaf)
-                )
+                name = _literal_str(node.args[0])
+                if name is None and isinstance(node.args[0], ast.Name):
+                    name = module.constants.get(node.args[0].id)
+                leaf = name.rsplit(".", 1)[-1] if name else None
+                self.metric_sites.append(MetricSite(
+                    module, node, node.func.attr, name, leaf,
+                    node.func.attr))
+
+    @staticmethod
+    def _table_rows(module, assign):
+        """A ``METRICS = ((leaf, kind), ...)`` table as MetricSite rows;
+        a table that is not a literal sequence is one row of Nones."""
+        rows = []
+        value = assign.value
+        if not isinstance(value, (ast.Tuple, ast.List)):
+            return [MetricSite(module, value, METRIC_TABLE_NAME, None, None,
+                               None)]
+        for row in value.elts:
+            leaf = kind = None
+            if isinstance(row, ast.Tuple) and len(row.elts) == 2:
+                leaf, kind = (_literal_str(elt) for elt in row.elts)
+            rows.append(MetricSite(module, row, METRIC_TABLE_NAME, None, leaf,
+                                   kind))
+        return rows
 
     @staticmethod
     def _resolve_kind(module, node):
@@ -334,9 +329,14 @@ class ProjectGraph:
                 qualified = self._qualify(module, base)
                 if qualified is not None:
                     bases.append(self.resolve_symbol(qualified))
-            self.classes[prefix + node.name] = ClassInfo(
-                prefix + node.name, node, module, bases
-            )
+            info = ClassInfo(prefix + node.name, node, module, bases)
+            for item in node.body:
+                if (isinstance(item, ast.Assign) and len(item.targets) == 1
+                        and isinstance(item.targets[0], ast.Name)
+                        and item.targets[0].id == METRIC_TABLE_NAME):
+                    info.metrics = self._table_rows(module, item)
+                    self.metric_sites.extend(info.metrics)
+            self.classes[prefix + node.name] = info
 
     @staticmethod
     def _qualify(module, node):
@@ -380,6 +380,14 @@ class ProjectGraph:
                 return self.resolve_symbol(module.aliases[attr], _seen)
             return qualified
         return qualified
+
+    def metric_table(self, class_info):
+        """The ``METRICS`` rows ``class_info`` registers: its own table,
+        else the first along its MRO; None when no class declares one."""
+        for info in self.mro(class_info):
+            if info.metrics is not None:
+                return info.metrics
+        return None
 
     def class_named(self, qualified):
         """The :class:`ClassInfo` for a (possibly re-exported) name."""

@@ -90,6 +90,11 @@ class DramDevice(BusDevice):
 class XpressBus:
     """Arbitrated shared bus with address-decoded devices and snoopers."""
 
+    #: Metrics registered under the bus's name; ``busy_ns`` is a probe of
+    #: the attribute of that name.
+    METRICS = (("transactions", "counter"), ("words", "counter"),
+               ("busy_ns", "probe"))
+
     def __init__(self, sim, params, name="xpress"):
         self.sim = sim
         self.params = params
@@ -101,10 +106,8 @@ class XpressBus:
         self._ranges = []  # (lo, hi, device)  # simlint: ignore[SL201] wiring built once by attach()
         self._snoopers = []  # simlint: ignore[SL201] live callables
         self.instr = Instrumentation.of(sim)
-        self.transactions = self.instr.counter(name + ".transactions")
-        self.words_moved = self.instr.counter(name + ".words")
+        self.transactions, self.words_moved = self.instr.register(self)
         self.busy_ns = 0
-        self.instr.probe(name + ".busy_ns", lambda: self.busy_ns)
 
     def attach(self, lo, hi, device):
         """Claim [lo, hi) for ``device``.  Ranges must not overlap."""

@@ -59,6 +59,10 @@ class Cache:
     write-back allocates on both read and write misses.
     """
 
+    #: Metrics registered under the cache's name (``node0.cache.hits``).
+    METRICS = (("hits", "counter"), ("misses", "counter"),
+               ("writebacks", "counter"), ("snoop_invalidations", "counter"))
+
     def __init__(self, sim, bus, params, name="cache"):
         self.sim = sim
         self.bus = bus
@@ -84,12 +88,8 @@ class Cache:
         # one unfolded spin iteration
         self._gen = 0  # bumped on every line data/validity change
         self.instr = Instrumentation.of(sim)
-        self.hits = self.instr.counter(name + ".hits")
-        self.misses = self.instr.counter(name + ".misses")
-        self.writebacks = self.instr.counter(name + ".writebacks")
-        self.snoop_invalidations = self.instr.counter(
-            name + ".snoop_invalidations"
-        )
+        (self.hits, self.misses, self.writebacks,
+         self.snoop_invalidations) = self.instr.register(self)
         bus.add_snooper(self._snoop)
 
     # -- geometry -------------------------------------------------------------

@@ -18,6 +18,11 @@ from repro.sim.resources import Mutex
 class EisaBus:
     """Serialised burst-DMA channel from the NIC into main memory."""
 
+    #: Metrics registered under the channel's name; ``busy_ns`` is a
+    #: probe of the attribute of that name.
+    METRICS = (("bursts", "counter"), ("words", "counter"),
+               ("busy_ns", "probe"))
+
     def __init__(self, sim, xpress_bus, params, name="eisa"):
         self.sim = sim
         self.xpress_bus = xpress_bus
@@ -25,10 +30,8 @@ class EisaBus:
         self.name = name
         self._mutex = Mutex(sim, name + ".channel")
         self.instr = Instrumentation.of(sim)
-        self.bursts = self.instr.counter(name + ".bursts")
-        self.words_moved = self.instr.counter(name + ".words")
+        self.bursts, self.words_moved = self.instr.register(self)
         self.busy_ns = 0
-        self.instr.probe(name + ".busy_ns", lambda: self.busy_ns)
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 

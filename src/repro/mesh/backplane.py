@@ -18,6 +18,9 @@ class Backplane:
     it) for its node.
     """
 
+    #: Metrics registered under the backplane's name (``mesh.delivered``).
+    METRICS = (("delivered", "counter"),)
+
     def __init__(self, sim, params, width=None, height=None, name="mesh",
                  topology=None):
         if topology is None:
@@ -33,7 +36,7 @@ class Backplane:
         self._ejection = {}  # node_id -> Link (router -> NIC)
         self._injection_locks = {}  # one injector at a time per port
         self.instr = Instrumentation.of(sim)
-        self.packets_delivered = self.instr.counter(name + ".delivered")
+        (self.packets_delivered,) = self.instr.register(self)
         self._build()
         # simlint: ignore[SL201] start-once latch (wiring, not state)
         self._started = False

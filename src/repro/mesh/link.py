@@ -60,6 +60,9 @@ from repro.sim.process import Signal
 class Link:
     """A timed, bounded flit pipe."""
 
+    #: Metrics registered under the link's name (see Instrumentation.register).
+    METRICS = (("flits", "counter"),)
+
     def __init__(self, sim, params, name="link"):
         self.sim = sim
         self.params = params
@@ -79,7 +82,7 @@ class Link:
         # FaultController -- re-armed from the FaultPlan after a restore,
         # never part of a checkpoint.
         self._down = False  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
-        self.flits_moved = Instrumentation.of(sim).counter(name + ".flits")
+        (self.flits_moved,) = Instrumentation.of(sim).register(self)
 
     # -- occupancy accounting --------------------------------------------------
 

@@ -46,6 +46,9 @@ class _OutputPort:
 class Router:
     """One mesh router at coordinates ``(x, y)``."""
 
+    #: Metrics registered under the router's name.
+    METRICS = (("packets", "counter"), ("flits", "counter"))
+
     def __init__(self, sim, params, coords, name=None):
         self.sim = sim
         self.params = params
@@ -55,8 +58,7 @@ class Router:
         self.outputs = {port: _OutputPort(sim, "%s.%s" % (self.name, port))
                         for port in PORTS}
         self.instr = Instrumentation.of(sim)
-        self.packets_routed = self.instr.counter(self.name + ".packets")
-        self.flits_forwarded = self.instr.counter(self.name + ".flits")
+        self.packets_routed, self.flits_forwarded = self.instr.register(self)
         self.processes = []  # input forwarding processes, filled by start()
         self._started = False
         # Fault-injection hook (repro.faults): a stalled router finishes

@@ -45,23 +45,22 @@ class BaselineParams:
 class BaselineNic:
     """A traditional DMA network interface plus its kernel driver."""
 
+    #: Metrics registered under ``<node>.baseline``.
+    METRICS = (("instr", "counter"), ("intr", "counter"), ("sent", "counter"),
+               ("recv", "counter"))
+
     def __init__(self, node, params=None):
         self.node = node
+        self.name = node.name + ".baseline"
         self.sim = node.sim
         self.params = params or BaselineParams()
         self.clock = node.params.memsys.cpu_clock_ns
         # System receive buffering: FIFO of (type, words) per message type.
         self._queues = {}
-        self._arrival = Signal(self.sim, node.name + ".baseline.arrival")
+        self._arrival = Signal(self.sim, self.name + ".arrival")
         self.instr = Instrumentation.of(self.sim)
-        self.instructions_charged = self.instr.counter(
-            node.name + ".baseline.instr"
-        )
-        self.interrupts_taken = self.instr.counter(node.name + ".baseline.intr")
-        self.messages_sent = self.instr.counter(node.name + ".baseline.sent")
-        self.messages_received = self.instr.counter(
-            node.name + ".baseline.recv"
-        )
+        (self.instructions_charged, self.interrupts_taken, self.messages_sent,
+         self.messages_received) = self.instr.register(self)
         self._started = False
 
     def start(self):

@@ -139,6 +139,10 @@ class ReliableChannel:
     the engine; the receiver wakes only for deposits into its own ring.
     """
 
+    #: Metrics registered under the channel's name.
+    METRICS = (("frames_sent", "counter"), ("retransmits", "counter"),
+               ("acks_written", "counter"), ("frames_replayed", "counter"))
+
     # Slots, not an instance dict: a channel has over 30 attributes, and
     # CPython 3.11 then gives each instance its own full-size dict -- the
     # largest per-channel cost of a 1,024-node build.
@@ -216,10 +220,8 @@ class ReliableChannel:
         self._doorbell = Signal(system.sim, self.name + ".doorbell")
 
         self.instr = Instrumentation.of(system.sim)
-        self.frames_sent = self.instr.counter(self.name + ".frames_sent")
-        self.retransmits = self.instr.counter(self.name + ".retransmits")
-        self.acks_written = self.instr.counter(self.name + ".acks_written")
-        self.frames_replayed = self.instr.counter(self.name + ".frames_replayed")
+        (self.frames_sent, self.retransmits, self.acks_written,
+         self.frames_replayed) = self.instr.register(self)
 
     # -- application API -------------------------------------------------------
 

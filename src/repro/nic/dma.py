@@ -29,18 +29,21 @@ from repro.sim.resources import Mutex
 class DmaEngine:
     """The single outgoing DMA engine of one NIC."""
 
+    #: Metrics registered under the engine's name, ``<nic>.dma``.
+    METRICS = (("transfers", "counter"), ("words", "counter"),
+               ("rejected", "counter"), ("busy", "counter"))
+
     def __init__(self, sim, nic):
         self.sim = sim
         self.nic = nic
+        self.name = nic.name + ".dma"
         self.busy = False
         self.base_addr = 0
         self.remaining_words = 0
-        self.idle_signal = Signal(sim, nic.name + ".dma.idle")
+        self.idle_signal = Signal(sim, self.name + ".idle")
         self.instr = Instrumentation.of(sim)
-        self.transfers = self.instr.counter(nic.name + ".dma.transfers")
-        self.words_sent = self.instr.counter(nic.name + ".dma.words")
-        self.rejected_commands = self.instr.counter(nic.name + ".dma.rejected")
-        self.busy_rejections = self.instr.counter(nic.name + ".dma.busy")
+        (self.transfers, self.words_sent, self.rejected_commands,
+         self.busy_rejections) = self.instr.register(self)
         # simlint: ignore[SL201] arbitration between client processes,
         # which a checkpoint does not capture either
         self._lock = None

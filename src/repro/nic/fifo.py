@@ -29,6 +29,10 @@ class FifoOverflow(Exception):
 class PacketFifo:
     """A byte-accounted packet FIFO with a threshold callback."""
 
+    #: Metrics registered under the FIFO's name.
+    METRICS = (("puts", "counter"), ("gets", "counter"),
+               ("occupancy", "timeseries"), ("crossings", "counter"))
+
     def __init__(self, sim, capacity_bytes, threshold_bytes, name="fifo"):
         if not 0 < threshold_bytes <= capacity_bytes:
             raise ValueError("threshold must be in (0, capacity]")
@@ -51,11 +55,9 @@ class PacketFifo:
         self.inject_hooks = ()  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
         self.reserved_bytes = 0  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
         self.instr = Instrumentation.of(sim)
-        self.puts = self.instr.counter(name + ".puts")
-        self.gets = self.instr.counter(name + ".gets")
+        (self.puts, self.gets, self.occupancy_series,
+         self.threshold_crossings) = self.instr.register(self)
         self.max_occupancy_bytes = 0
-        self.occupancy_series = self.instr.timeseries(name + ".occupancy")
-        self.threshold_crossings = self.instr.counter(name + ".crossings")
 
     def __len__(self):
         return len(self._packets)

@@ -152,6 +152,15 @@ class _MergeContext:
 class NetworkInterface:
     """One node's SHRIMP network interface."""
 
+    #: Metrics registered under the NIC's name (``node0.nic.delivered``).
+    METRICS = (
+        ("packetized", "counter"), ("injected", "counter"),
+        ("delivered", "counter"), ("words_delivered", "counter"),
+        ("crc_drops", "counter"), ("coord_drops", "counter"),
+        ("unmapped_drops", "counter"), ("arrival_interrupts", "counter"),
+        ("merged_writes", "counter"),
+    )
+
     # Slots, not an instance dict: with over 30 attributes, CPython 3.11
     # gives each instance its own full-size dict (one per node).
     __slots__ = (
@@ -207,17 +216,10 @@ class NetworkInterface:
 
         # Statistics, registered with the per-simulator instrumentation hub.
         self.instr = Instrumentation.of(sim)
-        self.packets_packetized = self.instr.counter(self.name + ".packetized")
-        self.packets_injected = self.instr.counter(self.name + ".injected")
-        self.packets_delivered = self.instr.counter(self.name + ".delivered")
-        self.words_delivered = self.instr.counter(self.name + ".words_delivered")
-        self.crc_drops = self.instr.counter(self.name + ".crc_drops")
-        self.coord_drops = self.instr.counter(self.name + ".coord_drops")
-        self.unmapped_drops = self.instr.counter(self.name + ".unmapped_drops")
-        self.arrival_interrupts = self.instr.counter(
-            self.name + ".arrival_interrupts"
-        )
-        self.merged_writes = self.instr.counter(self.name + ".merged_writes")
+        (self.packets_packetized, self.packets_injected,
+         self.packets_delivered, self.words_delivered, self.crc_drops,
+         self.coord_drops, self.unmapped_drops, self.arrival_interrupts,
+         self.merged_writes) = self.instr.register(self)
 
         # Wire into the node.
         bus.add_snooper(self._snoop)

@@ -92,6 +92,11 @@ class Kernel:
 
     KERNEL_RESERVED_PAGES = 4  # never handed to user processes
 
+    #: Metrics registered under the kernel's name, ``<node>.kernel``.
+    METRICS = (("syscalls", "counter"), ("faults", "counter"),
+               ("rpcs", "counter"), ("evictions", "counter"),
+               ("page_ins", "counter"), ("instructions", "probe"))
+
     def __init__(self, node, params=None):
         self.node = node
         self.sim = node.sim
@@ -114,21 +119,19 @@ class Kernel:
         # by id(): ids are reused after garbage collection.
         self._swap = {}  # (page table, vpage) -> page bytes
         self.kernel_instructions = 0
+        self.name = node.name + ".kernel"
         self.instr = Instrumentation.of(self.sim)
-        prefix = node.name + ".kernel"
-        self._metric_prefix = prefix
-        self.syscalls = self.instr.counter(prefix + ".syscalls")
-        self.faults_handled = self.instr.counter(prefix + ".faults")
-        self.rpcs_sent = self.instr.counter(prefix + ".rpcs")
-        self.pages_evicted = self.instr.counter(prefix + ".evictions")
-        self.pages_paged_in = self.instr.counter(prefix + ".page_ins")
-        self.instr.probe(
-            prefix + ".instructions", lambda: self.kernel_instructions
-        )
+        (self.syscalls, self.faults_handled, self.rpcs_sent,
+         self.pages_evicted, self.pages_paged_in) = self.instr.register(self)
         node.cpu.syscall_handler = self._syscall_handler
         node.cpu.fault_handler = self._fault_handler
         # simlint: ignore[SL201] start-once latch (wiring, not state)
         self._started = False
+
+    @property
+    def instructions(self):
+        """Kernel instructions charged (the ``instructions`` probe)."""
+        return self.kernel_instructions
 
     # -- identifiers ------------------------------------------------------------
 
@@ -237,7 +240,7 @@ class Kernel:
         self.syscalls.bump()
         hub = self.instr
         if hub.active:
-            hub.emit(self._metric_prefix, "os.syscall", number=number)
+            hub.emit(self.name, "os.syscall", number=number)
         yield from self._charge(self.params.trap_instructions)
         process = self.current_process
         if process is None:
@@ -439,7 +442,7 @@ class Kernel:
         self.rpcs_sent.bump()
         hub = self.instr
         if hub.active:
-            hub.emit(self._metric_prefix, "os.rpc",
+            hub.emit(self.name, "os.rpc",
                      dest=dest_node, msg_type=words[0], seq=seq)
         pending = [Signal(self.sim, "rpc%d" % seq), None]
         self._pending_rpcs[seq] = pending
@@ -632,7 +635,7 @@ class Kernel:
         self.pages_evicted.bump()
         hub = self.instr
         if hub.active:
-            hub.emit(self._metric_prefix, "os.evict",
+            hub.emit(self.name, "os.evict",
                      vpage=vpage, pid=process.pid)
 
     def reclaim(self, count):
@@ -679,7 +682,7 @@ class Kernel:
         self.pages_paged_in.bump()
         hub = self.instr
         if hub.active:
-            hub.emit(self._metric_prefix, "os.page_in",
+            hub.emit(self.name, "os.page_in",
                      vpage=vpage, ppage=pte.ppage, pid=process.pid)
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
@@ -876,7 +879,7 @@ class Kernel:
         self.faults_handled.bump()
         hub = self.instr
         if hub.active:
-            hub.emit(self._metric_prefix, "os.fault",
+            hub.emit(self.name, "os.fault",
                      vaddr=fault.vaddr, reason=fault.reason)
         yield from self._charge(self.params.fault_instructions)
         process = self.current_process

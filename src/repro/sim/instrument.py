@@ -8,11 +8,20 @@ counters, and emit *typed* events through it instead of ad-hoc callbacks:
 - **Metrics registry** -- namespaced counters
   (:class:`~repro.sim.trace.Counter`), time series
   (:class:`~repro.sim.trace.TimeSeries`), latency histograms
-  (:class:`Histogram`) and *probes* (zero-cost derived metrics computed at
-  snapshot time).  Registration returns the metric object, so components
-  keep a direct attribute handle for their hot paths -- bumping a counter
-  is exactly as cheap as before -- while analysis code resolves the same
-  metric by name, decoupled from component attribute layouts.
+  (:class:`Histogram`) and *probes* (zero-cost derived metrics read at
+  query time).  A component class declares its metrics once, in a
+  class-level ``METRICS`` table of ``(leaf, kind)`` rows, and each
+  instance registers itself with one call, ``hub.register(self)``, under
+  its ``name``.  The call returns the new metric objects, so components
+  keep a direct attribute handle for their hot paths -- bumping a
+  counter is exactly as cheap as before -- and a probe row reads the
+  attribute or property its leaf names.  The hub stores the owner's
+  name, the shared table and the metric objects in flat lists; a full
+  name such as ``node3.cache.hits`` is built only when a query reads
+  it, so analysis code still resolves every metric by name.  One-off
+  metrics (``workload.*``, ``dsm.*``, ``faults.*``) register by full
+  name through :meth:`Instrumentation.counter` and friends, as one-leaf
+  entries of the same store.
 
 - **Event bus** -- records with the stable schema ``(time, source, kind,
   fields)`` where ``fields`` is a flat dict of named values.  Consumers
@@ -32,6 +41,8 @@ are dot-joined paths rooted at the owning component's instance name, e.g.
 """
 
 import json
+from functools import partial
+from operator import itemgetter
 
 from repro.sim.trace import Counter, TimeSeries
 
@@ -67,10 +78,9 @@ class Histogram:
     tracks count/sum/min/max, so a long run costs O(log max) memory.
     """
 
-    __slots__ = ("name", "count", "total", "min", "max", "_buckets")
+    __slots__ = ("count", "total", "min", "max", "_buckets")
 
-    def __init__(self, name):
-        self.name = name
+    def __init__(self):
         self.count = 0
         self.total = 0
         self.min = None
@@ -79,7 +89,7 @@ class Histogram:
 
     def observe(self, value):
         if value < 0:
-            raise ValueError("%s: negative observation %r" % (self.name, value))
+            raise ValueError("negative observation %r" % (value,))
         self.count += 1
         self.total += value
         if self.min is None or value < self.min:
@@ -154,8 +164,7 @@ class Histogram:
         self._buckets = {index: count for index, count in state["buckets"]}
 
     def __repr__(self):
-        return "Histogram(%s: n=%d, mean=%s)" % (self.name, self.count,
-                                                 self.mean())
+        return "Histogram(n=%d, mean=%s)" % (self.count, self.mean())
 
 
 class Event:
@@ -200,13 +209,126 @@ _TIMESERIES = "timeseries"
 _HISTOGRAM = "histogram"
 _PROBE = "probe"
 
-# A metric's kind follows from its type; any other callable is a probe.
+_FACTORIES = {_COUNTER: Counter, _TIMESERIES: TimeSeries,
+              _HISTOGRAM: Histogram}
+
+# A one-off metric is an entry whose prefix is its whole name and whose
+# table is one leafless row.  Its kind follows from its type; any other
+# callable is a probe.
+_ONE_LEAF = {kind: ((None, kind),) for kind in
+             (_COUNTER, _TIMESERIES, _HISTOGRAM, _PROBE)}
 _KIND_OF_TYPE = {Counter: _COUNTER, TimeSeries: _TIMESERIES,
                  Histogram: _HISTOGRAM}
 
 
 def _kind_of(metric):
     return _KIND_OF_TYPE.get(type(metric), _PROBE)
+
+
+def _probe_value(slot, leaf):
+    """A probe's reading: a one-off calls its callable, a component's
+    reads the attribute or property its leaf names."""
+    return slot() if leaf is None else getattr(slot, leaf)
+
+
+def _summary(kind, metric, leaf):
+    if kind == _COUNTER:
+        return {"kind": kind, "value": metric.value}
+    if kind == _PROBE:
+        return {"kind": kind, "value": _jsonable(_probe_value(metric, leaf))}
+    if kind == _TIMESERIES:
+        return {
+            "kind": kind,
+            "samples": len(metric.samples),
+            "last": metric.samples[-1][1] if metric.samples else None,
+            "min": metric.min(),
+            "max": metric.max(),
+            "mean": metric.mean(),
+        }
+    return {
+        "kind": kind,
+        "count": metric.count,
+        "min": metric.min,
+        "max": metric.max,
+        "mean": metric.mean(),
+        "p50": metric.percentile(50),
+        "p99": metric.percentile(99),
+        "p999": metric.percentile(99.9),
+        "buckets": [list(pair) for pair in metric.buckets()],
+    }
+
+
+class _Store:
+    """The registry's entries, in registration order, named on read.
+
+    Entry ``i`` names its metrics from ``prefixes[i]`` and the rows of
+    ``tables[i]``; its slots follow the previous entries' in ``slots``.
+    A slot holds the metric object, or, for a component's probe, its
+    owner.  No name string exists until a read builds it.  This is
+    naming, not machine state: an identically built machine rebuilds it
+    identically, and the hub's checkpoint captures the metric objects'
+    state by name.
+    """
+
+    __slots__ = ("prefixes", "tables", "slots", "one_offs", "index")
+
+    def __init__(self):
+        self.prefixes = []
+        self.tables = []
+        self.slots = []
+        self.one_offs = {}  # one-off name -> its slot's position
+        self.index = None  # prefix -> [(table, first slot)], built on read
+
+    def add(self, prefix, table, slots):
+        self.prefixes.append(prefix)
+        self.tables.append(table)
+        self.slots.extend(slots)
+        self.index = None
+
+    def entries(self, prefix=None):
+        """``(name, kind, slot, leaf)`` for every (matching) metric,
+        sorted by name: the one place full names are built in bulk."""
+        slots = self.slots
+        dotted = None if prefix is None else prefix + "."
+        found = []
+        at = 0
+        for owner_name, table in zip(self.prefixes, self.tables):
+            for leaf, kind in table:
+                name = owner_name if leaf is None else owner_name + "." + leaf
+                if dotted is None or name == prefix or name.startswith(dotted):
+                    found.append((name, kind, slots[at], leaf))
+                at += 1
+        found.sort(key=itemgetter(0))
+        for before, after in zip(found, found[1:]):
+            if before[0] == after[0]:
+                raise MetricError("metric %r is registered twice" % before[0])
+        return found
+
+    def lookup(self, name):
+        """``(kind, slot, leaf)`` for ``name``.  A one-off resolves
+        through its own dict; a component metric's first by-name lookup
+        builds the prefix index."""
+        at = self.one_offs.get(name)
+        if at is not None:
+            slot = self.slots[at]
+            return _kind_of(slot), slot, None
+        if self.index is None:
+            self.index = {}
+            at = 0
+            for owner_name, table in zip(self.prefixes, self.tables):
+                if table[0][0] is not None:
+                    self.index.setdefault(owner_name, []).append((table, at))
+                at += len(table)
+        owner_name, _, leaf = name.rpartition(".")
+        found = [(kind, self.slots[first + offset], leaf)
+                 for table, first in self.index.get(owner_name, ())
+                 for offset, (row_leaf, kind) in enumerate(table)
+                 if row_leaf == leaf]
+        if not found:
+            raise MetricError("no metric registered under %r" % name)
+        if len(found) > 1:
+            raise MetricError("metric %r is registered twice" % name)
+        return found[0]
 
 
 class Instrumentation:
@@ -226,10 +348,7 @@ class Instrumentation:
         # checkpoint: the hub captures *metric* state only, and a restored
         # run re-attaches its own consumers (see docs/checkpoint.md).
         self.active = False  # simlint: ignore[SL201] observer wiring
-        # name -> metric object or probe callable; the kind is derived
-        # from its type (_kind_of), so a 1024-node build stores no
-        # (kind, metric) pair per name
-        self._metrics = {}
+        self._store = _Store()
         self._collecting = False  # simlint: ignore[SL201] observer wiring
         self._only_kinds = None  # simlint: ignore[SL201] observer wiring
         self._limit = None  # simlint: ignore[SL201] observer wiring
@@ -251,46 +370,69 @@ class Instrumentation:
 
     # -- metric registration ---------------------------------------------------
 
-    def _register(self, name, kind, factory):
-        metric = self._metrics.get(name)
-        if metric is not None:
-            have = _kind_of(metric)
-            if have != kind:
-                raise MetricError(
-                    "metric %r already registered as %s, not %s"
-                    % (name, have, kind)
-                )
+    def register(self, owner):
+        """Register a component's metrics under its ``name``.
+
+        ``type(owner).METRICS`` is the class's table of ``(leaf, kind)``
+        rows; row ``(leaf, kind)`` is the metric ``owner.name + "." +
+        leaf``.  Returns the new counter, time series and histogram
+        handles in table order, for the component's hot paths.  A probe
+        row gets no handle: a read calls ``getattr(owner, leaf)``.  The
+        hub stores the owner's name and the shared table, not a name per
+        metric, so a clash with another registration of the same full
+        name raises :class:`MetricError` at the first read that meets
+        both.
+        """
+        table = type(owner).METRICS
+        slots = []
+        handles = []
+        for leaf, kind in table:
+            if kind == _PROBE:
+                slots.append(owner)
+                continue
+            factory = _FACTORIES.get(kind)
+            if factory is None:
+                raise MetricError("%s.%s: unknown metric kind %r"
+                                  % (owner.name, leaf, kind))
+            metric = factory()
+            slots.append(metric)
+            handles.append(metric)
+        self._store.add(owner.name, table, slots)
+        return handles
+
+    def _one_off(self, name, kind, metric):
+        """Register ``metric`` as the one-off ``name``, or fetch the one
+        already registered under it."""
+        store = self._store
+        at = store.one_offs.get(name)
+        if at is None:
+            store.one_offs[name] = len(store.slots)
+            store.add(name, _ONE_LEAF[kind], (metric,))
             return metric
-        metric = self._metrics[name] = factory(name)
-        return metric
+        have = _kind_of(store.slots[at])
+        if have != kind:
+            raise MetricError("metric %r already registered as %s, not %s"
+                              % (name, have, kind))
+        return store.slots[at]
 
     def counter(self, name):
-        """Register (or fetch) the named monotonic counter."""
-        return self._register(name, _COUNTER, Counter)
+        """Register (or fetch) the named one-off monotonic counter."""
+        return self._one_off(name, _COUNTER, Counter())
 
     def timeseries(self, name):
-        """Register (or fetch) the named (time, value) series."""
-        return self._register(name, _TIMESERIES, TimeSeries)
+        """Register (or fetch) the named one-off (time, value) series."""
+        return self._one_off(name, _TIMESERIES, TimeSeries())
 
     def histogram(self, name):
-        """Register (or fetch) the named histogram."""
-        return self._register(name, _HISTOGRAM, Histogram)
+        """Register (or fetch) the named one-off histogram."""
+        return self._one_off(name, _HISTOGRAM, Histogram())
 
     def probe(self, name, fn):
-        """Register a derived metric: ``fn()`` is evaluated at query time.
-
-        Probes cost nothing on any hot path -- they expose values a
-        component already maintains (instruction totals, busy time)
-        without mirroring them into a second counter.  Re-registering a
-        probe name rebinds it (a rebuilt component replaces its probes).
-        """
-        metric = self._metrics.get(name)
-        if metric is not None and _kind_of(metric) != _PROBE:
-            raise MetricError(
-                "metric %r already registered as %s, not probe"
-                % (name, _kind_of(metric))
-            )
-        self._metrics[name] = fn
+        """Register a one-off derived metric: ``fn()`` is evaluated at
+        query time.  Re-registering a probe name rebinds it."""
+        self._one_off(name, _PROBE, fn)
+        store = self._store
+        store.slots[store.one_offs[name]] = fn
         return fn
 
     # -- metric queries ----------------------------------------------------------
@@ -299,76 +441,45 @@ class Instrumentation:
         """Sorted metric names, optionally filtered by dotted prefix:
         ``names("node1")`` matches ``node1`` and ``node1.*``, never
         ``node10.*``."""
-        if prefix is None:
-            return sorted(self._metrics)
-        return sorted(
-            name for name in self._metrics
-            if name == prefix or name.startswith(prefix + ".")
-        )
+        return [entry[0] for entry in self._store.entries(prefix)]
 
     def kind(self, name):
-        return self._lookup(name)[0]
+        return self._store.lookup(name)[0]
 
     def get(self, name):
-        """The registered metric object (or probe callable) for ``name``."""
-        return self._lookup(name)[1]
-
-    def _lookup(self, name):
-        """``(kind, metric)`` for ``name``."""
-        metric = self._metrics.get(name)
-        if metric is None:
-            raise MetricError("no metric registered under %r" % name)
-        return _kind_of(metric), metric
+        """The registered metric object for ``name``; for a probe, a
+        callable that reads it."""
+        kind, slot, leaf = self._store.lookup(name)
+        if kind == _PROBE and leaf is not None:
+            return partial(getattr, slot, leaf)
+        return slot
 
     def value(self, name):
         """The scalar reading of a metric: counter value, probe result,
         last time-series sample, or histogram observation count."""
-        kind, metric = self._lookup(name)
+        kind, metric, leaf = self._store.lookup(name)
         if kind == _COUNTER:
             return metric.value
         if kind == _PROBE:
-            return metric()
+            return _probe_value(metric, leaf)
         if kind == _TIMESERIES:
             return metric.samples[-1][1] if metric.samples else None
         return metric.count
 
     def summary(self, name):
         """A JSON-safe summary dict for one metric."""
-        kind, metric = self._lookup(name)
-        if kind == _COUNTER:
-            return {"kind": kind, "value": metric.value}
-        if kind == _PROBE:
-            return {"kind": kind, "value": _jsonable(metric())}
-        if kind == _TIMESERIES:
-            return {
-                "kind": kind,
-                "samples": len(metric.samples),
-                "last": metric.samples[-1][1] if metric.samples else None,
-                "min": metric.min(),
-                "max": metric.max(),
-                "mean": metric.mean(),
-            }
-        return {
-            "kind": kind,
-            "count": metric.count,
-            "min": metric.min,
-            "max": metric.max,
-            "mean": metric.mean(),
-            "p50": metric.percentile(50),
-            "p99": metric.percentile(99),
-            "p999": metric.percentile(99.9),
-            "buckets": [list(pair) for pair in metric.buckets()],
-        }
+        return _summary(*self._store.lookup(name))
 
     def snapshot(self, prefix=None):
         """{name: summary dict} for every (matching) registered metric."""
-        return {name: self.summary(name) for name in self.names(prefix)}
+        return {name: _summary(kind, metric, leaf)
+                for name, kind, metric, leaf in self._store.entries(prefix)}
 
     def metrics_jsonl(self, prefix=None):
         """One JSON line per metric, sorted by name (offline tooling)."""
-        for name in self.names(prefix):
+        for name, kind, metric, leaf in self._store.entries(prefix):
             record = {"name": name}
-            record.update(self.summary(name))
+            record.update(_summary(kind, metric, leaf))
             yield json.dumps(record, sort_keys=True)
 
     # -- event bus: consumer side ---------------------------------------------
@@ -455,13 +566,11 @@ class Instrumentation:
         components capture themselves.  Collected event records are also
         skipped -- they are observer output, not machine state.
         """
-        metrics = {}
-        for name in sorted(self._metrics):
-            kind, metric = self._lookup(name)
-            if kind == _PROBE:
-                continue
-            metrics[name] = {"kind": kind, "state": metric.ckpt_capture()}
-        return {"metrics": metrics}
+        return {"metrics": {
+            name: {"kind": kind, "state": metric.ckpt_capture()}
+            for name, kind, metric, _leaf in self._store.entries()
+            if kind != _PROBE
+        }}
 
     def ckpt_restore(self, state):
         """Restore by name into the already-registered metric objects.
@@ -473,17 +582,23 @@ class Instrumentation:
         """
         from repro.ckpt.protocol import CkptError
 
-        for name, entry in state["metrics"].items():
-            metric = self._metrics.get(name)
-            if metric is None:
-                raise CkptError(
-                    "checkpoint names metric %r that this machine does not "
-                    "register (configuration mismatch)" % name
-                )
-            kind = _kind_of(metric)
+        captured = state["metrics"]
+        restored = 0
+        for name, kind, metric, _leaf in self._store.entries():
+            entry = captured.get(name)
+            if entry is None:
+                continue
             if kind != entry["kind"]:
                 raise CkptError(
                     "metric %r is a %s in the checkpoint but a %s here"
                     % (name, entry["kind"], kind)
                 )
             metric.ckpt_restore(entry["state"])
+            restored += 1
+        if restored != len(captured):
+            known = set(self.names())
+            missing = next(name for name in captured if name not in known)
+            raise CkptError(
+                "checkpoint names metric %r that this machine does not "
+                "register (configuration mismatch)" % missing
+            )

@@ -133,6 +133,9 @@ class Process:
     return value is recorded in :attr:`result` and any processes joined on
     this one are woken with it.  An uncaught exception is re-raised out of
     the simulator's event loop (failures must not pass silently).
+
+    With nobody joined, ``_joiners`` is the shared empty tuple, as a
+    :class:`Signal`'s ``_waiters`` is; the first join builds the list.
     """
 
     __slots__ = (
@@ -153,7 +156,7 @@ class Process:
         self._generator = generator
         self.finished = False
         self.result = None
-        self._joiners = []
+        self._joiners = ()
         self._waiting_on = None  # Signal we are parked on, for interrupts
         self._pending_resume = None  # ScheduledEvent of a delay, cancellable
         self.started = False
@@ -207,8 +210,10 @@ class Process:
         elif isinstance(request, Process):  # join
             if request.finished:
                 self.sim.post(self._resume, request.result)
-            else:
+            elif request._joiners:
                 request._joiners.append(self)
+            else:
+                request._joiners = [self]
         elif hasattr(type(request), "park"):  # a Poll, a WaitDeposit
             request.park(self)
         else:
@@ -219,7 +224,7 @@ class Process:
     def _finish(self, result):
         self.finished = True
         self.result = result
-        joiners, self._joiners = self._joiners, []
+        joiners, self._joiners = self._joiners, ()
         for joiner in joiners:
             self.sim.post(joiner._resume, result)
 

@@ -1,17 +1,21 @@
 """Counters and time series, the metric primitives.
 
 The instrumentation hub (``repro.sim.instrument``) owns and hands out
-these; hardware models bump them, and benches read them back.
+these, and names them when it reads them; hardware models bump them,
+and benches read them back.
 """
 
 
 class Counter:
-    """A named monotonically increasing counter with a convenience API."""
+    """A monotonically increasing counter with a convenience API.
 
-    __slots__ = ("name", "value")
+    The registry names it on read (``repro.sim.instrument``); the counter
+    itself holds only its value.
+    """
 
-    def __init__(self, name):
-        self.name = name
+    __slots__ = ("value",)
+
+    def __init__(self):
         self.value = 0
 
     def bump(self, amount=1):
@@ -30,18 +34,27 @@ class Counter:
         self.value = state["value"]
 
     def __repr__(self):
-        return "Counter(%s=%d)" % (self.name, self.value)
+        return "Counter(%d)" % self.value
 
 
 class TimeSeries:
-    """Records (time, value) samples; used for FIFO occupancy, bus load, etc."""
+    """Records (time, value) samples; used for FIFO occupancy, bus load, etc.
 
-    def __init__(self, name):
-        self.name = name
-        self.samples = []
+    Unsampled, ``samples`` is the shared empty tuple; the first
+    :meth:`record` builds the list.  Sampling is gated on the event bus,
+    so most series of a large machine never hold a list.
+    """
+
+    __slots__ = ("samples",)
+
+    def __init__(self):
+        self.samples = ()
 
     def record(self, time, value):
-        self.samples.append((time, value))
+        if self.samples:
+            self.samples.append((time, value))
+        else:
+            self.samples = [(time, value)]
 
     def ckpt_capture(self):
         return {"samples": [[t, v] for t, v in self.samples]}
@@ -75,8 +88,8 @@ class TimeSeries:
         t_last, v_last = self.samples[-1]
         if end_time is not None and end_time < t_last:
             raise ValueError(
-                "%s: end_time %r precedes the last sample at %r"
-                % (self.name, end_time, t_last)
+                "end_time %r precedes the last sample at %r"
+                % (end_time, t_last)
             )
         total = 0.0
         duration = 0

@@ -5,6 +5,9 @@ collector tracks does not.  Link buffers, cache sets, NIPT entries,
 signal waiter lists and registry entries are built on first use, so a
 started machine that has not run yet holds few of them.  This guard
 fails when a change brings back a container per node, link or metric.
+The collector does not see strings, so a second guard bounds the bytes
+``tracemalloc`` traces per node: it fails when a change brings back a
+name string per metric.
 An assembled instruction is one slotted object holding its decoded
 operands, so a program of stores costs the host about one object per
 store; the guards below fail when instructions grow instance dicts or
@@ -14,6 +17,7 @@ nonzero data to, counted from the block store itself.
 
 import gc
 import sys
+import tracemalloc
 
 from repro.cpu import Asm, Mem, isa
 from repro.memsys import PAGE_SIZE, PhysicalMemory
@@ -22,9 +26,15 @@ from repro.machine import ShrimpSystem
 from repro.machine.config import datacenter
 
 #: GC-tracked objects one node of a started 8x8 ``datacenter()`` build
-#: adds: 199 with containers built on first use (332 when every one was
-#: built up front), plus about 10% headroom.
-MAX_OBJECTS_PER_NODE = 220
+#: adds: 162.4 with metrics named on read (182.8 with a probe closure and
+#: its cell per probe, 332 when every container was built up front),
+#: plus about 10% headroom.
+MAX_OBJECTS_PER_NODE = 179
+
+#: Bytes ``tracemalloc`` traces per node of the same build: 24,785 with
+#: metrics named on read (29,641 with a name string per metric and a
+#: registry dict entry each), plus about 5% headroom.
+MAX_TRACED_BYTES_PER_NODE = 26_000
 
 
 def _objects_per_node(width, height):
@@ -43,6 +53,29 @@ def test_started_datacenter_build_objects_per_node():
     assert per_node <= MAX_OBJECTS_PER_NODE, (
         "a started 8x8 build tracks %.1f objects per node (bound %d)"
         % (per_node, MAX_OBJECTS_PER_NODE))
+
+
+def _traced_bytes_per_node(width, height):
+    gc.collect()
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    before = tracemalloc.get_traced_memory()[0]
+    system = ShrimpSystem(width, height, params_factory=datacenter)
+    system.start()
+    gc.collect()
+    added = tracemalloc.get_traced_memory()[0] - before
+    if started:
+        tracemalloc.stop()
+    return added / system.node_count
+
+
+def test_started_datacenter_build_traced_bytes_per_node():
+    _traced_bytes_per_node(2, 1)  # warm up: lazy imports and module caches
+    per_node = _traced_bytes_per_node(8, 8)
+    assert per_node <= MAX_TRACED_BYTES_PER_NODE, (
+        "a started 8x8 build traces %.0f bytes per node (bound %d)"
+        % (per_node, MAX_TRACED_BYTES_PER_NODE))
 
 
 #: GC-tracked objects one assembled ``mov [abs], imm`` adds, counting

@@ -115,9 +115,134 @@ class TestHubRegistry:
         assert records[0] == {"name": "a", "kind": "counter", "value": 1}
 
 
+class _Part:
+    """A component shaped like the tree's: a name and a metric table."""
+
+    METRICS = (("hits", "counter"), ("depth", "timeseries"),
+               ("busy_ns", "probe"))
+
+    def __init__(self, hub, name):
+        self.name = name
+        self.busy_ns = 0
+        self.hits, self.depth = hub.register(self)
+
+
+class _Other:
+    METRICS = (("hits", "counter"),)
+
+    def __init__(self, hub, name):
+        self.name = name
+        (self.hits,) = hub.register(self)
+
+
+class TestComponentTables:
+    """Components register a class-level table once; the registry builds
+    each full name only when it reads it."""
+
+    def test_register_returns_handles_named_on_read(self):
+        hub = Instrumentation.of(Simulator())
+        part = _Part(hub, "node3.cache")
+        part.hits.bump(2)
+        part.busy_ns = 40
+        assert hub.names() == ["node3.cache.busy_ns", "node3.cache.depth",
+                               "node3.cache.hits"]
+        assert hub.value("node3.cache.hits") == 2
+        assert hub.kind("node3.cache.depth") == "timeseries"
+        assert hub.summary("node3.cache.busy_ns") == {"kind": "probe",
+                                                      "value": 40}
+        assert hub.get("node3.cache.busy_ns")() == 40
+
+    def test_get_is_the_components_own_handle(self):
+        system = ShrimpSystem(4, 1)
+        hub = system.instrumentation
+        node = system.nodes[3]
+        assert hub.get("node3.cache.hits") is node.cache.hits
+        assert hub.get("node3.nic.dma.words") is node.nic.dma_engine.words_sent
+
+    def test_clashing_leaf_under_one_prefix_raises(self):
+        hub = Instrumentation.of(Simulator())
+        _Part(hub, "node3.cache")
+        _Other(hub, "node3.cache")
+        with pytest.raises(MetricError, match="registered twice"):
+            hub.names()
+        with pytest.raises(MetricError, match="registered twice"):
+            hub.value("node3.cache.hits")
+        # A one-off under a component's full name clashes the same way.
+        hub = Instrumentation.of(Simulator())
+        _Part(hub, "node3.cache")
+        hub.counter("node3.cache.hits")
+        with pytest.raises(MetricError, match="registered twice"):
+            list(hub.metrics_jsonl())
+
+    def test_nested_prefixes_enumerate_in_name_order(self):
+        """``node3.nic`` and ``node3.nic.out`` interleave exactly as a
+        sort of the full names does."""
+        hub = Instrumentation.of(Simulator())
+        _Other(hub, "node3.nic.out")
+        _Part(hub, "node3.nic")
+        _Other(hub, "node3.nic_x")
+        names = hub.names()
+        assert names == sorted(names) == [
+            "node3.nic.busy_ns", "node3.nic.depth", "node3.nic.hits",
+            "node3.nic.out.hits", "node3.nic_x.hits"]
+        assert hub.names("node3.nic") == names[:4]
+        assert hub.names("node3.nic.out") == ["node3.nic.out.hits"]
+
+    def test_prefix_filter_matches_whole_segments(self):
+        hub = Instrumentation.of(Simulator())
+        for name in ("node1.cache", "node10.cache", "node1"):
+            _Other(hub, name)
+        assert hub.names("node1") == ["node1.cache.hits", "node1.hits"]
+        assert hub.names("node1.cache.hits") == ["node1.cache.hits"]
+
+    def test_build_and_run_never_index_names(self):
+        """A datacenter run and its SLO record read only one-offs by
+        name, so no prefix index is ever built; enumerating needs none."""
+        from repro.workload import DatacenterWorkload, WorkloadParams
+
+        workload = DatacenterWorkload(WorkloadParams(
+            width=4, height=4, requests=16, addr_map="strided")).run()
+        assert workload.results()["responses"] == 16 - workload.results()[
+            "local"]
+        store = workload.system.instrumentation._store
+        assert store.index is None
+        workload.system.instrumentation.names()
+        list(workload.system.instrumentation.metrics_jsonl())
+        assert store.index is None
+        workload.system.instrumentation.value("node0.cache.hits")
+        assert store.index is not None
+
+    def test_registry_reads_the_registered_histogram(self):
+        """A forwarding wrapper put on ``DsmRuntime.fetch_ns`` (as a
+        benchmark observer does) changes no registry read: the registry
+        holds the Histogram it made, not the attribute."""
+        from repro.workload.dsm_apps import DsmWorkload
+
+        class Forward:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def observe(self, value):
+                self.inner.observe(value)
+
+        def run(wrap):
+            workload = DsmWorkload(kind="stencil", width=2, height=2).start()
+            if wrap:
+                runtime = workload.runtime
+                runtime.fetch_ns = Forward(runtime.fetch_ns)
+                runtime.upgrade_ns = Forward(runtime.upgrade_ns)
+            workload.run()
+            hub = workload.system.instrumentation
+            return hub.summary("dsm.fetch_ns"), list(hub.metrics_jsonl())
+
+        plain, wrapped = run(False), run(True)
+        assert plain[0]["count"] > 0
+        assert wrapped == plain
+
+
 class TestHistogram:
     def test_power_of_two_buckets(self):
-        h = Histogram("lat")
+        h = Histogram()
         for value in (0, 1, 2, 3, 4, 100):
             h.observe(value)
         assert h.count == 6
@@ -129,7 +254,7 @@ class TestHistogram:
 
     def test_negative_observation_rejected(self):
         with pytest.raises(ValueError):
-            Histogram("x").observe(-1)
+            Histogram().observe(-1)
 
 
 class TestEventBus:

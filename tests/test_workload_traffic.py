@@ -165,3 +165,41 @@ def test_every_remote_request_is_answered_exactly_once():
     for channel in workload.resp_channels.values():
         assert channel.complete
 
+
+
+class TestCli:
+    """``python -m repro.workload`` in process: a 4x4 ``--json`` run
+    answers every remote request, and its record reads the registry."""
+
+    def test_json_record_matches_the_registry(self, capsys, monkeypatch):
+        import json
+
+        import repro.workload.__main__ as cli
+
+        built = []
+
+        class Recorded(DatacenterWorkload):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(cli, "DatacenterWorkload", Recorded)
+        assert cli.main(["--width", "4", "--height", "4", "--requests", "32",
+                         "--json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        (workload,) = built
+        hub = workload.system.instrumentation
+        local = sum(1 for request in workload.schedule
+                    if request.home_node == request.src_node)
+        assert record["requests"] == record["responses"] == 32 - local
+        assert record["local"] == local == hub.value("workload.local")
+        assert record["p99_ns"] == hub.summary("workload.latency_ns")["p99"]
+        assert record["params"]["width"] == record["params"]["height"] == 4
+
+    def test_text_report(self, capsys):
+        from repro.workload.__main__ import main
+
+        assert main(["--width", "2", "--height", "2", "--requests", "8"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("workload 2x2 seed=1 addr_map=blocked")
+        assert "latency p50=" in out
