@@ -6,8 +6,8 @@ export PYTHONPATH
 # code side; this pins the interpreter side for tests and benchmarks).
 export PYTHONHASHSEED := 0
 
-.PHONY: test test-fast lint pin bench-ckpt bench-recovery bench-workload \
-	bench-dsm bench-check
+.PHONY: test test-fast lint reach pin bench-ckpt bench-recovery \
+	bench-workload bench-dsm bench-check
 
 # Tier-1 suite (everything); lints first.
 test: lint
@@ -16,6 +16,14 @@ test: lint
 # Fast lane: skip the long property/soak tests (marked `slow`).
 test-fast:
 	python -m pytest -x -q -m "not slow"
+
+# Dead-code guard: run the tier-1 suite under cProfile (test-spawned
+# Python children included) and list every def in src/repro that nothing
+# called.  Fails on any such function not on tools/reach.py's keep list,
+# each entry of which carries its reason; __repr__s and abstract
+# `raise NotImplementedError` stubs are skipped as a class.
+reach:
+	python tools/reach.py
 
 # Re-pin the fingerprint of every scenario and seed variant (event
 # count left out) that tests/test_scenarios.py holds every run to.  Only
@@ -35,10 +43,10 @@ pin:
 # tree the real linter covers.
 lint:
 	@if command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests benchmarks examples tools; \
 	else \
 		echo "lint: ruff not found; falling back to a compileall syntax sweep"; \
-		python -m compileall -q src tests benchmarks examples; \
+		python -m compileall -q src tests benchmarks examples tools; \
 	fi
 	python -m repro.lint src tests
 

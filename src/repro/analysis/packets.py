@@ -35,10 +35,6 @@ class PacketStats:
             if start is not None:
                 self.latencies_ns.append(event.time - start)
 
-    def detach(self):
-        """Stop collecting (the subscription is removed from the bus)."""
-        self._hub.unsubscribe(self._on_event)
-
     # -- statistics ------------------------------------------------------------
 
     @property

@@ -151,10 +151,9 @@ def encode_context(context):
     }
 
 
-def decode_context(state, context=None):
-    """Rebuild a :class:`Context` (or overwrite ``context`` in place)."""
-    if context is None:
-        context = Context()
+def decode_context(state):
+    """Rebuild a :class:`Context`."""
+    context = Context()
     context.reg_values[:] = state["reg_values"]
     context.flags["zf"] = state["flags"][0]
     context.flags["sf"] = state["flags"][1]

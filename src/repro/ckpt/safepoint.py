@@ -196,7 +196,7 @@ def _node_reason(system, node_id, owned):
     if node.kernel is not None:
         return (
             "node %s has an OS kernel installed (live OS runs are not "
-            "checkpointable yet; see ROADMAP)" % node.name
+            "checkpointable; see docs/checkpoint.md)" % node.name
         )
 
     for index, worker in enumerate(system.ckpt_workers):

@@ -80,10 +80,6 @@ class CpuWorker:
         return self.process
 
     @property
-    def started(self):
-        return self.process is not None
-
-    @property
     def finished(self):
         return self.process is not None and self.process.finished
 

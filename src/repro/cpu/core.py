@@ -111,12 +111,6 @@ class InstructionCounts:
         """Instructions retired inside region ``name`` (0 if never opened)."""
         return self.by_region.get(name, 0)
 
-    def reset(self):
-        self.total = 0
-        self.by_region = {}
-        self.copy_words = 0
-        self._active = {}
-
     def ckpt_capture(self):
         return {
             "total": self.total,
@@ -133,7 +127,7 @@ class InstructionCounts:
 
 
 class RegisterFile:
-    """Name-indexed mapping view over a context's register list.
+    """Name-indexed view over a context's register list.
 
     The architectural home of register values is ``Context.reg_values``, a
     fixed list indexed by :attr:`Reg.index` -- that is what the interpreter's
@@ -152,27 +146,9 @@ class RegisterFile:
     def __setitem__(self, name, value):
         self._values[Reg.INDEX[name]] = value
 
-    def __contains__(self, name):
-        return name in Reg.INDEX
-
-    def __iter__(self):
-        return iter(Reg.NAMES)
-
-    def __len__(self):
-        return len(Reg.NAMES)
-
-    def keys(self):
-        return Reg.NAMES
-
-    def values(self):
-        return tuple(self._values)
-
-    def items(self):
-        return tuple(zip(Reg.NAMES, self._values))
-
     def __repr__(self):
         return "RegisterFile(%s)" % (
-            ", ".join("%s=%#x" % pair for pair in self.items())
+            ", ".join("%s=%#x" % pair for pair in zip(Reg.NAMES, self._values))
         )
 
 

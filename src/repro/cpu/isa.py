@@ -48,12 +48,6 @@ class Reg:
     def __repr__(self):
         return self.name
 
-    def __eq__(self, other):
-        return isinstance(other, Reg) and other.name == self.name
-
-    def __hash__(self):
-        return hash(self.name)
-
 
 R0, R1, R2, R3, R4, R5, SP = _REGS = tuple(Reg(n) for n in Reg.NAMES)
 

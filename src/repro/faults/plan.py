@@ -75,7 +75,8 @@ class FaultEvent:
         self.at = at
 
     def _fields(self):
-        return {}
+        """The event's fields beyond ``type`` and ``at`` (every kind has some)."""
+        raise NotImplementedError
 
     def to_dict(self):
         payload = {"type": self.type_name, "at": self.at}

@@ -116,15 +116,6 @@ class AddrMap:
         tile = self._join_tile(node, local_addr >> self.log2_tile_size)
         return (tile << self.log2_tile_size) | (local_addr & self._offset_mask)
 
-    def describe(self):
-        """JSON-safe parameter summary (for benchmark records and docs)."""
-        return {
-            "kind": self.kind,
-            "node_count": self.node_count,
-            "log2_tile_size": self.log2_tile_size,
-            "tiles_per_node": self.tiles_per_node,
-        }
-
     def __repr__(self):
         return "%s(nodes=%d, tile=%db, tiles/node=%d)" % (
             type(self).__name__, self.node_count, self.tile_bytes,

@@ -44,10 +44,6 @@ class PramTestbed:
         self.node_a, self.node_b = self.system.nodes
         self._mapped = []
 
-    @property
-    def sim(self):
-        return self.system.sim
-
     def _check_window(self, addr, nbytes):
         if not (self.sram_base <= addr
                 and addr + nbytes <= self.sram_base + SRAM_BYTES):

@@ -56,9 +56,6 @@ class ShrimpSystem:
         for node in self.nodes:
             node.start()
 
-    def node(self, node_id):
-        return self.nodes[node_id]
-
     def run(self, until=None, max_events=20_000_000):
         self.sim.run(until=until, max_events=max_events)
 

@@ -161,15 +161,5 @@ class MeshTopology:
         """Name of the router -> NIC ejection link of ``node_id``."""
         return "eject(%d)" % node_id
 
-    # -- misc ------------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, MeshTopology)
-                and self.width == other.width
-                and self.height == other.height)
-
-    def __hash__(self):
-        return hash((MeshTopology, self.width, self.height))
-
     def __repr__(self):
         return "MeshTopology(%dx%d)" % (self.width, self.height)

@@ -125,7 +125,6 @@ class Kernel:
          self.pages_evicted, self.pages_paged_in) = self.instr.register(self)
         node.cpu.syscall_handler = self._syscall_handler
         node.cpu.fault_handler = self._fault_handler
-        # simlint: ignore[SL201] start-once latch (wiring, not state)
         self._started = False
 
     @property
@@ -684,194 +683,6 @@ class Kernel:
         if hub.active:
             hub.emit(self.name, "os.page_in",
                      vpage=vpage, ppage=pte.ppage, pid=process.pid)
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        """Kernel tables, processes and swap.
-
-        ``_swap`` is keyed by ``(page_table, vpage)`` in memory; the
-        capture re-keys by ``(pid, vpage)``, which survives serialization.
-        Mapping-record halves are serialized by value; the restore re-links
-        them to the NIPT's half objects (they share identity) by field
-        match.  In-flight RPCs hold live Signals and are refused.
-        """
-        if self._pending_rpcs:
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "%s kernel has %d RPCs in flight at capture"
-                % (self.node.name, len(self._pending_rpcs))
-            )
-        from repro.ckpt.protocol import pairs
-
-        table_pid = {
-            process.page_table: pid
-            for pid, process in self.processes.items()
-        }
-        swap = sorted(
-            [table_pid[table], vpage, data.hex()]
-            for (table, vpage), data in self._swap.items()
-            if table in table_pid  # reaped process: its swap slots are dead
-        )
-        state = {
-            "free_pages": list(self._free_pages),
-            "next_pid": self._next_pid,
-            "processes": pairs({
-                pid: process.ckpt_capture()
-                for pid, process in self.processes.items()
-            }),
-            "current_pid": (
-                None if self.current_process is None
-                else self.current_process.pid
-            ),
-            "mappings": pairs({
-                mapping_id: self._encode_mapping(record)
-                for mapping_id, record in self.mappings.items()
-            }),
-            "imports": pairs({
-                import_id: {
-                    "src_node": record.src_node,
-                    "src_mapping_id": record.src_mapping_id,
-                    "pid": record.pid,
-                    "vaddr": record.vaddr,
-                    "nbytes": record.nbytes,
-                }
-                for import_id, record in self.imports.items()
-            }),
-            "imports_by_page": pairs({
-                ppage: sorted(ids)
-                for ppage, ids in self._imports_by_page.items()
-                if ids
-            }),
-            "next_id": self._next_id,
-            "rpc_seq": self._rpc_seq,
-            "swap": swap,
-            "kernel_instructions": self.kernel_instructions,
-        }
-        return state
-
-    @staticmethod
-    def _encode_mapping(record):
-        return {
-            "pid": record.pid,
-            "src_vaddr": record.src_vaddr,
-            "nbytes": record.nbytes,
-            "dest_node": record.dest_node,
-            "dest_pid": record.dest_pid,
-            "dest_vaddr": record.dest_vaddr,
-            "mode": record.mode,
-            "import_id": record.import_id,
-            "status": record.status,
-            "halves": [
-                [
-                    src_vpage,
-                    {
-                        "src_start": half.src_start,
-                        "src_end": half.src_end,
-                        "dest_node": half.dest_node,
-                        "dest_addr": half.dest_addr,
-                        "mode": half.mode,
-                    },
-                ]
-                for src_vpage, half in record.halves
-            ],
-        }
-
-    def ckpt_restore(self, state):
-        from repro.ckpt.protocol import CkptError
-
-        self._free_pages = list(state["free_pages"])
-        self._next_pid = state["next_pid"]
-        self.processes = {}
-        for pid, process_state in state["processes"]:
-            process = OsProcess(pid, process_state["name"],
-                                program=None)
-            process.ckpt_restore(process_state)
-            self.processes[pid] = process
-        current_pid = state["current_pid"]
-        self.current_process = (
-            None if current_pid is None else self.processes[current_pid]
-        )
-        self.mappings = {}
-        for mapping_id, mapping_state in state["mappings"]:
-            record = MappingRecord(
-                mapping_id,
-                mapping_state["pid"],
-                mapping_state["src_vaddr"],
-                mapping_state["nbytes"],
-                mapping_state["dest_node"],
-                mapping_state["dest_pid"],
-                mapping_state["dest_vaddr"],
-                mapping_state["mode"],
-                mapping_state["import_id"],
-            )
-            record.status = mapping_state["status"]
-            record.halves = [
-                (src_vpage, self._relink_half(record, src_vpage, half_state))
-                for src_vpage, half_state in mapping_state["halves"]
-            ]
-            self.mappings[mapping_id] = record
-        self.imports = {}
-        for import_id, import_state in state["imports"]:
-            self.imports[import_id] = ImportRecord(
-                import_id,
-                import_state["src_node"],
-                import_state["src_mapping_id"],
-                import_state["pid"],
-                import_state["vaddr"],
-                import_state["nbytes"],
-            )
-        self._imports_by_page = {
-            ppage: set(ids) for ppage, ids in state["imports_by_page"]
-        }
-        self._next_id = state["next_id"]
-        self._rpc_seq = state["rpc_seq"]
-        self._pending_rpcs = {}
-        self._swap = {}
-        for pid, vpage, hexdata in state["swap"]:
-            process = self.processes.get(pid)
-            if process is None:
-                raise CkptError("swap slot references unknown pid %d" % pid)
-            self._swap[(process.page_table, vpage)] = bytes.fromhex(hexdata)
-        self.kernel_instructions = state["kernel_instructions"]
-
-    def _relink_half(self, record, src_vpage, half_state):
-        """Recover the NIPT's half object for an installed mapping half.
-
-        Active mappings on present pages share their OutgoingHalf objects
-        with the NIPT (``_install_halves`` puts the same object in both),
-        and ``_remove_halves``/``_page_in`` rely on that identity -- so the
-        restore must re-link rather than duplicate.  Invalidated mappings
-        and swapped-out pages hold the only reference, so a fresh object
-        is correct there.
-        """
-        from repro.ckpt.protocol import CkptError
-        from repro.nic.nipt import OutgoingHalf
-
-        fields = (
-            half_state["src_start"],
-            half_state["src_end"],
-            half_state["dest_node"],
-            half_state["dest_addr"],
-            half_state["mode"],
-        )
-        process = self.processes.get(record.pid)
-        pte = (
-            process.page_table.entry(src_vpage)
-            if process is not None else None
-        )
-        if record.status == "active" and pte is not None and pte.present:
-            entry = self.node.nic.nipt.entry(pte.ppage)
-            for half in entry.halves:
-                if (half.src_start, half.src_end, half.dest_node,
-                        half.dest_addr, half.mode) == fields:
-                    return half
-            raise CkptError(
-                "mapping %d half at vpage %d not found in restored NIPT "
-                "(restore the NIC before the kernel)" % (record.id, src_vpage)
-            )
-        return OutgoingHalf(*fields)
 
     # -- fault handling --------------------------------------------------------------------------------------------------------
 

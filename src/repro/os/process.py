@@ -36,35 +36,5 @@ class OsProcess:
         self.exit_context = None
         self.mappings = []  # MappingRecord ids owned by this process
 
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        from repro.ckpt.codec import encode_context, encode_program
-
-        return {
-            "pid": self.pid,
-            "name": self.name,
-            "program": encode_program(self.program),
-            "page_table": self.page_table.ckpt_capture(),
-            "context": encode_context(self.context),
-            "state": self.state,
-            # A finished process's exit_context is the context object
-            # itself, so an identity flag is all the capture needs.
-            "has_exit": self.exit_context is not None,
-            "mappings": list(self.mappings),
-        }
-
-    def ckpt_restore(self, state):
-        from repro.ckpt.codec import decode_context, decode_program
-
-        self.pid = state["pid"]
-        self.name = state["name"]
-        self.program = decode_program(state["program"])
-        self.page_table.ckpt_restore(state["page_table"])
-        decode_context(state["context"], self.context)
-        self.state = state["state"]
-        self.exit_context = self.context if state["has_exit"] else None
-        self.mappings = list(state["mappings"])
-
     def __repr__(self):
         return "OsProcess(%d, %s, %s)" % (self.pid, self.name, self.state)

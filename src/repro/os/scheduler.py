@@ -26,9 +26,6 @@ class RoundRobinScheduler:
         self.timeslice_ns = timeslice_ns or kernel.params.timeslice_ns
         self._run_queue = deque()
         self.context_switches = 0
-        # simlint: ignore[SL201] live Process handle created by start();
-        # the driver's position is recovered from the captured run queue
-        self._driver = None
 
     def add(self, process):
         if process.state != ProcessState.READY:
@@ -38,10 +35,9 @@ class RoundRobinScheduler:
     def start(self):
         """Spawn the scheduling loop; it returns when every process that
         was ever enqueued has finished."""
-        self._driver = Process(
+        return Process(
             self.sim, self._loop(), self.node.name + ".sched"
         ).start()
-        return self._driver
 
     def _loop(self):
         cpu = self.node.cpu
@@ -67,32 +63,3 @@ class RoundRobinScheduler:
             else:
                 process.state = ProcessState.READY
                 self._run_queue.append(process)
-
-    @property
-    def finished(self):
-        return self._driver is not None and self._driver.finished
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        return {
-            "queue_pids": [process.pid for process in self._run_queue],
-            "context_switches": self.context_switches,
-        }
-
-    def ckpt_restore(self, state):
-        """Rebuild the run queue from the kernel's (restored) process
-        table; the driver loop itself is not serializable and must be
-        restarted by the caller if scheduling is to continue."""
-        processes = self.kernel.processes
-        self._run_queue.clear()
-        for pid in state["queue_pids"]:
-            process = processes.get(pid)
-            if process is None:
-                from repro.ckpt.protocol import CkptError
-
-                raise CkptError(
-                    "run queue references unknown pid %d" % pid
-                )
-            self._run_queue.append(process)
-        self.context_switches = state["context_switches"]

@@ -77,9 +77,6 @@ class PageTable:
         pte = self._require(vpage)
         pte.present = present
 
-    def pin(self, vpage, pinned=True):
-        self._require(vpage).pinned = pinned
-
     def _require(self, vpage):
         pte = self._entries.get(vpage)
         if pte is None:
@@ -88,34 +85,6 @@ class PageTable:
 
     def mapped_vpages(self):
         return sorted(self._entries)
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        from repro.ckpt.protocol import pairs
-
-        return {
-            "entries": pairs({
-                vpage: {
-                    "ppage": pte.ppage,
-                    "policy": pte.policy,
-                    "writable": pte.writable,
-                    "present": pte.present,
-                    "pinned": pte.pinned,
-                }
-                for vpage, pte in self._entries.items()
-            }),
-        }
-
-    def ckpt_restore(self, state):
-        self._entries = {}
-        for vpage, pte_state in state["entries"]:
-            pte = Pte(
-                pte_state["ppage"], pte_state["policy"], pte_state["writable"]
-            )
-            pte.present = pte_state["present"]
-            pte.pinned = pte_state["pinned"]
-            self._entries[vpage] = pte
 
     # -- the MMU protocol ------------------------------------------------------
 

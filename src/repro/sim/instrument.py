@@ -139,13 +139,6 @@ class Histogram:
                 return upper
         return self.max  # unreachable unless counts drift; stay safe
 
-    def reset(self):
-        self.count = 0
-        self.total = 0
-        self.min = None
-        self.max = None
-        self._buckets = {}
-
     def ckpt_capture(self):
         return {
             "count": self.count,

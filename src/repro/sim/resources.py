@@ -133,10 +133,6 @@ class BoundedQueue:
     def __len__(self):
         return len(self._items)
 
-    @property
-    def closed(self):
-        return self._closed
-
     def is_full(self):
         return self.capacity is not None and len(self._items) >= self.capacity
 

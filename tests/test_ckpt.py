@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ckpt import (
+    CkptError,
     CkptFormatError,
     CkptIntegrityError,
     CkptVersionError,
@@ -304,6 +305,34 @@ def test_unregistered_process_blocks_checkpointing():
         seek_safepoint(system, max_events=50_000)
 
 
+def test_an_os_kernel_blocks_checkpointing():
+    """A node with a kernel is never quiescent, even once its processes
+    have finished: a node's capture holds no kernel tables, so the
+    checkpoint refuses rather than drop them (docs/checkpoint.md)."""
+    from repro.machine.cluster import Cluster
+    from repro.msg import single_buffer
+    from repro.msg.layout import PairLayout
+    from repro.msg.os_channels import OsMessagingPair
+
+    def sender_body(asm):
+        asm.mov(Mem(disp=PairLayout.priv(PairLayout.P_SIZE)), 4)
+        asm.mov(Mem(disp=PairLayout.SBUF0), 7)
+        single_buffer.emit_send(asm)
+
+    cluster = Cluster(2, 1)
+    sender, receiver = OsMessagingPair(cluster).build(
+        sender_body, single_buffer.emit_recv)
+    cluster.start()
+    cluster.run()
+    assert sender.state == receiver.state == "finished"
+    for node_id, node in enumerate(cluster.nodes):
+        assert check_node_quiescent(cluster.system, node_id) == (
+            "node %s has an OS kernel installed (live OS runs are not "
+            "checkpointable; see docs/checkpoint.md)" % node.name)
+    with pytest.raises(CkptError, match="has an OS kernel installed"):
+        SystemCheckpoint.capture(cluster.system)
+
+
 def test_seek_safepoint_returns_zero_at_rest():
     system = build_ping_pong()
     system.run()
@@ -567,6 +596,7 @@ def _fixed_point(component, state):
 @settings(max_examples=25, deadline=None)
 def test_physical_memory_round_trip_fixed_point(stores):
     from repro.memsys.physmem import PhysicalMemory
+    from repro.sim.instrument import Histogram
 
     memory = PhysicalMemory(64 * 1024)
     for word_index, value in stores:
@@ -576,6 +606,13 @@ def test_physical_memory_round_trip_fixed_point(stores):
     other = PhysicalMemory(64 * 1024)
     other.ckpt_restore(json.loads(json.dumps(state)))
     assert other.dump_bytes(0, 64 * 1024) == memory.dump_bytes(0, 64 * 1024)
+
+    # The stored values as a histogram's observations: its count, total,
+    # min, max and bucket map survive the round trip into a fresh one.
+    histogram = Histogram()
+    for _word_index, value in stores:
+        histogram.observe(value)
+    _fixed_point(Histogram(), json.loads(json.dumps(histogram.ckpt_capture())))
 
 
 @given(halves=st.lists(

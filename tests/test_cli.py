@@ -98,6 +98,19 @@ def test_latency_section():
     assert "Latency vs hop count" in result.stdout
 
 
+def test_bandwidth_section():
+    result = run_cli("bandwidth")
+    assert result.returncode == 0
+    rows = [line.split() for line in result.stdout.splitlines()
+            if line[:1].isdigit()]
+    assert [int(row[0]) for row in rows] == [256, 1024, 4096, 16384, 65536]
+    eisa = [float(row[1]) for row in rows]
+    nextgen = [float(row[2]) for row in rows]
+    # Bandwidth grows with transfer size toward each bus's peak.
+    assert eisa == sorted(eisa) and eisa[-1] < 33
+    assert nextgen == sorted(nextgen) and nextgen[-1] > eisa[-1]
+
+
 def test_multiple_sections():
     result = run_cli("comparison", "table1")
     assert result.returncode == 0

@@ -98,13 +98,21 @@ class TestBasicIsa:
         assert ctx.registers["r0"] == 4
 
     def test_memory_round_trip(self):
-        sim, cpu, mem, _bus = make_cpu()
+        sim, cpu, mem, _bus = make_cpu(CachePolicy.WRITE_THROUGH)
         asm = Asm()
         asm.mov(Mem(disp=0x100), 77)
         asm.mov(R0, Mem(disp=0x100))
+        asm.add(Mem(disp=0x100), 5)  # ALU memory-immediate: [m] = 82
+        asm.sub(Mem(disp=0x104), 1)  # 0 - 1 wraps in memory
+        asm.mov(R1, 80)
+        asm.cmp(R1, Mem(disp=0x100))  # register-memory: 80 - 82 < 0
         asm.halt()
         ctx = run_program(sim, cpu, asm.build())
         assert ctx.registers["r0"] == 77
+        assert ctx.registers["r1"] == 80  # cmp writes no register
+        assert mem.read_word(0x100) == 82  # ... and no memory
+        assert mem.read_word(0x104) == 0xFFFFFFFF
+        assert ctx.flags == {"zf": False, "sf": True}
 
     def test_memory_operand_with_base_register(self):
         sim, cpu, _mem, _bus = make_cpu()
@@ -142,13 +150,20 @@ class TestControlFlow:
         asm = Asm()
         asm.mov(R0, 0)
         asm.mov(R1, 5)
+        asm.mov(R2, 0x100)
         asm.label("loop")
+        asm.nop()
+        asm.lea(R2, Mem(base=R2, disp=4))
         asm.add(R0, 2)
         asm.dec(R1)
         asm.jnz("loop")
         asm.halt()
-        ctx = run_program(sim, cpu, asm.build())
+        program = asm.build()
+        assert program.spins == {}  # register-only body: nothing to fold
+        ctx = run_program(sim, cpu, program)
         assert ctx.registers["r0"] == 10
+        assert ctx.registers["r2"] == 0x100 + 5 * 4
+        assert cpu.counts.total == 3 + 5 * 5 + 1  # nop retires
 
     def test_cmp_and_signed_branches(self):
         sim, cpu, _mem, _bus = make_cpu()

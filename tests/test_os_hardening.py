@@ -148,6 +148,10 @@ class TestAccounting:
             params.trap_instructions + params.map_local_instructions
         )
         assert kernel1.kernel_instructions >= params.map_remote_instructions
+        hub = cluster.system.instrumentation
+        for kernel in (kernel0, kernel1):  # the registry's probe agrees
+            assert (hub.value(kernel.name + ".instructions")
+                    == kernel.kernel_instructions)
 
     def test_bad_argument_pointer_returns_efault(self):
         """A wild argument pointer must not crash the kernel: the syscall
