@@ -39,12 +39,3 @@ def self_attr(node):
     ):
         return node.attr
     return None
-
-
-def literal_str_keys(dict_node):
-    """The string-literal keys of an ast.Dict (non-literal keys skipped)."""
-    keys = set()
-    for key in dict_node.keys:
-        if isinstance(key, ast.Constant) and isinstance(key.value, str):
-            keys.add(key.value)
-    return keys

@@ -1,5 +1,6 @@
 """One SHRIMP node: Xpress PC plus network interface (paper figure 2)."""
 
+from repro.ckpt.protocol import PAIRS, PART, Checkpointable
 from repro.cpu.core import Cpu
 from repro.memsys.address import PhysicalAddressMap, page_number
 from repro.memsys.bus import XpressBus, DramDevice
@@ -9,7 +10,7 @@ from repro.memsys.physmem import PhysicalMemory
 from repro.nic.interface import NetworkInterface
 
 
-class BareMmu:
+class BareMmu(Checkpointable):
     """Identity (physical-addressed) MMU with per-page cache policies.
 
     Used when running the machine without an operating system (hardware
@@ -18,6 +19,8 @@ class BareMmu:
     ``map`` call does on real SHRIMP (section 3.1).  The command region is
     always uncached.
     """
+
+    CKPT_STATE = (("_policies", PAIRS),)
 
     def __init__(self, address_map):
         self.address_map = address_map
@@ -31,21 +34,13 @@ class BareMmu:
             return vaddr, CachePolicy.UNCACHED
         return vaddr, self._policies.get(page_number(vaddr), CachePolicy.WRITE_BACK)
 
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        from repro.ckpt.protocol import pairs
-
-        return {"policies": pairs(self._policies)}
-
-    def ckpt_restore(self, state):
-        from repro.ckpt.protocol import unpairs
-
-        self._policies = unpairs(state["policies"])
 
 
-class ShrimpNode:
+class ShrimpNode(Checkpointable):
     """CPU + cache + bus + DRAM + EISA bridge + SHRIMP NIC."""
+
+    CKPT_STATE = (("memory", PART), ("bus", PART), ("cache", PART),
+                  ("eisa", PART), ("nic", PART), ("mmu", PART), ("cpu", PART))
 
     def __init__(self, sim, node_id, backplane, machine_params, name=None):
         self.sim = sim
@@ -82,28 +77,6 @@ class ShrimpNode:
 
     def start(self):
         self.nic.start()
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        return {
-            "memory": self.memory.ckpt_capture(),
-            "bus": self.bus.ckpt_capture(),
-            "cache": self.cache.ckpt_capture(),
-            "eisa": self.eisa.ckpt_capture(),
-            "nic": self.nic.ckpt_capture(),
-            "mmu": self.mmu.ckpt_capture(),
-            "cpu": self.cpu.ckpt_capture(),
-        }
-
-    def ckpt_restore(self, state):
-        self.memory.ckpt_restore(state["memory"])
-        self.bus.ckpt_restore(state["bus"])
-        self.cache.ckpt_restore(state["cache"])
-        self.eisa.ckpt_restore(state["eisa"])
-        self.nic.ckpt_restore(state["nic"])
-        self.mmu.ckpt_restore(state["mmu"])
-        self.cpu.ckpt_restore(state["cpu"])
 
     def command_addr(self, dram_addr):
         """Command-memory address controlling ``dram_addr`` (section 4.2)."""

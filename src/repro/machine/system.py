@@ -1,5 +1,6 @@
 """A whole SHRIMP multicomputer: a mesh backplane full of nodes."""
 
+from repro.ckpt.protocol import PART, PARTS, Checkpointable
 from repro.machine.config import eisa_prototype
 from repro.machine.node import ShrimpNode
 from repro.mesh.backplane import Backplane
@@ -8,7 +9,7 @@ from repro.sim.engine import Simulator
 from repro.sim.instrument import Instrumentation
 
 
-class ShrimpSystem:
+class ShrimpSystem(Checkpointable):
     """``width x height`` SHRIMP nodes on a Paragon-style backplane.
 
     Typical use::
@@ -18,7 +19,17 @@ class ShrimpSystem:
         node_a, node_b = system.nodes[0], system.nodes[15]
         ...
         system.sim.run_until_idle()
+
+    The checkpoint holds the hardware state of every node plus the mesh
+    backplane.  The simulator clock, instrumentation hub and workload
+    descriptors are captured by
+    :class:`~repro.ckpt.system.SystemCheckpoint`, which owns the
+    safepoint protocol this composition relies on.
     """
+
+    CKPT_STATE = (("nodes", PARTS), ("backplane", PART))
+    CKPT_SKIP = {"_started": "start-once latch; restore targets a freshly "
+                             "built (already started) system"}
 
     def __init__(self, width, height, params_factory=eisa_prototype, sim=None,
                  topology=None):
@@ -40,8 +51,6 @@ class ShrimpSystem:
         # CpuWorker workloads register here so SystemCheckpoint can capture
         # their programs, contexts and pending instruction-boundary resumes.
         self.ckpt_workers = []
-        # simlint: ignore[SL201] start-once latch; restore targets a
-        # freshly built (already started) system, never a pickled one
         self._started = False
 
     @property
@@ -61,26 +70,8 @@ class ShrimpSystem:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Hardware state of every node plus the mesh backplane.
-
-        The simulator clock, instrumentation hub and workload descriptors
-        are captured by :class:`~repro.ckpt.system.SystemCheckpoint`, which
-        owns the safepoint protocol this composition relies on.
-        """
-        return {
-            "nodes": [node.ckpt_capture() for node in self.nodes],
-            "backplane": self.backplane.ckpt_capture(),
-        }
-
-    def ckpt_restore(self, state):
-        if len(state["nodes"]) != len(self.nodes):
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "checkpoint has %d nodes, system has %d"
-                % (len(state["nodes"]), len(self.nodes))
-            )
-        for node, node_state in zip(self.nodes, state["nodes"]):
-            node.ckpt_restore(node_state)
-        self.backplane.ckpt_restore(state["backplane"])
+    def ckpt_refusal(self, state):
+        if state is not None and len(state["nodes"]) != len(self.nodes):
+            return ("checkpoint has %d nodes, system has %d"
+                    % (len(state["nodes"]), len(self.nodes)))
+        return None

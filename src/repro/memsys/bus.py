@@ -11,6 +11,7 @@ device has handled it; the NIC's automatic-update mechanism and the caches'
 DMA-invalidation are both snoopers.
 """
 
+from repro.ckpt.protocol import SCALAR, Checkpointable
 from repro.sim.instrument import Instrumentation
 from repro.sim.resources import Mutex
 
@@ -87,7 +88,7 @@ class DramDevice(BusDevice):
         self.memory.write_words(addr, words)
 
 
-class XpressBus:
+class XpressBus(Checkpointable):
     """Arbitrated shared bus with address-decoded devices and snoopers."""
 
     #: Metrics registered under the bus's name; ``busy_ns`` is a probe of
@@ -95,16 +96,22 @@ class XpressBus:
     METRICS = (("transactions", "counter"), ("words", "counter"),
                ("busy_ns", "probe"))
 
+    # Utilisation accounting.  Safepoints guarantee no transaction is in
+    # flight (the arbiter mutex is unlocked), so ``busy_ns`` is the only
+    # state outside the instrumentation hub.  Devices and snoopers attach
+    # while the node is built and hold live objects; an identically built
+    # machine has identical wiring.
+    CKPT_STATE = (("busy_ns", SCALAR),)
+    CKPT_SKIP = {"_ranges": "wiring built once by attach()",
+                 "_snoopers": "wiring: live callables"}
+
     def __init__(self, sim, params, name="xpress"):
         self.sim = sim
         self.params = params
         self.name = name
         self._mutex = Mutex(sim, name + ".arb")
-        # Wiring, not state: devices and snoopers attach while the node is
-        # built and hold live objects; an identically built machine has
-        # identical wiring, so the checkpoint skips both.
-        self._ranges = []  # (lo, hi, device)  # simlint: ignore[SL201] wiring built once by attach()
-        self._snoopers = []  # simlint: ignore[SL201] live callables
+        self._ranges = []  # (lo, hi, device)
+        self._snoopers = []
         self.instr = Instrumentation.of(sim)
         self.transactions, self.words_moved = self.instr.register(self)
         self.busy_ns = 0
@@ -161,20 +168,10 @@ class XpressBus:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Utilisation accounting.  Safepoints guarantee no transaction is
-        in flight (the arbiter mutex is unlocked), so ``busy_ns`` is the
-        only state outside the instrumentation hub."""
-        if self._mutex.locked:
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "bus %s has a transaction in flight at capture" % self.name
-            )
-        return {"busy_ns": self.busy_ns}
-
-    def ckpt_restore(self, state):
-        self.busy_ns = state["busy_ns"]
+    def ckpt_refusal(self, state):
+        if state is None and self._mutex.locked:
+            return "bus %s has a transaction in flight at capture" % self.name
+        return None
 
     # -- transaction generators ---------------------------------------------
 

@@ -18,6 +18,7 @@ watched line (a snoop invalidation, a write, an eviction, ``flush_page``,
 ``ckpt_restore``) wakes the CPU before it does.
 """
 
+from repro.ckpt.protocol import SCALAR, Checkpointable
 from repro.sim.instrument import Instrumentation
 
 
@@ -50,7 +51,7 @@ class _Line:
         self.lru = 0
 
 
-class Cache:
+class Cache(Checkpointable):
     """Set-associative cache in front of the Xpress bus.
 
     ``read``/``write`` are generators used by the CPU via ``yield from``;
@@ -62,6 +63,19 @@ class Cache:
     #: Metrics registered under the cache's name (``node0.cache.hits``).
     METRICS = (("hits", "counter"), ("misses", "counter"),
                ("writebacks", "counter"), ("snoop_invalidations", "counter"))
+
+    # ``lru`` values are absolute ticks of ``_lru_clock``, so the clock is
+    # captured with the lines: restoring both reproduces every future
+    # victim choice.
+    CKPT_STATE = (("_lru_clock", SCALAR),)
+    CKPT_SKIP = {
+        "_sets": "encoded by ckpt_capture: the valid lines by (set, way)",
+        "_watch": "the folded spin's registration; a parked fold is "
+                  "captured by its Cpu and re-registers on restore",
+        "_watch_line": "set and cleared with _watch",
+        "_gen": "change generation, compared only within one unfolded "
+                "spin iteration",
+    }
 
     def __init__(self, sim, bus, params, name="cache"):
         self.sim = sim
@@ -79,13 +93,8 @@ class Cache:
         # is the shared empty tuple: its list is built by its first fill.
         self._sets = [()] * self.n_sets
         self._lru_clock = 0
-        # simlint: ignore[SL201] the folded spin's registration; a parked
-        # fold is captured by its Cpu and re-registers on restore
         self._watch = None  # Cpu folding a spin on _watch_line, or None
-        # simlint: ignore[SL201] set and cleared with _watch
         self._watch_line = None
-        # simlint: ignore[SL201] change generation, compared only within
-        # one unfolded spin iteration
         self._gen = 0  # bumped on every line data/validity change
         self.instr = Instrumentation.of(sim)
         (self.hits, self.misses, self.writebacks,
@@ -293,12 +302,11 @@ class Cache:
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
     def ckpt_capture(self):
-        """Valid lines only, addressed by (set, way).  ``lru`` values are
-        absolute ticks of ``_lru_clock``, so the clock itself is captured
-        too -- restoring both reproduces every future victim choice."""
+        """The LRU clock, plus the valid lines addressed by (set, way)."""
         if self._watch is not None:
             self._watch.fold_settle()
-        lines = []
+        state = super().ckpt_capture()
+        lines = state["lines"] = []
         for set_index, ways in enumerate(self._sets):
             for way, line in enumerate(ways):
                 if line.valid:
@@ -312,10 +320,13 @@ class Cache:
                             "data": list(line.data),
                         },
                     ])
-        return {"lru_clock": self._lru_clock, "lines": lines}
+        return state
 
     def ckpt_restore(self, state):
+        # Wake or settle a parked spin first: settling ticks the LRU clock
+        # the walker then overwrites.
         self._changing(None)
+        super().ckpt_restore(state)
         sets = self._sets = [()] * self.n_sets
         for set_index, way, entry in state["lines"]:
             ways = sets[set_index]
@@ -329,7 +340,6 @@ class Cache:
             line.dirty = entry["dirty"]
             line.lru = entry["lru"]
             line.data = list(entry["data"])
-        self._lru_clock = state["lru_clock"]
 
     # -- introspection ------------------------------------------------------------
 

@@ -11,17 +11,20 @@ into DRAM through the memory bus (where the CPU caches snoop-invalidate
 them, keeping the caches consistent).
 """
 
+from repro.ckpt.protocol import SCALAR, Checkpointable
 from repro.sim.instrument import Instrumentation
 from repro.sim.resources import Mutex
 
 
-class EisaBus:
+class EisaBus(Checkpointable):
     """Serialised burst-DMA channel from the NIC into main memory."""
 
     #: Metrics registered under the channel's name; ``busy_ns`` is a
     #: probe of the attribute of that name.
     METRICS = (("bursts", "counter"), ("words", "counter"),
                ("busy_ns", "probe"))
+
+    CKPT_STATE = (("busy_ns", SCALAR),)
 
     def __init__(self, sim, xpress_bus, params, name="eisa"):
         self.sim = sim
@@ -35,17 +38,11 @@ class EisaBus:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        if self._mutex.locked:
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "EISA channel %s has a burst in flight at capture" % self.name
-            )
-        return {"busy_ns": self.busy_ns}
-
-    def ckpt_restore(self, state):
-        self.busy_ns = state["busy_ns"]
+    def ckpt_refusal(self, state):
+        if state is None and self._mutex.locked:
+            return ("EISA channel %s has a burst in flight at capture"
+                    % self.name)
+        return None
 
     def dma_write(self, addr, words):
         """Generator: burst-write ``words`` to DRAM at ``addr``.

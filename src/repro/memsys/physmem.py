@@ -18,6 +18,7 @@ Page-sized transfers cost one ``struct`` call or one slice per block.
 import hashlib
 import struct
 
+from repro.ckpt.protocol import SCALAR, Checkpointable
 from repro.memsys.address import (
     PAGE_SIZE,
     WORD_SIZE,
@@ -85,7 +86,7 @@ def _spans(addr, length):
         pos += step
 
 
-class PhysicalMemory:
+class PhysicalMemory(Checkpointable):
     """A node's DRAM: a little-endian byte array held as written blocks.
 
     All accesses are word (4-byte) granularity, matching the bus models;
@@ -94,6 +95,18 @@ class PhysicalMemory:
     routes transactions here.  Only blocks holding written data take host
     memory (see the module docstring), so untouched DRAM costs nothing.
     """
+
+    CKPT_STATE = (("size_bytes", SCALAR), ("read_count", SCALAR),
+                  ("write_count", SCALAR))
+    CKPT_SKIP = {
+        "_blocks": "encoded by ckpt_capture: the chunks holding a nonzero "
+                   "byte",
+        "_watches": "addr -> callbacks run after any write covering that "
+                    "word and after a restore: the wake sources of folded "
+                    "polls (repro.sim.poll), which a safepoint never holds",
+        "_settlers": "lazy read_count charges (folded polls' slept-through "
+                     "reads) that ckpt_capture brings up to date first",
+    }
 
     def __init__(self, size_bytes):
         if size_bytes <= 0 or size_bytes % WORD_SIZE != 0:
@@ -109,13 +122,8 @@ class PhysicalMemory:
         # write ownership of; None (the default) keeps the access fast path
         # a single pointer test.
         self.write_guard = None
-        # simlint: ignore[SL201] addr -> callbacks run after any write
-        # covering that word and after a restore: the wake sources of
-        # folded polls (repro.sim.poll), which a safepoint never holds
         self._watches = {}
-        # simlint: ignore[SL201] lazy read_count charges (folded polls'
-        # slept-through reads) that ckpt_capture brings up to date first;
-        # a tuple, so an idle node shares the empty one
+        # A tuple, so an idle node shares the empty one.
         self._settlers = ()
 
     def _check(self, addr, nwords=1):
@@ -286,7 +294,8 @@ class PhysicalMemory:
         Only the chunks that hold a written block are scanned."""
         for settle in self._settlers:
             settle()
-        chunks = []
+        state = super().ckpt_capture()
+        chunks = state["chunks"] = []
         chunk = self._CKPT_CHUNK
         per_chunk = chunk // BLOCK_SIZE
         for first in sorted({index // per_chunk for index in self._blocks}):
@@ -294,27 +303,20 @@ class PhysicalMemory:
             piece = self.dump_bytes(offset, min(chunk, self.size_bytes - offset))
             if not _is_zero(piece):
                 chunks.append([offset, piece.hex()])
-        return {
-            "size_bytes": self.size_bytes,
-            "chunks": chunks,
-            "read_count": self.read_count,
-            "write_count": self.write_count,
-        }
+        return state
+
+    def ckpt_refusal(self, state):
+        if state is not None and state["size_bytes"] != self.size_bytes:
+            return ("memory size mismatch: checkpoint has %d bytes, node has "
+                    "%d" % (state["size_bytes"], self.size_bytes))
+        return None
 
     def ckpt_restore(self, state):
-        if state["size_bytes"] != self.size_bytes:
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "memory size mismatch: checkpoint has %d bytes, node has %d"
-                % (state["size_bytes"], self.size_bytes)
-            )
+        super().ckpt_restore(state)
         # Rebuild from no blocks: only a chunk's nonzero blocks come back.
         self._blocks = {}
         for offset, hexdata in state["chunks"]:
             self._store(offset, bytes.fromhex(hexdata))
-        self.read_count = state["read_count"]
-        self.write_count = state["write_count"]
         for callbacks in list(self._watches.values()):
             for callback in list(callbacks):
                 callback()

@@ -1,5 +1,6 @@
 """Assembly of routers and links into a Paragon-style mesh backplane."""
 
+from repro.ckpt.protocol import Checkpointable, CkptError
 from repro.mesh.link import Link
 from repro.mesh.router import Router, LOCAL
 from repro.mesh.topology import MeshTopology
@@ -7,7 +8,7 @@ from repro.sim.instrument import Instrumentation
 from repro.sim.resources import Mutex
 
 
-class Backplane:
+class Backplane(Checkpointable):
     """A ``width x height`` mesh with one NIC attachment point per router.
 
     All geometry (node-id layout, neighbour walk, link naming) comes from
@@ -20,6 +21,8 @@ class Backplane:
 
     #: Metrics registered under the backplane's name (``mesh.delivered``).
     METRICS = (("delivered", "counter"),)
+
+    CKPT_SKIP = {"_started": "start-once latch (wiring, not state)"}
 
     def __init__(self, sim, params, width=None, height=None, name="mesh",
                  topology=None):
@@ -38,7 +41,6 @@ class Backplane:
         self.instr = Instrumentation.of(sim)
         (self.packets_delivered,) = self.instr.register(self)
         self._build()
-        # simlint: ignore[SL201] start-once latch (wiring, not state)
         self._started = False
 
     # -- geometry (delegated to the topology) ---------------------------------
@@ -121,21 +123,20 @@ class Backplane:
         live router-process events), so this normally captures nothing;
         the general form keeps component round-trips exact.
         """
-        links = []
-        for link in self.iter_links():
-            if not link.ckpt_idle():
-                links.append([link.name, link.ckpt_capture()])
-        return {"links": links}
+        state = super().ckpt_capture()
+        state["links"] = [[link.name, link.ckpt_capture()]
+                          for link in self.iter_links()
+                          if not link.ckpt_idle()]
+        return state
 
     def ckpt_restore(self, state):
+        super().ckpt_restore(state)
         by_name = {link.name: link for link in self.iter_links()}
         for link in by_name.values():
             link.reset()
         for name, link_state in state["links"]:
             link = by_name.get(name)
             if link is None:
-                from repro.ckpt.protocol import CkptError
-
                 raise CkptError(
                     "checkpoint names unknown mesh link %r "
                     "(topology mismatch)" % name

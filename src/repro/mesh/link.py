@@ -53,15 +53,25 @@ dropping the oldest costs no more than a deque's ``popleft``, and an
 empty list costs a fraction of an empty deque on a 1024-node mesh.
 """
 
+from repro.ckpt.protocol import Checkpointable
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Signal
 
 
-class Link:
+class Link(Checkpointable):
     """A timed, bounded flit pipe."""
 
     #: Metrics registered under the link's name (see Instrumentation.register).
     METRICS = (("flits", "counter"),)
+
+    CKPT_SKIP = {
+        "runs": "encoded by ckpt_capture: one record per buffered flit",
+        "_frees": "encoded by ckpt_capture: one time per future free",
+        "_held": "rebuilt with the runs by ckpt_restore",
+        "_owed": "rebuilt with the frees by ckpt_restore",
+        "_not_before": "a parked reader's wake floor; reset by ckpt_restore",
+        "_down": "fault state, re-armed from the FaultPlan",
+    }
 
     def __init__(self, sim, params, name="link"):
         self.sim = sim
@@ -81,7 +91,7 @@ class Link:
         # before the cable was pulled).  Orchestration state owned by the
         # FaultController -- re-armed from the FaultPlan after a restore,
         # never part of a checkpoint.
-        self._down = False  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
+        self._down = False
         (self.flits_moved,) = Instrumentation.of(sim).register(self)
 
     # -- occupancy accounting --------------------------------------------------
@@ -339,9 +349,10 @@ class Link:
         """
         self._mature(self._frees)
         f = self._flit_ns
-        packet_states = []
+        state = super().ckpt_capture()
+        packet_states = state["packets"] = []
         packet_index_by_id = {}
-        entries = []
+        entries = state["entries"] = []
         for t0, packet, lo, hi, count in self.runs:
             packet_index = packet_index_by_id.get(id(packet))
             if packet_index is None:
@@ -351,12 +362,13 @@ class Link:
             for index in range(lo, hi):
                 entries.append([t0 + (index - lo) * f, packet_index, index,
                                 index == 0, index == count - 1])
-        frees = [t0 + k * f for t0, n in self._frees for k in range(n)]
-        return {"packets": packet_states, "entries": entries, "frees": frees}
+        state["frees"] = [t0 + k * f for t0, n in self._frees for k in range(n)]
+        return state
 
     def ckpt_restore(self, state):
         from repro.mesh.packet import PacketError, Packet
 
+        super().ckpt_restore(state)
         # The counters are rebuilt with the runs, never carried over.
         self.runs = []
         self._frees = []

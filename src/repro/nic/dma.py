@@ -18,6 +18,7 @@ inside a single deliberate-update mapping half and drops invalid commands,
 counting them.
 """
 
+from repro.ckpt.protocol import SCALAR, Checkpointable
 from repro.memsys.address import PAGE_SIZE, page_number, page_offset
 from repro.mesh.packet import Packet
 from repro.nic.nipt import MappingMode
@@ -26,12 +27,20 @@ from repro.sim.process import Process, Signal
 from repro.sim.resources import Mutex
 
 
-class DmaEngine:
+class DmaEngine(Checkpointable):
     """The single outgoing DMA engine of one NIC."""
 
     #: Metrics registered under the engine's name, ``<nic>.dma``.
     METRICS = (("transfers", "counter"), ("words", "counter"),
                ("rejected", "counter"), ("busy", "counter"))
+
+    # Arming registers only.  A busy engine has a live ``_transfer``
+    # process (an unserializable generator), so capture refuses it; the
+    # registers still round-trip for completeness.
+    CKPT_STATE = (("busy", SCALAR), ("base_addr", SCALAR),
+                  ("remaining_words", SCALAR))
+    CKPT_SKIP = {"_lock": "arbitration between client processes, which a "
+                          "checkpoint does not capture either"}
 
     def __init__(self, sim, nic):
         self.sim = sim
@@ -44,8 +53,6 @@ class DmaEngine:
         self.instr = Instrumentation.of(sim)
         (self.transfers, self.words_sent, self.rejected_commands,
          self.busy_rejections) = self.instr.register(self)
-        # simlint: ignore[SL201] arbitration between client processes,
-        # which a checkpoint does not capture either
         self._lock = None
 
     @property
@@ -122,27 +129,11 @@ class DmaEngine:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Arming registers only.  A busy engine has a live ``_transfer``
-        process (an unserializable generator), so safepoints require the
-        engine idle; the registers still round-trip for completeness."""
-        if self.busy:
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "%s DMA engine busy at capture (transfer in flight)"
-                % self.nic.name
-            )
-        return {
-            "busy": False,
-            "base_addr": self.base_addr,
-            "remaining_words": self.remaining_words,
-        }
-
-    def ckpt_restore(self, state):
-        self.busy = state["busy"]
-        self.base_addr = state["base_addr"]
-        self.remaining_words = state["remaining_words"]
+    def ckpt_refusal(self, state):
+        if state is None and self.busy:
+            return ("%s DMA engine busy at capture (transfer in flight)"
+                    % self.nic.name)
+        return None
 
     # -- the transfer process ------------------------------------------------------
 

@@ -18,6 +18,7 @@ cannot overflow".
 
 from collections import deque
 
+from repro.ckpt.protocol import PACKETS, SCALAR, Checkpointable
 from repro.sim.instrument import Instrumentation
 from repro.sim.process import Signal
 
@@ -26,12 +27,24 @@ class FifoOverflow(Exception):
     """A put exceeded FIFO capacity: the flow-control invariant broke."""
 
 
-class PacketFifo:
+class PacketFifo(Checkpointable):
     """A byte-accounted packet FIFO with a threshold callback."""
 
     #: Metrics registered under the FIFO's name.
     METRICS = (("puts", "counter"), ("gets", "counter"),
                ("occupancy", "timeseries"), ("crossings", "counter"))
+
+    # Queued packets plus threshold and high-water state.  System
+    # safepoints require both NIC FIFOs empty (parked consumer loops would
+    # not wake for restored packets), but the table is general so FIFO
+    # state round-trips in component tests.
+    CKPT_STATE = (("_packets", PACKETS), ("occupancy_bytes", SCALAR),
+                  ("max_occupancy_bytes", SCALAR),
+                  ("_threshold_armed", SCALAR))
+    CKPT_SKIP = {
+        "inject_hooks": "fault state, re-armed from the FaultPlan",
+        "reserved_bytes": "fault state, re-armed from the FaultPlan",
+    }
 
     def __init__(self, sim, capacity_bytes, threshold_bytes, name="fifo"):
         if not 0 < threshold_bytes <= capacity_bytes:
@@ -52,8 +65,8 @@ class PacketFifo:
         # FaultController -- re-armed from the FaultPlan after a restore,
         # never captured.  A tuple, not a list: rebuilt on (de)register so
         # the hot-path read is one attribute load and a truth test.
-        self.inject_hooks = ()  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
-        self.reserved_bytes = 0  # simlint: ignore[SL201] fault state, re-armed from the FaultPlan not the checkpoint
+        self.inject_hooks = ()
+        self.reserved_bytes = 0
         self.instr = Instrumentation.of(sim)
         (self.puts, self.gets, self.occupancy_series,
          self.threshold_crossings) = self.instr.register(self)
@@ -208,31 +221,6 @@ class PacketFifo:
             self._threshold_armed = True
         self._changed.fire()
         return packet
-
-    # -- checkpoint protocol (see repro.ckpt) ---------------------------------
-
-    def ckpt_capture(self):
-        """Queued packets (JSON-safe) plus threshold/high-water state.
-
-        System safepoints require both NIC FIFOs empty (parked consumer
-        loops would not wake for restored packets), but the capture is
-        general so FIFO state round-trips in component tests.
-        """
-        return {
-            "packets": [packet.to_state() for packet in self._packets],
-            "occupancy_bytes": self.occupancy_bytes,
-            "max_occupancy_bytes": self.max_occupancy_bytes,
-            "threshold_armed": self._threshold_armed,
-        }
-
-    def ckpt_restore(self, state):
-        from repro.mesh.packet import Packet
-
-        self._packets.clear()
-        self._packets.extend(Packet.from_state(ps) for ps in state["packets"])
-        self.occupancy_bytes = state["occupancy_bytes"]
-        self.max_occupancy_bytes = state["max_occupancy_bytes"]
-        self._threshold_armed = state["threshold_armed"]
 
     # -- waiting helpers -------------------------------------------------------------
 

@@ -19,6 +19,7 @@ the CPU, which waits until the FIFO drains; since the CPU does not write
 mapped pages while waiting, the Outgoing FIFO cannot overflow.
 """
 
+from repro.ckpt.protocol import PART, Checkpointable, CkptError
 from repro.memsys.address import PAGE_SIZE, page_number, page_offset
 from repro.memsys.bus import BusDevice
 from repro.mesh.packet import Packet, PacketError
@@ -149,7 +150,7 @@ class _MergeContext:
         self.flush_event = None
 
 
-class NetworkInterface:
+class NetworkInterface(Checkpointable):
     """One node's SHRIMP network interface."""
 
     #: Metrics registered under the NIC's name (``node0.nic.delivered``).
@@ -173,6 +174,16 @@ class NetworkInterface:
         "arrival_interrupts", "merged_writes", "_started", "inject_process",
         "accept_process", "delivery_process",
     )
+
+    CKPT_STATE = (("nipt", PART), ("outgoing_fifo", PART),
+                  ("incoming_fifo", PART), ("dma_engine", PART),
+                  ("kernel_inbox", PART))
+    CKPT_SKIP = {
+        "_merge": "encoded by ckpt_capture: the open blocked-write merge",
+        "cpu": "wiring: attach_cpu is part of node construction; the Cpu "
+               "checkpoints itself",
+        "_started": "start-once latch (wiring, not state)",
+    }
 
     def __init__(self, sim, node_id, bus, eisa, backplane, address_map,
                  nic_params, cpu_originator="cache", name=None):
@@ -207,8 +218,6 @@ class NetworkInterface:
         self.arrival_signal = ArrivalSignal(sim, self.name + ".arrival")
 
         self._merge = None
-        # simlint: ignore[SL201] wiring: attach_cpu is part of node
-        # construction; the Cpu checkpoints itself
         self.cpu = None
         # Optional datapath instrumentation: stage_hook(stage, packet, now)
         # is called at "packetized", "injected", "accepted", "delivered".
@@ -228,7 +237,6 @@ class NetworkInterface:
             address_map.command_base + address_map.dram_bytes,
             self.command_device,
         )
-        # simlint: ignore[SL201] start-once latch (wiring, not state)
         self._started = False
 
     # -- lifecycle --------------------------------------------------------------
@@ -415,39 +423,27 @@ class NetworkInterface:
         history, and only the relative order (already encoded by the
         checkpoint's descriptor list) is meaningful.
         """
-        merge_state = None
-        if self._merge is not None:
-            merge = self._merge
-            if merge.flush_event is None or merge.flush_event.cancelled:
-                from repro.ckpt.protocol import CkptError
-
-                raise CkptError(
-                    "%s has an open merge with no pending flush timer"
-                    % self.name
-                )
-            merge_state = {
-                "page": merge.page,
-                "start_offset": merge.start_offset,
-                "words": list(merge.words),
-                "next_addr": merge.next_addr,
-                "last_time": merge.last_time,
-                "flush_due": merge.flush_event.time,
-            }
-        return {
-            "nipt": self.nipt.ckpt_capture(),
-            "outgoing_fifo": self.outgoing_fifo.ckpt_capture(),
-            "incoming_fifo": self.incoming_fifo.ckpt_capture(),
-            "dma_engine": self.dma_engine.ckpt_capture(),
-            "kernel_inbox": self.kernel_inbox.ckpt_capture(),
-            "merge": merge_state,
+        state = super().ckpt_capture()
+        merge = self._merge
+        state["merge"] = None if merge is None else {
+            "page": merge.page,
+            "start_offset": merge.start_offset,
+            "words": list(merge.words),
+            "next_addr": merge.next_addr,
+            "last_time": merge.last_time,
+            "flush_due": merge.flush_event.time,
         }
+        return state
+
+    def ckpt_refusal(self, state):
+        merge = self._merge
+        if state is None and merge is not None and (
+                merge.flush_event is None or merge.flush_event.cancelled):
+            return "%s has an open merge with no pending flush timer" % self.name
+        return None
 
     def ckpt_restore(self, state):
-        self.nipt.ckpt_restore(state["nipt"])
-        self.outgoing_fifo.ckpt_restore(state["outgoing_fifo"])
-        self.incoming_fifo.ckpt_restore(state["incoming_fifo"])
-        self.dma_engine.ckpt_restore(state["dma_engine"])
-        self.kernel_inbox.ckpt_restore(state["kernel_inbox"])
+        super().ckpt_restore(state)
         merge_state = state["merge"]
         if merge_state is None:
             self._merge = None
@@ -456,8 +452,6 @@ class NetworkInterface:
             merge_state["page"], merge_state["start_offset"]
         )
         if half is None:
-            from repro.ckpt.protocol import CkptError
-
             raise CkptError(
                 "%s: restored merge at page %d offset %d has no outgoing "
                 "mapping" % (self.name, merge_state["page"],

@@ -13,6 +13,7 @@ holds up to two :class:`OutgoingHalf` records covering disjoint byte ranges
 of the page.
 """
 
+from repro.ckpt.protocol import Checkpointable
 from repro.memsys.address import PAGE_SIZE, WORD_SIZE
 
 
@@ -139,7 +140,7 @@ class NiptEntry:
         half.mode = mode
 
 
-class Nipt:
+class Nipt(Checkpointable):
     """The table: one :class:`NiptEntry` per page of local physical memory.
 
     An entry is built on the first :meth:`entry` call for its page and
@@ -149,6 +150,9 @@ class Nipt:
     not one slot per page.  Enumerations walk the built pages in page
     order, as a scan of the full table would.
     """
+
+    CKPT_SKIP = {"entries": "encoded by ckpt_capture: the entries that "
+                            "differ from the default"}
 
     def __init__(self, dram_pages):
         self._pages = dram_pages
@@ -210,7 +214,8 @@ class Nipt:
         default (no halves, not mapped in, no interrupt or resident bit).
         The ``dsm_resident`` key is likewise emitted only when set, so
         non-DSM checkpoints are byte-identical to the pre-DSM format."""
-        pages = []
+        state = super().ckpt_capture()
+        pages = state["pages"] = []
         for page, entry in self._built():
             if not (entry.halves or entry.mapped_in
                     or entry.interrupt_on_arrival or entry.dsm_resident):
@@ -232,9 +237,10 @@ class Nipt:
             if entry.dsm_resident:
                 entry_state["dsm_resident"] = True
             pages.append([page, entry_state])
-        return {"pages": pages}
+        return state
 
     def ckpt_restore(self, state):
+        super().ckpt_restore(state)
         self.entries = {}
         for page, entry_state in state["pages"]:
             entry = self.entry(page)

@@ -42,6 +42,8 @@ that tick with the sequence number the unfolded sleep would have taken.
 import heapq
 from collections import deque
 
+from repro.ckpt.protocol import SCALAR, Checkpointable
+
 
 class SimulationError(Exception):
     """Raised for illegal use of the simulation engine."""
@@ -83,7 +85,7 @@ class ScheduledEvent(list):
         )
 
 
-class Simulator:
+class Simulator(Checkpointable):
     """A deterministic discrete-event simulator with integer time.
 
     Typical use::
@@ -96,22 +98,34 @@ class Simulator:
     as nanoseconds.
     """
 
+    # Clock and event accounting.  Queue contents are NOT captured here:
+    # pending events hold Python callbacks and generator continuations,
+    # which are not serializable.  ``SystemCheckpoint`` captures them as
+    # re-schedulable *descriptors* (worker instruction-boundary resumes,
+    # merge-window flushes) at a safepoint, where those are provably the
+    # only live entries, and recreates them in ascending original
+    # sequence order -- so tie-breaking needs no ``_seq``.
+    CKPT_STATE = (("_now", SCALAR), ("_event_count", SCALAR))
+    CKPT_SKIP = {
+        "_seq": "only the relative order of pending events matters; "
+                "capture renumbers descriptors densely at the safepoint",
+        "_heap": "captured as descriptors by SystemCheckpoint",
+        "_bucket": "drained empty at every safepoint (it only holds "
+                   "events at time == _now, mid-run)",
+        "_running": "capture inside run() is refused; always False at a "
+                    "safepoint",
+        "_pause_hooks": "live callables of components that account lazily "
+                        "(a folded CPU spin); they settle when a run() "
+                        "returns, and re-register on restore",
+    }
+
     def __init__(self):
         self._now = 0
-        # simlint: ignore[SL201] only the relative order of pending events
-        # matters; capture renumbers descriptors densely at the safepoint
         self._seq = 0
         self._heap = []
-        # simlint: ignore[SL201] drained empty at every safepoint (the
-        # bucket only holds events at time == _now, mid-run)
         self._bucket = deque()  # events at time == _now (FIFO by seq)
-        # simlint: ignore[SL201] capture inside run() is refused; always
-        # False at a safepoint
         self._running = False
         self._event_count = 0
-        # simlint: ignore[SL201] live callables of components that account
-        # lazily (a folded CPU spin); they settle when a run() returns, and
-        # re-register on restore
         self._pause_hooks = {}
 
     def add_pause_hook(self, key, hook):
@@ -347,28 +361,8 @@ class Simulator:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Clock and event accounting.
-
-        Queue contents are NOT captured here: pending events hold Python
-        callbacks and generator continuations, which are not serializable.
-        ``SystemCheckpoint`` captures them as re-schedulable *descriptors*
-        (worker instruction-boundary resumes, merge-window flushes) at a
-        safepoint, where those are provably the only live entries.
-        ``_seq`` is likewise not captured -- tie-breaking only needs the
-        *relative* creation order of pending events, which the restore
-        path reproduces by recreating descriptors in ascending original
-        sequence order.
-        """
-        return {"now": self._now, "event_count": self._event_count}
-
-    def ckpt_restore(self, state):
-        if self._heap or self._bucket:
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "cannot restore a simulator clock with %d events pending"
-                % (len(self._heap) + len(self._bucket))
-            )
-        self._now = state["now"]
-        self._event_count = state["event_count"]
+    def ckpt_refusal(self, state):
+        if state is not None and (self._heap or self._bucket):
+            return ("cannot restore a simulator clock with %d events pending"
+                    % (len(self._heap) + len(self._bucket)))
+        return None

@@ -44,6 +44,7 @@ import json
 from functools import partial
 from operator import itemgetter
 
+from repro.ckpt.protocol import PAIRS, SCALAR, Checkpointable, CkptError
 from repro.sim.trace import Counter, TimeSeries
 
 
@@ -71,7 +72,7 @@ def nearest_rank(sorted_values, p):
     return sorted_values[int(rank) - 1]
 
 
-class Histogram:
+class Histogram(Checkpointable):
     """A power-of-two-bucketed value histogram (latencies, sizes).
 
     ``observe(v)`` files ``v`` into the bucket ``[2**(k-1), 2**k)`` and
@@ -79,6 +80,9 @@ class Histogram:
     """
 
     __slots__ = ("count", "total", "min", "max", "_buckets")
+
+    CKPT_STATE = (("count", SCALAR), ("total", SCALAR), ("min", SCALAR),
+                  ("max", SCALAR), ("_buckets", PAIRS))
 
     def __init__(self):
         self.count = 0
@@ -138,23 +142,6 @@ class Histogram:
                     upper = self.min
                 return upper
         return self.max  # unreachable unless counts drift; stay safe
-
-    def ckpt_capture(self):
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "buckets": [[index, self._buckets[index]]
-                        for index in sorted(self._buckets)],
-        }
-
-    def ckpt_restore(self, state):
-        self.count = state["count"]
-        self.total = state["total"]
-        self.min = state["min"]
-        self.max = state["max"]
-        self._buckets = {index: count for index, count in state["buckets"]}
 
     def __repr__(self):
         return "Histogram(n=%d, mean=%s)" % (self.count, self.mean())
@@ -324,7 +311,7 @@ class _Store:
         return found[0]
 
 
-class Instrumentation:
+class Instrumentation(Checkpointable):
     """Per-simulator metrics registry and event bus.
 
     Obtain the hub for a simulator with :meth:`Instrumentation.of` -- the
@@ -332,24 +319,34 @@ class Instrumentation:
     component of a machine shares one hub.
     """
 
+    # Observer configuration and output are deliberately outside the
+    # checkpoint: the hub captures *metric* state only, and a restored
+    # run re-attaches its own consumers (see docs/checkpoint.md).
+    CKPT_SKIP = {
+        "_store": "encoded by ckpt_capture: metric state by name",
+        "active": "observer wiring",
+        "_collecting": "observer wiring",
+        "_only_kinds": "observer wiring",
+        "_limit": "observer wiring",
+        "_records": "observer output",
+        "_by_kind": "observer output",
+        "dropped": "observer output",
+        "_subscribers": "observer wiring (live callables)",
+    }
+
     def __init__(self, sim):
         self.sim = sim
         # True iff at least one event consumer exists.  Producers guard
         # emission with this single attribute check; it is the whole cost
         # of the event bus when instrumentation is off.
-        # Observer configuration and output are deliberately outside the
-        # checkpoint: the hub captures *metric* state only, and a restored
-        # run re-attaches its own consumers (see docs/checkpoint.md).
-        self.active = False  # simlint: ignore[SL201] observer wiring
+        self.active = False
         self._store = _Store()
-        self._collecting = False  # simlint: ignore[SL201] observer wiring
-        self._only_kinds = None  # simlint: ignore[SL201] observer wiring
-        self._limit = None  # simlint: ignore[SL201] observer wiring
-        self._records = []  # simlint: ignore[SL201] observer output
-        # simlint: ignore[SL201] observer output
+        self._collecting = False
+        self._only_kinds = None
+        self._limit = None
+        self._records = []
         self._by_kind = {}  # kind -> [Event], same objects as _records
-        self.dropped = 0  # simlint: ignore[SL201] observer output
-        # simlint: ignore[SL201] observer wiring (live callables)
+        self.dropped = 0
         self._subscribers = []  # (kinds or None, callback)
 
     @classmethod
@@ -559,11 +556,13 @@ class Instrumentation:
         components capture themselves.  Collected event records are also
         skipped -- they are observer output, not machine state.
         """
-        return {"metrics": {
+        state = super().ckpt_capture()
+        state["metrics"] = {
             name: {"kind": kind, "state": metric.ckpt_capture()}
             for name, kind, metric, _leaf in self._store.entries()
             if kind != _PROBE
-        }}
+        }
+        return state
 
     def ckpt_restore(self, state):
         """Restore by name into the already-registered metric objects.
@@ -573,8 +572,7 @@ class Instrumentation:
         (different topology or params); that is a hard error, not
         something to skip silently.
         """
-        from repro.ckpt.protocol import CkptError
-
+        super().ckpt_restore(state)
         captured = state["metrics"]
         restored = 0
         for name, kind, metric, _leaf in self._store.entries():

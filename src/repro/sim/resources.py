@@ -7,6 +7,7 @@ hardware FIFOs with blocking put/get).
 
 from collections import deque
 
+from repro.ckpt.protocol import SCALAR, Checkpointable
 from repro.sim.process import Signal
 
 
@@ -106,7 +107,7 @@ class QueueClosed(Exception):
     """Raised when getting from a closed, drained queue."""
 
 
-class BoundedQueue:
+class BoundedQueue(Checkpointable):
     """A bounded FIFO with blocking ``put``/``get`` generators.
 
     ``capacity=None`` means unbounded.  ``put`` blocks while full, ``get``
@@ -114,7 +115,17 @@ class BoundedQueue:
     model hardware FIFOs where exact threshold behaviour is not needed; the
     NIC FIFOs (which have programmable thresholds) wrap this with extra
     bookkeeping.
+
+    A checkpoint holds the accounting only.  Queued items are arbitrary
+    payload objects, so capture refuses a non-empty queue rather than
+    guessing how to serialize them; system safepoints require every
+    queue empty (the NIC kernel inbox is the only long-lived one).
     """
+
+    CKPT_STATE = (("put_count", SCALAR), ("get_count", SCALAR),
+                  ("max_occupancy", SCALAR), ("_closed", SCALAR))
+    CKPT_SKIP = {"_items": "empty whenever a checkpoint is taken (capture "
+                           "refuses otherwise)"}
 
     def __init__(self, sim, capacity=None, name="queue"):
         if capacity is not None and capacity <= 0:
@@ -192,31 +203,8 @@ class BoundedQueue:
 
     # -- checkpoint protocol (see repro.ckpt) ---------------------------------
 
-    def ckpt_capture(self):
-        """Accounting state only; queued items are not serialized here.
-
-        System-level safepoints require every BoundedQueue empty (the NIC
-        kernel inbox is the only long-lived instance), so the capture
-        records the counters and refuses on buffered items rather than
-        guessing how to serialize arbitrary payload objects.
-        """
-        if self._items:
-            from repro.ckpt.protocol import CkptError
-
-            raise CkptError(
-                "queue %s holds %d items at capture; checkpoints require "
-                "quiescent queues" % (self.name, len(self._items))
-            )
-        return {
-            "put_count": self.put_count,
-            "get_count": self.get_count,
-            "max_occupancy": self.max_occupancy,
-            "closed": self._closed,
-        }
-
-    def ckpt_restore(self, state):
-        self._items.clear()
-        self.put_count = state["put_count"]
-        self.get_count = state["get_count"]
-        self.max_occupancy = state["max_occupancy"]
-        self._closed = state["closed"]
+    def ckpt_refusal(self, state):
+        if state is None and self._items:
+            return ("queue %s holds %d items at capture; checkpoints require "
+                    "quiescent queues" % (self.name, len(self._items)))
+        return None

@@ -5,8 +5,10 @@ these, and names them when it reads them; hardware models bump them,
 and benches read them back.
 """
 
+from repro.ckpt.protocol import ROWS, SCALAR, Checkpointable
 
-class Counter:
+
+class Counter(Checkpointable):
     """A monotonically increasing counter with a convenience API.
 
     The registry names it on read (``repro.sim.instrument``); the counter
@@ -14,6 +16,8 @@ class Counter:
     """
 
     __slots__ = ("value",)
+
+    CKPT_STATE = (("value", SCALAR),)
 
     def __init__(self):
         self.value = 0
@@ -27,17 +31,11 @@ class Counter:
     def __int__(self):
         return self.value
 
-    def ckpt_capture(self):
-        return {"value": self.value}
-
-    def ckpt_restore(self, state):
-        self.value = state["value"]
-
     def __repr__(self):
         return "Counter(%d)" % self.value
 
 
-class TimeSeries:
+class TimeSeries(Checkpointable):
     """Records (time, value) samples; used for FIFO occupancy, bus load, etc.
 
     Unsampled, ``samples`` is the shared empty tuple; the first
@@ -47,6 +45,8 @@ class TimeSeries:
 
     __slots__ = ("samples",)
 
+    CKPT_STATE = (("samples", ROWS),)
+
     def __init__(self):
         self.samples = ()
 
@@ -55,12 +55,6 @@ class TimeSeries:
             self.samples.append((time, value))
         else:
             self.samples = [(time, value)]
-
-    def ckpt_capture(self):
-        return {"samples": [[t, v] for t, v in self.samples]}
-
-    def ckpt_restore(self, state):
-        self.samples = [(t, v) for t, v in state["samples"]]
 
     def values(self):
         return [v for _t, v in self.samples]

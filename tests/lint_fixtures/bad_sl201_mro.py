@@ -1,24 +1,29 @@
 # simlint: scope=sim
-"""SL201 along the MRO: mutable state invisible to an inherited checkpoint.
+"""SL201 along the MRO: mutable state invisible to an inherited table.
 
-No single class holds the whole __init__/ckpt_capture/ckpt_restore
-triple -- the drift only appears once the MRO is resolved.
+The subclass inherits the base's ``CKPT_STATE``; the gap only appears
+once the MRO is resolved.
 """
 
+from repro.ckpt.protocol import SCALAR, Checkpointable
 
-class BaseNic:
-    def ckpt_capture(self):
-        return {}
 
-    def ckpt_restore(self, state):
-        pass
+class BaseNic(Checkpointable):
+    CKPT_STATE = (("_sent", SCALAR),)
+
+    def __init__(self, sim):
+        self.sim = sim
+        self._sent = 0
+
+    def send(self):
+        self._sent += 1
 
 
 class CountingNic(BaseNic):
     def __init__(self, sim):
-        self.sim = sim
-        # BUG: mutated on the datapath, but the inherited capture/restore
-        # pair never covers it.
+        super().__init__(sim)
+        # BUG: mutated on the datapath, but the inherited table never
+        # names it.
         self._drops = 0
 
     def drop(self):

@@ -1,10 +1,11 @@
 # simlint: scope=sim
-"""The base class whose checkpoint pair the subclass inherits."""
+"""The base class whose checkpoint table the subclass inherits."""
+
+from repro.ckpt.protocol import SCALAR, Checkpointable
 
 
-class BaseCounter:
-    def ckpt_capture(self):
-        return {"ticks": self._ticks}
+class BaseCounter(Checkpointable):
+    CKPT_STATE = (("_ticks", SCALAR),)
 
-    def ckpt_restore(self, state):
-        self._ticks = state["ticks"]
+    def __init__(self):
+        self._ticks = 0

@@ -1,5 +1,5 @@
 # simlint: scope=sim
-"""A device inheriting its checkpoint pair through the re-export."""
+"""A device inheriting its checkpoint table through the re-export."""
 
 from repro.sim.instrument import Instrumentation
 
@@ -8,12 +8,12 @@ from projpkg import BaseCounter
 
 class TickDevice(BaseCounter):
     def __init__(self, sim, name):
+        super().__init__()
         self.sim = sim
         self.name = name
         self.hub = Instrumentation.of(sim)
-        self._ticks = 0
-        # SL201: mutated below, but the inherited capture/restore pair
-        # in counters.py only covers _ticks.
+        # SL201: mutated below, but the inherited CKPT_STATE in
+        # counters.py only names _ticks.
         self._skips = 0
 
     def tick(self):

@@ -1,11 +1,10 @@
 """simlint: the fixture corpus, suppressions, CLI contract.
 
 The corpus under ``tests/lint_fixtures/`` is one bad/good pair per rule
-code, plus the pairs of the folded SL1101/SL1102.  Each bad fixture must
-trigger *exactly* its own rule (a folded pair: the codes it merged into);
-each good fixture must be clean across **all** rules -- so the corpus
-stays honest documentation of both what a rule catches and what the
-compliant idiom looks like.
+code, plus SL201's base/subclass and bad-row pairs.  Each bad fixture
+must trigger *exactly* its own rule; each good fixture must be clean
+across **all** rules -- so the corpus stays honest documentation of
+both what a rule catches and what the compliant idiom looks like.
 """
 
 import json
@@ -23,7 +22,7 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 ALL_CODES = [
     "SL101", "SL102", "SL103", "SL104", "SL105",
-    "SL201", "SL202", "SL203",
+    "SL201",
     "SL301", "SL302", "SL303",
     "SL402", "SL403",
     "SL501",
@@ -32,14 +31,13 @@ ALL_CODES = [
     "SL1001", "SL1002",
 ]
 
-# Code -> (fixture stem, the codes its bad fixture must trigger).  SL002
-# is the engine's own unused-suppression check.  The SL1101/SL1102 pairs
-# split the checkpoint triple between a base class and a subclass; those
-# codes are folded into SL201-SL203, which resolve methods along the
-# MRO, so their fixtures fire under the merged codes.
+# Case -> (fixture stem, the codes its bad fixture must trigger).  SL002
+# is the engine's own unused-suppression check.  SL201's extra pairs
+# split the checkpoint table between a base class and a subclass (the
+# case of the folded SL1101) and name an attribute nobody assigns.
 CORPUS = {code: (code.lower(), {code}) for code in ALL_CODES + ["SL002"]}
 CORPUS["SL1101"] = ("sl201_mro", {"SL201"})
-CORPUS["SL1102"] = ("sl202_mro", {"SL202", "SL203"})
+CORPUS["SL201_row"] = ("sl201_row", {"SL201"})
 
 
 def lint_paths(*paths, select=None):

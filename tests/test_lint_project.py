@@ -94,7 +94,7 @@ def test_graph_indexes_emit_sites_and_vocabulary():
 def test_projpkg_produces_exactly_the_planted_findings():
     findings, _ = _lint(*_projpkg_paths())
     assert [(f.code, Path(f.path).name) for f in findings] == [
-        ("SL201", "device.py"),    # _skips invisible to inherited ckpt
+        ("SL201", "device.py"),    # _skips missing from the inherited table
         ("SL1001", "device.py"),   # dev.orphan missing from the table
         ("SL1002", "vocab.py"),    # dev.dead has no emitter
     ]
