@@ -6,7 +6,7 @@ export PYTHONPATH
 # code side; this pins the interpreter side for tests and benchmarks).
 export PYTHONHASHSEED := 0
 
-.PHONY: test test-fast lint reach pin bench-ckpt bench-recovery \
+.PHONY: test test-fast lint reach pin footprint bench-ckpt bench-recovery \
 	bench-workload bench-dsm bench-check
 
 # Tier-1 suite (everything); lints first.
@@ -31,6 +31,13 @@ reach:
 # the commit.
 pin:
 	python -m repro.scenarios pin tests/fingerprints.json
+
+# Host memory by src/repro module: build a started 32x32 datacenter()
+# machine under tracemalloc and list where its live bytes go, each
+# module's total and its heaviest lines (tools/footprint.py).  Another
+# machine: make footprint ARGS="--scenario workload@seed=2".
+footprint:
+	python tools/footprint.py $(if $(ARGS),$(ARGS),--datacenter 32)
 
 # Style/defect gate: ruff when available (config in pyproject.toml),
 # then simlint, this repo's own AST invariant checker (determinism,

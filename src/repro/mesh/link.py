@@ -40,7 +40,7 @@ instead of one flit at a time:
   places the flit at ``max(transfer done, slot time)`` (:meth:`put`).
 - A reader parked on the empty buffer is woken once, at the deposited
   head's stamp -- when it could take it -- or at the not-before time it
-  asked for if the flit came earlier (:meth:`wait_filled`), instead of
+  asked for if the flit came earlier (:meth:`empty_signal`), instead of
   at the deposit and again at the stamp.
 
 Each link has exactly one writer (wormhole switching holds the upstream
@@ -50,7 +50,9 @@ makes the stamp and free-time bookkeeping race-free.
 
 Both buffers are plain lists: each holds at most ``capacity`` runs, so
 dropping the oldest costs no more than a deque's ``popleft``, and an
-empty list costs a fraction of an empty deque on a 1024-node mesh.
+empty list costs a fraction of an empty deque on a 1024-node mesh.  For
+the same reason a link holds no instance dict, and its two signals
+name themselves through it (see :class:`~repro.sim.process.Named`).
 """
 
 from repro.ckpt.protocol import Checkpointable
@@ -60,6 +62,10 @@ from repro.sim.process import Signal
 
 class Link(Checkpointable):
     """A timed, bounded flit pipe."""
+
+    __slots__ = ("sim", "params", "name", "capacity", "_flit_ns", "runs",
+                 "_frees", "_held", "_owed", "_not_before", "_not_full",
+                 "_not_empty", "_down", "flits_moved")
 
     #: Metrics registered under the link's name (see Instrumentation.register).
     METRICS = (("flits", "counter"),)
@@ -84,8 +90,8 @@ class Link(Checkpointable):
         self._held = 0  # flits buffered: the entry runs' total length
         self._owed = 0  # consumed-ahead slots not yet free: the free runs' total
         self._not_before = 0  # the parked reader resumes no earlier than this
-        self._not_full = Signal(sim, name + ".not_full")
-        self._not_empty = Signal(sim, name + ".not_empty")
+        self._not_full = Signal(sim, "not_full", self)
+        self._not_empty = Signal(sim, "not_empty", self)
         # Fault-injection hook (repro.faults): a downed link admits no new
         # transfers; already-deposited flits remain readable (they arrived
         # before the cable was pulled).  Orchestration state owned by the
@@ -146,7 +152,7 @@ class Link(Checkpointable):
     def _filled(self):
         """Wake the reader parked on the empty buffer at the head's stamp
         -- the instant it could take it -- or at the not-before time it
-        asked for, if the flit came earlier (see :meth:`wait_filled`).
+        asked for, if the flit came earlier (see :meth:`empty_signal`).
         Writers call this only while the reader is parked."""
         signal = self._not_empty
         now = self.sim._now
@@ -432,23 +438,19 @@ class Link(Checkpointable):
             else:
                 yield self._not_empty
 
-    def wait_filled(self, not_before):
-        """Generator: block until a flit is buffered, resuming no earlier
-        than ``not_before``.
+    def empty_signal(self, not_before):
+        """The signal a reader of the empty buffer parks on (``while not
+        link.runs: yield signal``), to resume no earlier than
+        ``not_before``.
 
         A flit deposited before ``not_before`` wakes the reader *at*
         ``not_before`` (its stamp may still lie ahead); one deposited
         later wakes it at its stamp.  Either way the deposit schedules
-        one timed resume instead of a wake-up followed by a sleep.
+        one timed resume instead of a wake-up followed by a sleep.  The
+        reader parks in its own frame, not in a nested generator.
         """
-        if self.runs:
-            wait = not_before - self.sim._now
-            if wait > 0:
-                yield wait
-            return
         self._not_before = not_before
-        while not self.runs:
-            yield self._not_empty
+        return self._not_empty
 
     def take(self, done):
         """Consume the oldest buffered flit as a reader that is busy until

@@ -23,7 +23,7 @@ stall -- is made for that instant, so flit timing is unchanged.
 
 from repro.mesh.topology import NORTH, SOUTH, EAST, WEST, LOCAL, route_port
 from repro.sim.instrument import Instrumentation
-from repro.sim.process import Process, Signal
+from repro.sim.process import Named, Process, Signal
 from repro.sim.resources import Mutex
 
 
@@ -34,13 +34,21 @@ class RoutingError(Exception):
 PORTS = (NORTH, SOUTH, EAST, WEST, LOCAL)
 
 
-class _OutputPort:
-    """An output channel: a link plus the mutex a worm holds while using it."""
+class _OutputPort(Named):
+    """An output channel: a link plus the mutex a worm holds while using it.
 
-    def __init__(self, sim, name):
+    One is built per port of every router, so it holds no instance dict
+    and no name string: it is named ``<router>.<port>`` on read, and its
+    mutex ``<router>.<port>.alloc``.
+    """
+
+    __slots__ = ("link", "mutex")
+
+    def __init__(self, router, port):
+        self._parent = router
+        self._role = port
         self.link = None  # set when the backplane wires the mesh
-        self.mutex = Mutex(sim, name + ".alloc")
-        self.name = name
+        self.mutex = Mutex(router.sim, "alloc", self)
 
 
 class Router:
@@ -55,8 +63,7 @@ class Router:
         self.coords = coords
         self.name = name or ("router(%d,%d)" % coords)
         self.inputs = {}  # port -> Link (filled by the backplane)
-        self.outputs = {port: _OutputPort(sim, "%s.%s" % (self.name, port))
-                        for port in PORTS}
+        self.outputs = {port: _OutputPort(self, port) for port in PORTS}
         self.instr = Instrumentation.of(sim)
         self.packets_routed, self.flits_forwarded = self.instr.register(self)
         self.processes = []  # input forwarding processes, filled by start()
@@ -70,7 +77,7 @@ class Router:
         # an input process can tell whether a past instant fell inside a
         # stall; fault plans inject a handful.
         self._stalls = []
-        self._resume_signal = Signal(sim, self.name + ".resume")
+        self._resume_signal = Signal(sim, "resume", self)
 
     # -- wiring (used by the backplane) ---------------------------------------
 
@@ -161,7 +168,8 @@ class Router:
         - otherwise the process parks on the empty buffer and the deposit
           wakes it at the head's stamp, where the reference, blocked in
           receive(), reads it -- one event for the idle wake and the
-          stamp wait.
+          stamp wait (:meth:`Link.empty_signal`).  It parks in this
+          frame: an idle input holds one generator, not two.
 
         Stalls are judged where the reference checks them: at ``ref``
         (from the stall log, since that instant may have passed) and at a
@@ -171,8 +179,12 @@ class Router:
         sim = self.sim
         ref = sim._now
         while True:
-            if ref > sim._now or not in_link.runs:
-                yield from in_link.wait_filled(ref)
+            if not in_link.runs:
+                empty = in_link.empty_signal(ref)
+                while not in_link.runs:
+                    yield empty
+            elif ref > sim._now:
+                yield ref - sim._now
             if self._stalls:
                 resumed = yield from self._stall_over(ref)
                 if resumed is not None:
@@ -259,7 +271,9 @@ class Router:
             if not in_link.runs:
                 # Worm strung out upstream: the reference reader is busy
                 # until ``done`` and then blocks in receive().
-                yield from in_link.wait_filled(done)
+                empty = in_link.empty_signal(done)
+                while not in_link.runs:
+                    yield empty
                 continue
             done, placed = out_link.pull(in_link, done)
             if placed:

@@ -7,7 +7,10 @@ started machine that has not run yet holds few of them.  This guard
 fails when a change brings back a container per node, link or metric.
 The collector does not see strings, so a second guard bounds the bytes
 ``tracemalloc`` traces per node: it fails when a change brings back a
-name string per metric.
+name string per metric, or an instance dict, an empty deque or a name
+string per link, port or queue.  The objects built once per link, port
+or queue are slotted, and their names are built when read, which the
+tests below also check.
 An assembled instruction is one slotted object holding its decoded
 operands, so a program of stores costs the host about one object per
 store; the guards below fail when instructions grow instance dicts or
@@ -19,11 +22,19 @@ import gc
 import sys
 import tracemalloc
 
+import pytest
+
 from repro.cpu import Asm, Mem, isa
 from repro.memsys import PAGE_SIZE, PhysicalMemory
 from repro.memsys.physmem import BLOCK_SIZE
 from repro.machine import ShrimpSystem
 from repro.machine.config import datacenter
+from repro.mesh.link import Link
+from repro.mesh.router import _OutputPort
+from repro.mesh.topology import EAST
+from repro.nic.fifo import PacketFifo
+from repro.sim.process import Process, Signal
+from repro.sim.resources import BoundedQueue, Mutex
 
 #: GC-tracked objects one node of a started 8x8 ``datacenter()`` build
 #: adds: 162.4 with metrics named on read (182.8 with a probe closure and
@@ -31,10 +42,12 @@ from repro.machine.config import datacenter
 #: plus about 10% headroom.
 MAX_OBJECTS_PER_NODE = 179
 
-#: Bytes ``tracemalloc`` traces per node of the same build: 24,785 with
-#: metrics named on read (29,641 with a name string per metric and a
-#: registry dict entry each), plus about 5% headroom.
-MAX_TRACED_BYTES_PER_NODE = 26_000
+#: Bytes ``tracemalloc`` traces per node of the same build: 19,504 with
+#: slotted links, ports, mutexes and FIFOs, list queues and signal names
+#: built on read (24,785 with an instance dict, a deque or a joined name
+#: string each; 29,641 with a name string per metric as well), plus
+#: about 5% headroom.
+MAX_TRACED_BYTES_PER_NODE = 20_500
 
 
 def _objects_per_node(width, height):
@@ -76,6 +89,40 @@ def test_started_datacenter_build_traced_bytes_per_node():
     assert per_node <= MAX_TRACED_BYTES_PER_NODE, (
         "a started 8x8 build traces %.0f bytes per node (bound %d)"
         % (per_node, MAX_TRACED_BYTES_PER_NODE))
+
+
+@pytest.mark.parametrize("cls", [Link, _OutputPort, Mutex, Signal, Process,
+                                 PacketFifo, BoundedQueue],
+                         ids=lambda cls: cls.__name__)
+def test_per_link_port_and_queue_classes_have_no_instance_dict(cls):
+    """A 32x32 machine builds thousands of each of these."""
+    assert cls.__dictoffset__ == 0
+
+
+def test_names_built_on_read_name_owner_and_role():
+    system = ShrimpSystem(2, 2)
+    port = system.backplane.routers[(0, 0)].outputs[EAST]
+    link = port.link
+    assert link.name == "link(0,0)->(1,0)"
+    assert repr(link._not_full) == "Signal(link(0,0)->(1,0).not_full, 0 waiting)"
+    assert repr(link._not_empty) == (
+        "Signal(link(0,0)->(1,0).not_empty, 0 waiting)")
+    assert port.name == "router(0,0).east"
+    assert repr(port.mutex) == "Mutex(router(0,0).east.alloc, free)"
+    assert repr(port.mutex._released) == (
+        "Signal(router(0,0).east.alloc.released, 0 waiting)")
+    nic = system.nodes[0].nic
+    assert repr(nic.outgoing_fifo._changed) == (
+        "Signal(%s.changed, 0 waiting)" % nic.outgoing_fifo.name)
+    assert repr(nic.kernel_inbox._not_empty) == (
+        "Signal(%s.not_empty, 0 waiting)" % nic.kernel_inbox.name)
+
+
+def test_releasing_an_unlocked_port_mutex_names_the_port():
+    system = ShrimpSystem(2, 2)
+    mutex = system.backplane.routers[(1, 0)].outputs[EAST].mutex
+    with pytest.raises(RuntimeError, match=r"router\(1,0\)\.east\.alloc"):
+        mutex.release()
 
 
 #: GC-tracked objects one assembled ``mov [abs], imm`` adds, counting
